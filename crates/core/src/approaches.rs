@@ -563,6 +563,11 @@ mod tests {
         for t in [&lo, &hi] {
             assert!(t.all_blocks_packed().is_none(), "{}: L > 255 must not pack", t.name());
             assert!(t.paths().iter().all(|p| p.packed.is_none()));
+            // Without a skyline, Approach 3 runs the exact sweep.
+            assert!(t.paths().iter().all(|p| p.trace.skyline_kept().is_none()));
+            let exact = t.paths().iter().map(|p| p.trace.max_line_bound().0).max().unwrap();
+            assert_eq!(t.program().useful_line_bound(), exact, "{}", t.name());
+            assert_eq!(reload_lines(CrpdApproach::UsefulBlocks, t, t), exact, "{}", t.name());
         }
         for approach in CrpdApproach::ALL {
             let bound = reload_lines(approach, &lo, &hi);

@@ -281,6 +281,20 @@ impl UsefulTrace {
         best
     }
 
+    /// Approach 3's per-path count `max_t Σ_r min(|useful_r(t)|, L)` —
+    /// identical to [`UsefulTrace::max_line_bound`]`.0`, but read off the
+    /// skyline instead of re-running the backward sweep. Every execution
+    /// point's saturated vector is element-wise `<=` some retained point,
+    /// the line bound is monotone in that order, and every retained point
+    /// is itself an execution point, so the largest retained line bound
+    /// is the exact maximum. Traces without a skyline run the sweep.
+    pub fn peak_line_bound(&self) -> usize {
+        if let Some(skyline) = &self.skyline {
+            return skyline.points.iter().map(PackedFootprint::line_bound).max().unwrap_or(0);
+        }
+        self.max_line_bound().0
+    }
+
     /// The maximum over all execution points of the inter-task bound
     /// `S(useful(t), Mb)` of Eq. 3/4 against a preempting footprint `mb` —
     /// the combined approach's per-path count.

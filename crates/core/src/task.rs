@@ -277,10 +277,11 @@ impl AnalyzedProgram {
 
     /// Approach 3's per-task reload count: the maximum over feasible paths
     /// and execution points of `Σ_r min(|useful_r|, L)` (Definition 4
-    /// evaluated per path).
+    /// evaluated per path), read off each path's skyline where one was
+    /// built.
     pub fn useful_line_bound(&self) -> usize {
         let _span = rtobs::span_labeled("mumbs", || format!("{}: line bound", self.name));
-        self.paths.iter().map(|p| p.trace.max_line_bound().0).max().unwrap_or(0)
+        self.paths.iter().map(|p| p.trace.peak_line_bound()).max().unwrap_or(0)
     }
 
     /// The maximum useful memory blocks set (`M̃a`, Definition 4): the
@@ -530,6 +531,26 @@ mod tests {
         let t = analyze(&p);
         assert!(t.useful_line_bound() <= t.all_blocks().line_bound());
         assert!(t.useful_line_bound() > 0, "a looping task reuses blocks");
+    }
+
+    #[test]
+    fn useful_line_bound_matches_the_exact_sweep_on_the_paper_systems() {
+        // Approach 3 reads the bound off each path's skyline; the exact
+        // backward sweep is the reference it must equal.
+        let geometries = [
+            CacheGeometry::new(16, 1, 16).unwrap(),
+            CacheGeometry::new(16, 2, 16).unwrap(),
+            CacheGeometry::new(64, 2, 16).unwrap(),
+            CacheGeometry::paper_l1(),
+        ];
+        for program in rtworkloads::experiment1().iter().chain(&rtworkloads::experiment2()) {
+            for geometry in geometries {
+                let t =
+                    AnalyzedProgram::analyze(program, geometry, TimingModel::default()).unwrap();
+                let exact = t.paths().iter().map(|p| p.trace.max_line_bound().0).max().unwrap();
+                assert_eq!(t.useful_line_bound(), exact, "{} at {geometry:?}", t.name());
+            }
+        }
     }
 
     #[test]

@@ -87,6 +87,29 @@ proptest! {
         prop_assert_eq!(t.max_packed_overlap(&packed), t.max_overlap_bound(&ciip).0);
     }
 
+    /// Approach 3's skyline read equals the exact sweep's maximum line
+    /// bound over 1-8 ways and 1-64 sets, empty and all-miss (streaming)
+    /// traces included.
+    #[test]
+    fn peak_line_bound_matches_max_line_bound(set_log in 0u32..=6, ways in 1u32..=8,
+                                              blocks in prop::collection::vec(0u64..160, 0..300),
+                                              shape in 0u8..4) {
+        let geom = CacheGeometry::new(1 << set_log, ways, 16).expect("valid geometry");
+        // One case in four runs the empty trace and one in four a trace
+        // of distinct blocks, where every access misses.
+        let blocks: Vec<u64> = match shape {
+            0 => Vec::new(),
+            1 => (0..blocks.len() as u64).collect(),
+            _ => blocks,
+        };
+        let t = UsefulTrace::from_trace(&trace_of(&blocks, geom), geom);
+        prop_assert!(t.skyline_kept().is_some(), "small geometries always build a skyline");
+        prop_assert_eq!(t.peak_line_bound(), t.max_line_bound().0);
+        if shape < 2 {
+            prop_assert_eq!(t.peak_line_bound(), 0);
+        }
+    }
+
     /// A single-pass (no-reuse) trace has no useful blocks at all.
     #[test]
     fn streaming_traces_have_no_useful_blocks(geom in arb_geometry(), len in 1usize..200) {

@@ -16,10 +16,12 @@ use rtwcet::TimingModel;
 /// recorded as an rtobs stage lookup (`assemble` / `analyze`), so sweep
 /// hit rates are measurable exactly like the server's `StageStore` path.
 ///
-/// Misses compute outside the map lock so distinct artifacts build in
-/// parallel; the sweep engine pre-warms each batch's unique
-/// combinations, so concurrent lookups for the *same* key only happen
-/// once the key is already present.
+/// Assembly runs under the program map's lock, so it is single-flight:
+/// the sweep warms one task under several geometries at once, and
+/// assembly is cheap. Analyze misses compute outside the lock so
+/// distinct artifacts build in parallel; the sweep engine pre-warms each
+/// batch's unique combinations, so concurrent lookups for the *same*
+/// analysis key only happen once the key is already present.
 pub struct LocalStore {
     /// `(name, source)` per task, in spec order.
     tasks: Vec<(String, String)>,
@@ -44,7 +46,8 @@ impl LocalStore {
     }
 
     fn program(&self, task: usize) -> Result<Arc<Program>, CliError> {
-        if let Some(hit) = self.programs.lock().expect("program store").get(&task) {
+        let mut programs = self.programs.lock().expect("program store");
+        if let Some(hit) = programs.get(&task) {
             rtobs::record_stage_lookup("assemble", true);
             return Ok(Arc::clone(hit));
         }
@@ -55,8 +58,9 @@ impl LocalStore {
             rtprogram::asm::assemble(name, source)
                 .map_err(|e| CliError::Asm(format!("{name}: {e}")))?
         };
-        let mut programs = self.programs.lock().expect("program store");
-        Ok(Arc::clone(programs.entry(task).or_insert_with(|| Arc::new(program))))
+        let program = Arc::new(program);
+        programs.insert(task, Arc::clone(&program));
+        Ok(program)
     }
 
     /// The analyzed artifact of `task` under `(geometry, model)`,
@@ -95,6 +99,7 @@ mod tests {
 
     #[test]
     fn memoizes_per_task_geometry_and_model() {
+        let _serial = crate::obs_serial();
         let store = LocalStore::new(vec![("a".into(), SRC.into())]);
         let g64 = CacheGeometry::new(64, 2, 16).unwrap();
         let g32 = CacheGeometry::new(32, 2, 16).unwrap();
@@ -112,6 +117,7 @@ mod tests {
 
     #[test]
     fn assembly_errors_surface_and_are_not_cached() {
+        let _serial = crate::obs_serial();
         let store = LocalStore::new(vec![("bad".into(), "not assembly".into())]);
         let g = CacheGeometry::new(64, 2, 16).unwrap();
         let err = store.analyzed_program(0, g, TimingModel::default()).unwrap_err();
