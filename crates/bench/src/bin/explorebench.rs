@@ -28,9 +28,9 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use crpd::CrpdCellCache;
+use rtcli::store::ArtifactStore;
 use rtcli::SystemSpec;
-use rtexplore::{run_sweep, Grid, LocalStore, Plan};
+use rtexplore::{run_sweep, Grid, Plan};
 use rtserver::json::Json;
 
 const SPEC: &str = "cache 64 2 16\ncmiss 20\nccs 50\ntask hi hi.s 5000 1\ntask lo lo.s 50000 2\n";
@@ -127,14 +127,14 @@ fn run() -> Result<(), String> {
     );
 
     // Timed cold sweep on the default pool against one shared store.
-    let store = LocalStore::new(sources());
-    let cells = CrpdCellCache::default();
-    let provider = |task: usize, geometry, model| store.analyzed_program(task, geometry, model);
+    let store = ArtifactStore::default();
+    let task_sources = sources();
+    let provider = store.sweep_provider(&task_sources);
     let started = Instant::now();
     let mut heartbeat = rtobs::flight::Heartbeat::new(std::time::Duration::from_secs(5));
     let mut done = 0u64;
     let total = plan.len() as u64;
-    let outcome = run_sweep(&plan, &provider, &cells, |batch, _front| {
+    let outcome = run_sweep(&plan, &provider, store.cells(), |batch, _front| {
         done += batch.len() as u64;
         if let Some(line) = heartbeat.poll(done, Some(total)) {
             eprintln!("explorebench: {line}");
@@ -176,7 +176,8 @@ fn run() -> Result<(), String> {
 
     // Dedup proof, part 2: re-sweeping the whole grid against the warm
     // store runs zero additional artifact-pipeline spans.
-    let warm_outcome = run_sweep(&plan, &provider, &cells, |_, _| {}).map_err(|e| e.to_string())?;
+    let warm_outcome =
+        run_sweep(&plan, &provider, store.cells(), |_, _| {}).map_err(|e| e.to_string())?;
     let warm_spans = session.recorder().stage_durations();
     for stage in ["assemble", "analyze", "trace", "ciip", "wcet"] {
         let (cold, warm) = (span_count(&cold_spans, stage), span_count(&warm_spans, stage));

@@ -54,12 +54,9 @@ pub fn parse(mut args: Vec<String>) -> Result<Invocation, CliError> {
             return Err(CliError::Usage(format!(
                 "unexpected argument `{extra}`; trisc serve [--host HOST] [--port PORT] [--threads N] \
                  [--event-threads N] [--max-inflight N] [--deadline-ms MS] [--idle-timeout-ms MS] \
-                 [--poller auto|epoll|poll] [--trace-out TRACE.json] \
-                 [--cluster PEERS_FILE (--node-id N | --front)] [--peer-deadline-ms MS] \
-                 [--replica-capacity N]"
+                 [--poller auto|epoll|poll] [--trace-out TRACE.json]"
             )));
         }
-        opts.validate_cluster()?;
         return Ok(Invocation::Serve(opts));
     }
     if args.first().map(String::as_str) == Some("status") {
@@ -357,18 +354,15 @@ mod tests {
             }
             other => panic!("expected Serve, got {other:?}"),
         }
-        match parse(argv(&["serve", "--port", "0", "--cluster", "peers.txt", "--front"])).unwrap() {
-            Invocation::Serve(opts) => {
-                assert_eq!(opts.cluster.as_deref(), Some("peers.txt"));
-                assert!(opts.front);
+        // Unknown serve flags are usage errors naming the first
+        // unexpected argument.
+        for args in [&["serve", "--cluster", "p.txt", "--front"][..], &["serve", "--node-id", "0"]]
+        {
+            match parse(argv(args)) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("unexpected argument"), "{msg}"),
+                other => panic!("{args:?}: expected a usage error, got {other:?}"),
             }
-            other => panic!("expected Serve, got {other:?}"),
         }
-        // Cluster flag combinations are validated at parse time.
-        assert!(matches!(
-            parse(argv(&["serve", "--cluster", "peers.txt"])),
-            Err(CliError::Options(_))
-        ));
         assert!(matches!(parse(argv(&["serve", "leftover"])), Err(CliError::Usage(_))));
         // `dispatch` itself points serve users at the daemon crate.
         assert!(matches!(dispatch(argv(&["serve"])), Err(CliError::Usage(_))));

@@ -27,6 +27,10 @@
 //!
 //! (`serve` itself is implemented by the `rtserver` crate, which also
 //! ships the `trisc` binary; everything else lives here.)
+//!
+//! [`store`] holds the one memoized artifact DAG — single-flight
+//! `assemble`/`analyze` stages plus the CRPD cell cache — shared by the
+//! server's requests and by `trisc explore` sweeps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +38,7 @@
 pub mod dispatch;
 pub mod options;
 pub mod spec;
+pub mod store;
 
 use std::borrow::Borrow;
 use std::fmt::Write as _;

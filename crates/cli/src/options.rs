@@ -127,24 +127,6 @@ pub struct ServeOptions {
     /// `poll`. Kept as a string here so the CLI crate stays decoupled
     /// from the reactor; the server validates and converts.
     pub poller: String,
-    /// Cluster peers file (`--cluster PATH`): one `host:port` ring member
-    /// per line. `None` runs a plain single-node server.
-    pub cluster: Option<String>,
-    /// This node's line index in the peers file (`--node-id N`). Required
-    /// with `--cluster` unless `--front` is given.
-    pub node_id: Option<usize>,
-    /// Run as a stateless front (`--front`): a ring member of nothing
-    /// that routes every analysis key to its owner node. Mutually
-    /// exclusive with `--node-id`.
-    pub front: bool,
-    /// Peer-fetch deadline in milliseconds (`--peer-deadline-ms`): how
-    /// long a non-owner waits for the owning node before computing
-    /// locally.
-    pub peer_deadline_ms: u64,
-    /// Bound on peer-fetched replica artifacts (`--replica-capacity`):
-    /// artifacts owned by other nodes are cached up to this count, then
-    /// evicted — the N× per-node memory saving of cluster mode.
-    pub replica_capacity: usize,
 }
 
 impl Default for ServeOptions {
@@ -165,11 +147,6 @@ impl Default for ServeOptions {
             deadline_ms: None,
             idle_timeout_ms: None,
             poller: "auto".to_string(),
-            cluster: None,
-            node_id: None,
-            front: false,
-            peer_deadline_ms: 2000,
-            replica_capacity: 256,
         }
     }
 }
@@ -187,11 +164,9 @@ impl ServeOptions {
         let mut it = args.drain(..);
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--front" => self.front = true,
                 "--host" | "--port" | "--threads" | "--trace-out" | "--slow-ms"
                 | "--flight-capacity" | "--event-threads" | "--max-inflight" | "--deadline-ms"
-                | "--idle-timeout-ms" | "--poller" | "--cluster" | "--node-id"
-                | "--peer-deadline-ms" | "--replica-capacity" => {
+                | "--idle-timeout-ms" | "--poller" => {
                     let value = it
                         .next()
                         .ok_or_else(|| CliError::Options(format!("{arg} needs a value")))?;
@@ -253,28 +228,6 @@ impl ServeOptions {
                             }
                             self.poller = value;
                         }
-                        "--cluster" => self.cluster = Some(value),
-                        "--node-id" => {
-                            self.node_id = Some(value.parse().map_err(|_| {
-                                CliError::Options(format!("bad value for --node-id: {value}"))
-                            })?);
-                        }
-                        "--peer-deadline-ms" => {
-                            self.peer_deadline_ms =
-                                value.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
-                                    CliError::Options(format!(
-                                        "bad value for --peer-deadline-ms: {value}"
-                                    ))
-                                })?;
-                        }
-                        "--replica-capacity" => {
-                            self.replica_capacity =
-                                value.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
-                                    CliError::Options(format!(
-                                        "bad value for --replica-capacity: {value}"
-                                    ))
-                                })?;
-                        }
                         _ => {
                             self.threads =
                                 value.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
@@ -289,29 +242,6 @@ impl ServeOptions {
         drop(it);
         *args = remaining;
         Ok(())
-    }
-
-    /// Checks the cluster flag combination: `--node-id` and `--front`
-    /// require `--cluster`, and a clustered node is exactly one of the
-    /// two.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CliError::Options`] naming the conflicting flags.
-    pub fn validate_cluster(&self) -> Result<(), CliError> {
-        match (&self.cluster, self.node_id, self.front) {
-            (None, None, false) => Ok(()),
-            (None, _, _) => {
-                Err(CliError::Options("--node-id/--front require --cluster PEERS_FILE".into()))
-            }
-            (Some(_), Some(_), true) => {
-                Err(CliError::Options("--node-id and --front are mutually exclusive".into()))
-            }
-            (Some(_), None, false) => {
-                Err(CliError::Options("--cluster needs --node-id N or --front".into()))
-            }
-            (Some(_), _, _) => Ok(()),
-        }
     }
 }
 
@@ -540,64 +470,6 @@ mod tests {
                 matches!(ServeOptions::default().parse_from(&mut args), Err(CliError::Options(_))),
                 "{bad:?} should be rejected"
             );
-        }
-    }
-
-    #[test]
-    fn serve_options_parse_cluster_flags() {
-        let mut o = ServeOptions::default();
-        assert_eq!((o.cluster.as_deref(), o.node_id, o.front), (None, None, false));
-        assert_eq!((o.peer_deadline_ms, o.replica_capacity), (2000, 256));
-        o.validate_cluster().unwrap();
-        let mut args: Vec<String> = [
-            "--cluster",
-            "peers.txt",
-            "--node-id",
-            "1",
-            "--peer-deadline-ms",
-            "500",
-            "--replica-capacity",
-            "32",
-            "rest",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        o.parse_from(&mut args).unwrap();
-        assert_eq!(o.cluster.as_deref(), Some("peers.txt"));
-        assert_eq!(o.node_id, Some(1));
-        assert_eq!(o.peer_deadline_ms, 500);
-        assert_eq!(o.replica_capacity, 32);
-        assert_eq!(args, vec!["rest".to_string()]);
-        o.validate_cluster().unwrap();
-
-        let mut front = ServeOptions::default();
-        let mut args: Vec<String> =
-            ["--cluster", "peers.txt", "--front"].iter().map(|s| s.to_string()).collect();
-        front.parse_from(&mut args).unwrap();
-        assert!(front.front && args.is_empty());
-        front.validate_cluster().unwrap();
-
-        for bad in [["--node-id", "one"], ["--peer-deadline-ms", "0"], ["--replica-capacity", "0"]]
-        {
-            let mut args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(
-                matches!(ServeOptions::default().parse_from(&mut args), Err(CliError::Options(_))),
-                "{bad:?} should be rejected"
-            );
-        }
-        // Flag-combination validation.
-        let combos: [(&[&str], &str); 3] = [
-            (&["--cluster", "p.txt"], "--node-id N or --front"),
-            (&["--cluster", "p.txt", "--node-id", "0", "--front"], "mutually exclusive"),
-            (&["--front"], "require --cluster"),
-        ];
-        for (flags, needle) in combos {
-            let mut o = ServeOptions::default();
-            let mut args: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
-            o.parse_from(&mut args).unwrap();
-            let err = o.validate_cluster().unwrap_err();
-            assert!(err.to_string().contains(needle), "{flags:?}: {err}");
         }
     }
 

@@ -14,9 +14,10 @@ use rtwcet::TimingModel;
 use crate::{ParetoFront, Plan, PointConfig, PointOutcome};
 
 /// The analysis provider a sweep runs against: maps `(task index,
-/// geometry, model)` to the task's params-free artifact. The CLI and
-/// bench pass a [`crate::LocalStore`] adapter; the server passes its
-/// single-flight `ArtifactStore`, sharing artifacts across requests.
+/// geometry, model)` to the task's params-free artifact. Every caller
+/// backs it with the single-flight [`rtcli::store::ArtifactStore`]: the
+/// CLI and bench with one store per sweep, the server with its shared
+/// store, so artifacts carry across requests.
 pub type AnalyzeProvider<'a> = &'a (dyn Fn(usize, CacheGeometry, TimingModel) -> Result<Arc<AnalyzedProgram>, CliError>
          + Sync);
 

@@ -7,8 +7,9 @@
 //!
 //! * **Deduplicated analysis.** Points are batched and each batch's
 //!   unique `(task, geometry, model)` combinations are bound once
-//!   through an analysis provider (the in-process [`LocalStore`] or the
-//!   server's single-flight artifact store); every point then rebinds
+//!   through an analysis provider (the single-flight
+//!   [`rtcli::store::ArtifactStore`], per sweep for `trisc explore` and
+//!   shared across requests in the server); every point then rebinds
 //!   the shared [`crpd::AnalyzedProgram`] artifacts in O(1) via
 //!   [`crpd::AnalyzedTask::bind_all`]. A 1000-point sweep re-runs
 //!   assemble/trace/CIIP/WCET once per unique key, not per point.
@@ -27,13 +28,12 @@
 mod engine;
 mod front;
 mod grid;
-mod local;
 mod plan;
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crpd::CrpdCellCache;
+use rtcli::store::ArtifactStore;
 use rtcli::{CliError, SystemSpec};
 
 pub use engine::{
@@ -42,7 +42,6 @@ pub use engine::{
 };
 pub use front::{dominates, ParetoFront, PointOutcome};
 pub use grid::Grid;
-pub use local::LocalStore;
 pub use plan::{Plan, PointConfig, MAX_POINTS};
 
 /// Serializes the tests of this crate that run the pipeline: the rtobs
@@ -99,18 +98,17 @@ pub fn cmd_explore_with(
     grid: &Grid,
 ) -> Result<String, CliError> {
     let plan = Plan::new(spec, grid)?;
-    let store = LocalStore::new(sources);
-    let cells = CrpdCellCache::default();
-    let provider = |task: usize, geometry, model| store.analyzed_program(task, geometry, model);
+    let store = ArtifactStore::default();
+    let provider = store.sweep_provider(&sources);
     let mut out = String::new();
     let _ = writeln!(out, "explore: {} points ({})", plan.len(), plan.describe_axes());
-    let outcome = run_sweep(&plan, &provider, &cells, |batch, _front| {
+    let outcome = run_sweep(&plan, &provider, store.cells(), |batch, _front| {
         for point in batch {
             let _ = writeln!(out, "{}", render_point(point));
         }
     })?;
     let _ = writeln!(out);
-    out.push_str(&explain_front(&plan, &provider, &cells, &outcome.front)?);
+    out.push_str(&explain_front(&plan, &provider, store.cells(), &outcome.front)?);
     Ok(out)
 }
 
@@ -141,14 +139,14 @@ mod tests {
         // vector must agree with what `trisc wcrt` computes.
         let spec = spec();
         let plan = Plan::new(&spec, &Grid::default()).unwrap();
-        let store = LocalStore::new(sources());
-        let cells = CrpdCellCache::default();
-        let provider = |task: usize, geometry, model| store.analyzed_program(task, geometry, model);
-        let outcome = run_sweep(&plan, &provider, &cells, |_, _| {}).unwrap();
+        let store = ArtifactStore::default();
+        let sources = sources();
+        let provider = store.sweep_provider(&sources);
+        let outcome = run_sweep(&plan, &provider, store.cells(), |_, _| {}).unwrap();
         assert_eq!(outcome.points, 1);
         assert_eq!(outcome.front.len(), 1, "a single point is trivially non-dominated");
         let point = &outcome.front.members()[0];
-        let reference: Vec<crpd::AnalyzedTask> = sources()
+        let reference: Vec<crpd::AnalyzedTask> = sources
             .iter()
             .zip(&spec.tasks)
             .map(|((name, source), t)| {
@@ -202,11 +200,11 @@ mod tests {
         let spec = spec();
         let plan = Plan::new(&spec, &grid).unwrap();
         assert_eq!(plan.len(), 64);
-        let store = LocalStore::new(sources());
-        let cells = CrpdCellCache::default();
-        let provider = |task: usize, geometry, model| store.analyzed_program(task, geometry, model);
+        let store = ArtifactStore::default();
+        let sources = sources();
+        let provider = store.sweep_provider(&sources);
         let session = rtobs::begin();
-        run_sweep(&plan, &provider, &cells, |_, _| {}).unwrap();
+        run_sweep(&plan, &provider, store.cells(), |_, _| {}).unwrap();
         let stages = session.recorder().stage_durations();
         let counters = session.recorder().counters();
         drop(session);

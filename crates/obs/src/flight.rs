@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 /// binary-search. Span stages and stage-cache lookup stages share the
 /// registry (`assemble`/`analyze` are both; `crpd_cell` is lookup-only;
 /// `request` is the server's whole-request span).
-pub const STAGES: [&str; 14] = [
+pub const STAGES: [&str; 13] = [
     "analyze",
     "assemble",
     "ciip",
@@ -55,7 +55,6 @@ pub const STAGES: [&str; 14] = [
     "dataflow",
     "explore",
     "mumbs",
-    "peer_fetch",
     "request",
     "trace",
     "wcet",

@@ -10,10 +10,6 @@
 //! [`Handler`] hands requests to its own pool and answers through a
 //! [`Responder`].
 //!
-//! The outbound half is [`PeerClient`]: a blocking, deadline-bounded
-//! NDJSON client with per-peer connection reuse, used by rtserver's
-//! cluster mode to fetch cached artifacts from owner nodes.
-//!
 //! Like `rtpar`, the crate is vendored into the workspace and depends
 //! only on `std` (the handful of libc entry points it needs are declared
 //! by hand in a private FFI module).
@@ -24,13 +20,11 @@
 #[cfg(not(unix))]
 compile_error!("rtreact requires a Unix platform (epoll or poll readiness)");
 
-mod client;
 mod frame;
 mod poller;
 mod reactor;
 mod sys;
 
-pub use client::PeerClient;
 pub use frame::{FrameError, LineFramer};
 #[cfg(target_os = "linux")]
 pub use poller::EpollPoller;

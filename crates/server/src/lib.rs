@@ -4,30 +4,24 @@
 //! run. This crate keeps the analysis pipeline resident: a long-lived TCP
 //! daemon (`trisc serve`) speaks a newline-delimited JSON protocol
 //! ([`proto`]), executes `wcet`/`crpd`/`wcrt`/`sim` requests on a fixed
-//! worker pool ([`pool`]), memoizes `AnalyzedTask` artifacts
-//! content-addressed by program text, cache geometry, timing model and
-//! scheduling parameters ([`store`]), and reports per-endpoint counters
-//! and latency percentiles through a `metrics` request ([`metrics`]).
+//! worker pool ([`pool`]), memoizes analysis artifacts content-addressed
+//! by program text, cache geometry and timing model in the single-flight
+//! [`rtcli::store::ArtifactStore`] (scheduling parameters are rebound per
+//! request), and reports per-endpoint counters and latency percentiles
+//! through a `metrics` request ([`metrics`]).
 //!
 //! Everything is `std`-only — the JSON codec ([`json`]) is hand-rolled —
 //! and responses render through the exact same `rtcli` code paths as the
 //! one-shot commands, so server output is byte-identical to the CLI's.
-//!
-//! Started with `--cluster PEERS_FILE`, several daemons shard the
-//! `analyze` stage by consistent hashing and fetch each other's cached
-//! artifacts over the same protocol, with local compute as the fallback
-//! when a peer is unreachable ([`cluster`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod json;
 pub mod metrics;
 pub mod ops;
 pub mod pool;
 pub mod proto;
 pub mod server;
-pub mod store;
 
 pub use server::{run, Server, ServerHandle, ServerState};

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
-use crate::store::ArtifactStore;
+use rtcli::store::ArtifactStore;
 
 /// Number of log₂ buckets: covers up to 2^40 µs (~13 days) per request.
 const BUCKETS: usize = 40;
@@ -251,17 +251,6 @@ impl Metrics {
                     ("event_threads", Json::from(admission.event_threads)),
                 ]),
             ),
-            ("peer", {
-                let peer = store.cluster().map(|c| c.stats()).unwrap_or_default();
-                Json::obj([
-                    ("fetch_hits", Json::from(peer.hits)),
-                    ("fetch_misses", Json::from(peer.misses)),
-                    ("fetch_timeouts", Json::from(peer.timeouts)),
-                    ("fallbacks", Json::from(peer.fallbacks())),
-                    ("puts", Json::from(peer.puts)),
-                    ("ring_owned_keys", Json::from(store.ring_owned_keys())),
-                ])
-            }),
         ])
     }
 
@@ -336,11 +325,6 @@ impl Metrics {
             &admission.open_connections,
         );
         gauge("rtserver_event_threads", "Reactor event loops.", &admission.event_threads);
-        gauge(
-            "rtserver_ring_owned_keys",
-            "Resident analyze artifacts whose ring owner is this node.",
-            &store.ring_owned_keys(),
-        );
         let mut counter = |name: &str, help: &str, value: u64| {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} counter");
@@ -389,22 +373,6 @@ impl Metrics {
             "Requests slower than --slow-ms captured into the black box.",
             slow_captures,
         );
-        let peer = store.cluster().map(|c| c.stats()).unwrap_or_default();
-        counter(
-            "rtserver_peer_fetch_hits_total",
-            "Peer fetches answered with an artifact by the owning node.",
-            peer.hits,
-        );
-        counter(
-            "rtserver_peer_fetch_misses_total",
-            "Peer fetches the owner answered without a usable artifact (local fallback ran).",
-            peer.misses,
-        );
-        counter(
-            "rtserver_peer_fetch_timeouts_total",
-            "Peer fetches that timed out or found the owner unreachable (local fallback ran).",
-            peer.timeouts,
-        );
         let _ = writeln!(
             out,
             "# HELP rtserver_stage_request_nanoseconds_total Wall time attributed per pipeline stage across all requests."
@@ -423,7 +391,7 @@ impl Metrics {
             (
                 "rtserver_stage_cache_hits_total",
                 "Pipeline-stage cache hits (artifact reused).",
-                (|s: &crate::store::StageStats| s.hits) as fn(&crate::store::StageStats) -> u64,
+                (|s: &rtcli::store::StageStats| s.hits) as fn(&rtcli::store::StageStats) -> u64,
             ),
             (
                 "rtserver_stage_cache_misses_total",
@@ -813,10 +781,6 @@ mod tests {
             "rtserver_deadline_misses_total",
             "rtserver_flight_records_total",
             "rtserver_slow_requests_total",
-            "rtserver_peer_fetch_hits_total",
-            "rtserver_peer_fetch_misses_total",
-            "rtserver_peer_fetch_timeouts_total",
-            "rtserver_ring_owned_keys",
             "rtserver_stage_request_nanoseconds_total",
         ] {
             assert!(text.contains(&format!("# HELP {family} ")), "missing HELP for {family}");
@@ -883,12 +847,6 @@ mod tests {
         assert!(text.contains("rtserver_deadline_misses_total{endpoint=\"wcrt\"} 1"), "{text}");
         assert!(text.contains("rtserver_flight_records_total 1"), "{text}");
         assert!(text.contains("rtserver_slow_requests_total 3"), "{text}");
-        // Peer families are always exposed; outside cluster mode the
-        // counters sit at zero and the node owns its whole (empty) ring.
-        assert!(text.contains("rtserver_peer_fetch_hits_total 0"), "{text}");
-        assert!(text.contains("rtserver_peer_fetch_misses_total 0"), "{text}");
-        assert!(text.contains("rtserver_peer_fetch_timeouts_total 0"), "{text}");
-        assert!(text.contains("rtserver_ring_owned_keys 0"), "{text}");
         let crpd = text
             .lines()
             .find(|l| l.starts_with("rtserver_stage_request_nanoseconds_total{stage=\"crpd\"}"))

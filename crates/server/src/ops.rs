@@ -104,30 +104,6 @@ pub fn render_status(status: &Json, journal: &Json) -> String {
             );
         }
     }
-    if let Some(peer) = status.get("peer") {
-        // The peer line only matters in cluster mode: a single-node
-        // server ("single") with no fetch traffic keeps the report tidy.
-        let ring_self = peer.get("ring_self").cloned().unwrap_or(Json::Null);
-        let clustered = !matches!(ring_self, Json::Str(ref s) if s == "single");
-        if clustered {
-            let role = match &ring_self {
-                Json::Str(s) => s.clone(),
-                other => format!("node {}", other.as_u64().unwrap_or(0)),
-            };
-            let _ = writeln!(
-                out,
-                "  cluster: {role}/{} nodes | peer fetch {} hit {} miss {} timeout | \
-                 {} fallbacks | {} puts | owns {} keys",
-                num(peer, "ring_nodes"),
-                num(peer, "fetch_hits"),
-                num(peer, "fetch_misses"),
-                num(peer, "fetch_timeouts"),
-                num(peer, "fallbacks"),
-                num(peer, "puts"),
-                num(peer, "ring_owned_keys"),
-            );
-        }
-    }
     if let Some(Json::Obj(stages)) = status.get("stage_cache") {
         let parts: Vec<String> = stages
             .iter()
@@ -227,40 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn renders_the_cluster_line_only_in_cluster_mode() {
-        let base = r#"{"uptime_secs":1,"inflight":0,"records_total":0,"flight_capacity":512,
-                "slow_ms":null,"slow_captures":0,"endpoints":{},"stage_ns":{},
-                "stage_cache":{},"peer":PEER}"#;
-        let member = base.replace(
-            "PEER",
-            r#"{"fetch_hits":9,"fetch_misses":1,"fetch_timeouts":2,"fallbacks":3,
-                "puts":3,"ring_owned_keys":17,"ring_nodes":3,"ring_self":1}"#,
-        );
-        let out = render_status(&Json::parse(&member).unwrap(), &Json::Arr(vec![]));
-        assert!(
-            out.contains(
-                "cluster: node 1/3 nodes | peer fetch 9 hit 1 miss 2 timeout | \
-                 3 fallbacks | 3 puts | owns 17 keys"
-            ),
-            "{out}"
-        );
-        let front = base.replace(
-            "PEER",
-            r#"{"fetch_hits":5,"fetch_misses":0,"fetch_timeouts":0,"fallbacks":0,
-                "puts":0,"ring_owned_keys":0,"ring_nodes":3,"ring_self":"front"}"#,
-        );
-        let out = render_status(&Json::parse(&front).unwrap(), &Json::Arr(vec![]));
-        assert!(out.contains("cluster: front/3 nodes"), "{out}");
-        let single = base.replace(
-            "PEER",
-            r#"{"fetch_hits":0,"fetch_misses":0,"fetch_timeouts":0,"fallbacks":0,
-                "puts":0,"ring_owned_keys":4,"ring_nodes":1,"ring_self":"single"}"#,
-        );
-        let out = render_status(&Json::parse(&single).unwrap(), &Json::Arr(vec![]));
-        assert!(!out.contains("cluster:"), "single-node reports stay unchanged: {out}");
-    }
-
-    #[test]
     fn renders_an_idle_server_without_panicking() {
         let status = Json::parse(
             r#"{"uptime_secs":0,"inflight":0,"records_total":0,"flight_capacity":512,
@@ -272,6 +214,7 @@ mod tests {
         assert!(out.contains("slow capture off"), "{out}");
         assert!(out.contains("inflight 0/?"), "missing admission fields render `?`: {out}");
         assert!(!out.contains("recent flights"), "{out}");
+        assert!(!out.contains("cluster:"), "single-node reports have no cluster line: {out}");
     }
 
     #[test]

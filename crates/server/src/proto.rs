@@ -21,15 +21,7 @@
 //! | `statusz`  | —                                         | `"status": {...}` live ops snapshot |
 //! | `journal`  | optional `n` (record count, default 32)   | `"journal": [...]` last flight records |
 //! | `flight`   | —                                         | `"flights": [...]` slow-request black boxes |
-//! | `peer_get` | `name`, `source`, `geometry`, `model`     | `"artifact": {...}` analyzed-program core |
-//! | `peer_put` | `artifact` (as returned by `peer_get`)    | ack (best-effort insert) |
 //! | `shutdown` | —                                         | ack, then drain     |
-//!
-//! `peer_get`/`peer_put` are the cluster peer-fetch frames (see the
-//! `cluster` module): `geometry` is `[sets, ways, line_bytes]`, `model`
-//! is `[cpi, miss_penalty]`, and the artifact object carries the
-//! wire core an [`crpd::AnalyzedProgram`] can be rebuilt from. Both
-//! directions are subject to [`MAX_SPEC_BYTES`].
 //!
 //! The `spec` payload is exactly the [`SystemSpec`] text format the
 //! one-shot CLI reads from disk (`trisc wcrt system.spec`); `sources`
@@ -62,9 +54,8 @@
 //! for the metrics command). Failure: `{"id": 1, "ok": false, "error":
 //! "..."}`, with a machine-readable `"code"` field (`overloaded`,
 //! `deadline_exceeded`, `payload_too_large`) on typed errors — the
-//! last one whenever a `spec`+`sources` payload (top-level, per
-//! `batch` item, or per peer frame) crosses [`MAX_SPEC_BYTES`]. The
-//! `id` is echoed
+//! last one whenever a `spec`+`sources` payload (top-level or per
+//! `batch` item) crosses [`MAX_SPEC_BYTES`]. The `id` is echoed
 //! verbatim when the request carried one, so clients may pipeline
 //! requests over one connection.
 //!
@@ -199,25 +190,6 @@ pub enum Command {
         /// The analysis requests to execute (wcet/crpd/wcrt/sim only).
         items: Vec<Command>,
     },
-    /// Cluster peer fetch: return (computing on miss, as the cluster-wide
-    /// single-flight leader) the analyzed-program artifact for one task.
-    PeerGet {
-        /// Task name (half of the stage key).
-        name: String,
-        /// Assembly source text (the other half), so the owner can
-        /// compute on a miss.
-        source: String,
-        /// `(sets, ways, line_bytes)` of the analysis geometry.
-        geometry: (u32, u32, u32),
-        /// `(cpi, miss_penalty)` of the timing model.
-        model: (u64, u64),
-    },
-    /// Cluster peer push: offer an artifact this node computed as a
-    /// fallback to its ring owner (best-effort; never overwrites).
-    PeerPut {
-        /// The artifact wire object, decoded by the cluster module.
-        artifact: Json,
-    },
 }
 
 impl Command {
@@ -237,16 +209,12 @@ impl Command {
             Command::Sim { .. } => "sim",
             Command::Explore { .. } => "explore",
             Command::Batch { .. } => "batch",
-            Command::PeerGet { .. } => "peer_get",
-            Command::PeerPut { .. } => "peer_put",
         }
     }
 
     /// Whether this command runs analysis (and is therefore subject to
     /// shedding and deadlines), as opposed to the always-available ops
-    /// plane. Peer frames count: `peer_get` computes on a miss and
-    /// `peer_put` rebuilds the offered artifact, and shedding either is
-    /// safe — the requesting peer falls back to local compute.
+    /// plane.
     pub fn is_analysis(&self) -> bool {
         matches!(
             self,
@@ -256,8 +224,6 @@ impl Command {
                 | Command::Sim { .. }
                 | Command::Explore { .. }
                 | Command::Batch { .. }
-                | Command::PeerGet { .. }
-                | Command::PeerPut { .. }
         )
     }
 }
@@ -368,72 +334,14 @@ fn parse_command(doc: &Json) -> Result<Command, ParseError> {
                 .to_string();
             Command::Explore { payload: spec_payload(doc)?, grid }
         }
-        "peer_get" => {
-            let name = doc
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("missing string field `name`")?
-                .to_string();
-            let source = doc
-                .get("source")
-                .and_then(Json::as_str)
-                .ok_or("missing string field `source`")?
-                .to_string();
-            let total = name.len() + source.len();
-            if total > MAX_SPEC_BYTES {
-                return Err(ParseError::too_large(format!(
-                    "peer_get payload of {total} bytes exceeds the {MAX_SPEC_BYTES}-byte limit"
-                )));
-            }
-            Command::PeerGet {
-                name,
-                source,
-                geometry: geometry_triple(doc)?,
-                model: model_pair(doc)?,
-            }
-        }
-        "peer_put" => {
-            let artifact =
-                doc.get("artifact").cloned().ok_or("missing object field `artifact`")?;
-            if !matches!(artifact, Json::Obj(_)) {
-                return Err("`artifact` must be an object".into());
-            }
-            let encoded = artifact.encode().len();
-            if encoded > MAX_SPEC_BYTES {
-                return Err(ParseError::too_large(format!(
-                    "peer_put artifact of {encoded} bytes exceeds the {MAX_SPEC_BYTES}-byte limit"
-                )));
-            }
-            Command::PeerPut { artifact }
-        }
         other => {
             return Err(format!(
-                "unknown cmd `{other}` (expected ping|wcet|crpd|wcrt|sim|explore|batch|peer_get|peer_put|metrics|metrics_prom|statusz|journal|flight|shutdown)"
+                "unknown cmd `{other}` (expected ping|wcet|crpd|wcrt|sim|explore|batch|metrics|metrics_prom|statusz|journal|flight|shutdown)"
             )
             .into())
         }
     };
     Ok(cmd)
-}
-
-/// Parses the `[sets, ways, line_bytes]` geometry triple of a peer frame.
-fn geometry_triple(doc: &Json) -> Result<(u32, u32, u32), ParseError> {
-    let err = "`geometry` must be [sets, ways, line_bytes]";
-    let Some(Json::Arr(parts)) = doc.get("geometry") else { return Err(err.into()) };
-    let [sets, ways, line] = parts.as_slice() else { return Err(err.into()) };
-    let field = |v: &Json| -> Result<u32, ParseError> {
-        v.as_u64().and_then(|n| u32::try_from(n).ok()).ok_or_else(|| err.into())
-    };
-    Ok((field(sets)?, field(ways)?, field(line)?))
-}
-
-/// Parses the `[cpi, miss_penalty]` model pair of a peer frame.
-fn model_pair(doc: &Json) -> Result<(u64, u64), ParseError> {
-    let err = "`model` must be [cpi, miss_penalty]";
-    let Some(Json::Arr(parts)) = doc.get("model") else { return Err(err.into()) };
-    let [cpi, miss] = parts.as_slice() else { return Err(err.into()) };
-    let field = |v: &Json| -> Result<u64, ParseError> { v.as_u64().ok_or_else(|| err.into()) };
-    Ok((field(cpi)?, field(miss)?))
 }
 
 /// Upper bound on the combined `spec` + `sources` payload of one
@@ -578,6 +486,11 @@ mod tests {
         for (line, needle) in [
             ("{", "invalid json"),
             (r#"{"cmd":"frobnicate"}"#, "unknown cmd"),
+            (
+                r#"{"cmd":"peer_get","name":"a","source":"s","geometry":[1,1,4],"model":[1,1]}"#,
+                "unknown cmd `peer_get` (expected ping|wcet|crpd|wcrt|sim|explore|batch|metrics|",
+            ),
+            (r#"{"cmd":"peer_put","artifact":{"name":"a"}}"#, "unknown cmd `peer_put`"),
             (r#"{"id":"x","cmd":"ping"}"#, "`id`"),
             (r#"{"cmd":"wcrt"}"#, "`spec`"),
             (r#"{"cmd":"wcrt","spec":"s","sources":[1]}"#, "`sources`"),
@@ -632,54 +545,6 @@ mod tests {
         assert!(err.message.contains("item 1"), "{err}");
         assert!(err.message.contains("exceeds"), "{err}");
         assert_eq!(err.code, Some(CODE_PAYLOAD_TOO_LARGE));
-    }
-
-    #[test]
-    fn parses_peer_frames() {
-        let r = Request::parse(
-            r#"{"id":9,"cmd":"peer_get","name":"a","source":"halt\n","geometry":[64,2,16],"model":[1,20]}"#,
-        )
-        .unwrap();
-        assert_eq!(r.cmd.endpoint(), "peer_get");
-        assert!(r.cmd.is_analysis());
-        let Command::PeerGet { name, source, geometry, model } = r.cmd else {
-            panic!("expected peer_get")
-        };
-        assert_eq!(name, "a");
-        assert_eq!(source, "halt\n");
-        assert_eq!(geometry, (64, 2, 16));
-        assert_eq!(model, (1, 20));
-
-        let r = Request::parse(r#"{"cmd":"peer_put","artifact":{"name":"a"}}"#).unwrap();
-        assert_eq!(r.cmd.endpoint(), "peer_put");
-        assert!(r.cmd.is_analysis());
-
-        for (line, needle) in [
-            (r#"{"cmd":"peer_get","source":"s","geometry":[1,1,4],"model":[1,1]}"#, "`name`"),
-            (r#"{"cmd":"peer_get","name":"a","geometry":[1,1,4],"model":[1,1]}"#, "`source`"),
-            (r#"{"cmd":"peer_get","name":"a","source":"s","model":[1,1]}"#, "`geometry`"),
-            (
-                r#"{"cmd":"peer_get","name":"a","source":"s","geometry":[1,1],"model":[1,1]}"#,
-                "`geometry`",
-            ),
-            (r#"{"cmd":"peer_get","name":"a","source":"s","geometry":[1,1,4]}"#, "`model`"),
-            (r#"{"cmd":"peer_put"}"#, "`artifact`"),
-            (r#"{"cmd":"peer_put","artifact":[1]}"#, "`artifact`"),
-        ] {
-            let err = Request::parse(line).unwrap_err();
-            assert!(err.message.contains(needle), "{line}: {err}");
-        }
-
-        // Oversized peer frames carry the typed code in both directions.
-        let big = "s".repeat(MAX_SPEC_BYTES + 1);
-        let line = format!(
-            r#"{{"cmd":"peer_get","name":"a","source":"{big}","geometry":[1,1,4],"model":[1,1]}}"#
-        );
-        let err = Request::parse(&line).unwrap_err();
-        assert_eq!(err.code, Some(CODE_PAYLOAD_TOO_LARGE), "{err}");
-        let line = format!(r#"{{"cmd":"peer_put","artifact":{{"blob":"{big}"}}}}"#);
-        let err = Request::parse(&line).unwrap_err();
-        assert_eq!(err.code, Some(CODE_PAYLOAD_TOO_LARGE), "{err}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::pool::WorkerPool;
 use crate::proto::{
     err_response, err_response_coded, ok_response, ok_response_with, Command, Request, SpecPayload,
 };
-use crate::store::ArtifactStore;
+use rtcli::store::{ArtifactStore, TaskSource};
 
 /// State shared by every worker: the artifact cache, the metrics
 /// registry, the analysis pool and the shutdown flag.
@@ -112,19 +112,10 @@ impl ServerState {
         ServerState::with_options(&opts)
     }
 
-    /// State configured from the full `trisc serve` option set, plus a
-    /// cluster to route the `analyze` stage through ([`Server::bind`]
-    /// builds it from `--cluster`/`--node-id`/`--front`).
-    pub fn with_options_clustered(
-        opts: &ServeOptions,
-        cluster: Option<Arc<crate::cluster::Cluster>>,
-    ) -> ServerState {
-        let store = match cluster {
-            Some(cluster) => ArtifactStore::with_cluster(cluster, opts.replica_capacity),
-            None => ArtifactStore::default(),
-        };
+    /// State configured from the full `trisc serve` option set.
+    pub fn with_options(opts: &ServeOptions) -> ServerState {
         ServerState {
-            store,
+            store: ArtifactStore::default(),
             metrics: Metrics::default(),
             flight: FlightRecorder::new(opts.flight_capacity),
             analysis: rtpar::Pool::new(opts.threads),
@@ -137,13 +128,6 @@ impl ServerState {
             shed_total: AtomicU64::new(0),
             react_stats: Arc::new(rtreact::ReactorStats::default()),
         }
-    }
-
-    /// State configured from the full `trisc serve` option set, without
-    /// cluster routing (the cluster needs the peers file read first; see
-    /// [`with_options_clustered`](ServerState::with_options_clustered)).
-    pub fn with_options(opts: &ServeOptions) -> ServerState {
-        ServerState::with_options_clustered(opts, None)
     }
 
     /// The analysis pool shared by every request.
@@ -197,7 +181,7 @@ impl Server {
         Ok(Server {
             listener,
             pool: WorkerPool::new(opts.threads),
-            state: Arc::new(ServerState::with_options_clustered(opts, build_cluster(opts)?)),
+            state: Arc::new(ServerState::with_options(opts)),
             config,
         })
     }
@@ -245,41 +229,6 @@ impl Server {
             .spawn(move || server.serve())?;
         Ok(ServerHandle { addr, thread })
     }
-}
-
-/// Reads and validates `--cluster`'s peers file into a live
-/// [`Cluster`](crate::cluster::Cluster), or `None` without the flag.
-///
-/// # Errors
-///
-/// Returns `InvalidInput` for an unreadable/malformed peers file, an
-/// out-of-range `--node-id`, or a missing `--node-id`/`--front` choice.
-fn build_cluster(opts: &ServeOptions) -> io::Result<Option<Arc<crate::cluster::Cluster>>> {
-    let Some(path) = opts.cluster.as_deref() else { return Ok(None) };
-    let invalid = |m: String| io::Error::new(io::ErrorKind::InvalidInput, m);
-    let text =
-        std::fs::read_to_string(path).map_err(|e| invalid(format!("--cluster {path}: {e}")))?;
-    let peers = crate::cluster::parse_peers(&text)
-        .map_err(|e| invalid(format!("--cluster {path}: {e}")))?;
-    let self_index = match (opts.node_id, opts.front) {
-        (Some(index), false) => {
-            if index >= peers.len() {
-                return Err(invalid(format!(
-                    "--node-id {index} out of range: {path} declares {} peers",
-                    peers.len()
-                )));
-            }
-            Some(index)
-        }
-        (None, true) => None,
-        _ => return Err(invalid("--cluster needs exactly one of --node-id N or --front".into())),
-    };
-    let config = crate::cluster::ClusterConfig {
-        peers,
-        self_index,
-        peer_deadline: Duration::from_millis(opts.peer_deadline_ms),
-    };
-    Ok(Some(Arc::new(crate::cluster::Cluster::new(&config))))
 }
 
 /// A running background server (see [`Server::spawn`]).
@@ -330,18 +279,6 @@ pub fn run(opts: &ServeOptions) -> io::Result<()> {
         opts.deadline_ms.map_or(String::new(), |ms| format!(", deadline {ms} ms")),
         opts.idle_timeout_ms.map_or(String::new(), |ms| format!(", idle timeout {ms} ms")),
     );
-    if let Some(cluster) = server.state.store.cluster() {
-        let role =
-            cluster.self_index().map_or("stateless front".to_string(), |i| format!("node {i}"));
-        println!(
-            "rtcluster: {role} of a {}-member ring ({} vnodes/node, peer deadline {} ms, \
-             replica capacity {})",
-            cluster.ring().len(),
-            rtring::DEFAULT_VNODES,
-            opts.peer_deadline_ms,
-            opts.replica_capacity,
-        );
-    }
     match opts.slow_ms {
         Some(ms) => println!(
             "rtflight: {}-record ring, capturing span trees of requests >= {ms} ms",
@@ -521,20 +458,6 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
                 let (frames, ok) = run_batch(state, id, items);
                 (frames, ok, false)
             }
-            Command::PeerGet { name, source, geometry, model } => {
-                match run_peer_get(state, id, name, source, *geometry, *model) {
-                    Ok(response) => (response, true, false),
-                    Err(error) => (err_response(id, &error.to_string()), false, false),
-                }
-            }
-            Command::PeerPut { artifact } => match run_peer_put(state, artifact) {
-                Ok(stored) => (
-                    ok_response(id, if stored { "stored" } else { "already present" }),
-                    true,
-                    false,
-                ),
-                Err(message) => (err_response(id, &message), false, false),
-            },
         }
     };
     let finished = scope.finish(ok);
@@ -648,43 +571,6 @@ fn run_batch(state: &ServerState, id: Option<u64>, items: &[Command]) -> (String
     (frames, errors == 0)
 }
 
-/// Answers a peer's `peer_get`: resolve the artifact through the *local*
-/// stages (never re-forwarded — this node is the ring owner, or is being
-/// used as a last-resort compute host) and ship its wire core back.
-///
-/// # Errors
-///
-/// Returns the geometry or pipeline error; the requester falls back to
-/// local compute on any error response.
-fn run_peer_get(
-    state: &ServerState,
-    id: Option<u64>,
-    name: &str,
-    source: &str,
-    geometry: (u32, u32, u32),
-    model: (u64, u64),
-) -> Result<String, CliError> {
-    let geometry = rtcache::CacheGeometry::new(geometry.0, geometry.1, geometry.2)
-        .map_err(|e| CliError::Options(e.to_string()))?;
-    let model = rtwcet::TimingModel { cpi: model.0, miss_penalty: model.1 };
-    let artifact = state.store.analyzed_program_local(name, source, geometry, model)?;
-    let key = crate::store::AnalysisKey {
-        program_hash: crate::store::program_hash(name, source),
-        geometry,
-        model,
-    };
-    Ok(crate::cluster::peer_get_response(id, &key, &artifact))
-}
-
-/// Lands a peer's `peer_put`: decode/validate the artifact wire object
-/// and offer it to the `analyze` store without touching the hit/miss
-/// counters (the sender already counted the compute). Returns whether it
-/// was stored (`false` when the key was already resident).
-fn run_peer_put(state: &ServerState, artifact: &Json) -> Result<bool, String> {
-    let (key, artifact) = crate::cluster::artifact_from_json(artifact)?;
-    Ok(state.store.analyses().offer(key, std::sync::Arc::new(artifact)))
-}
-
 /// The `statusz` payload: liveness, admission gauges, per-endpoint
 /// quantiles (with shed and deadline-miss counters merged in), stage
 /// wall time and stage-cache hit rates, all from always-on collectors.
@@ -754,29 +640,8 @@ fn statusz(state: &ServerState) -> Json {
         })
         .collect();
     let admission = state.admission();
-    let peer = {
-        let cluster = state.store.cluster();
-        let stats = cluster.map(|c| c.stats()).unwrap_or_default();
-        // A single-node server is its own one-member "ring".
-        let ring_nodes = cluster.map_or(1, |c| c.ring().len() as u64);
-        let ring_self = match cluster {
-            None => Json::from("single"),
-            Some(c) => c.self_index().map_or(Json::from("front"), |i| Json::from(i as u64)),
-        };
-        Json::obj([
-            ("fetch_hits", Json::from(stats.hits)),
-            ("fetch_misses", Json::from(stats.misses)),
-            ("fetch_timeouts", Json::from(stats.timeouts)),
-            ("fallbacks", Json::from(stats.fallbacks())),
-            ("puts", Json::from(stats.puts)),
-            ("ring_owned_keys", Json::from(state.store.ring_owned_keys())),
-            ("ring_nodes", Json::from(ring_nodes)),
-            ("ring_self", ring_self),
-        ])
-    };
     Json::obj([
         ("uptime_secs", Json::from(state.flight.uptime_secs())),
-        ("peer", peer),
         ("inflight", Json::from(admission.inflight)),
         ("max_inflight", Json::from(admission.max_inflight)),
         ("shed_total", Json::from(admission.shed_total)),
@@ -899,15 +764,15 @@ fn run_explore(
     let spec = parse_spec(payload)?;
     let grid = rtexplore::Grid::parse(grid_text)?;
     let plan = rtexplore::Plan::new(&spec, &grid)?;
-    let sources: Vec<(String, String)> = spec
+    let sources: Vec<String> = spec
         .tasks
         .iter()
-        .map(|task| Ok((task.name.clone(), resolve_source(payload, task)?)))
+        .map(|task| resolve_source(payload, task))
         .collect::<Result<_, CliError>>()?;
-    let provider = |task: usize, geometry, model| {
-        let (name, source) = &sources[task];
-        state.store.analyzed_program(name, source, geometry, model)
-    };
+    let tasks: Vec<TaskSource> =
+        spec.tasks.iter().zip(&sources).map(|(t, s)| TaskSource::new(&t.name, s)).collect();
+    let provider =
+        |task: usize, geometry, model| state.store.analyzed_program(tasks[task], geometry, model);
     let id_json = || id.map_or(Json::Null, Json::from);
     let mut frames = String::new();
     let outcome = rtexplore::run_sweep(&plan, &provider, state.store.cells(), |batch, front| {

@@ -9,8 +9,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crpd::{AnalyzedTask, TaskParams};
 use proptest::prelude::*;
+use rtcli::store::{ArtifactStore, TaskSource};
 use rtcli::SystemSpec;
-use rtserver::store::ArtifactStore;
 
 const SPEC: &str = "cache 64 2 16\ncmiss 20\nccs 50\ntask hi hi.s 5000 1\ntask lo lo.s 50000 2\n";
 const TASK_HI: &str = ".data 0x100000\nbuf: .word 1,2,3,4\n.text 0x1000\nstart: li r1, buf\nli r3, 4\nloop: ld r2, 0(r1)\naddi r1, r1, 4\naddi r3, r3, -1\nbne r3, r0, loop\n.bound loop, 4\nhalt\n";
@@ -200,10 +200,9 @@ proptest! {
 
         // The sweep point, evaluated by rebinding through the DAG.
         let tasks = [("hi", TASK_HI), ("lo", TASK_LO)];
-        let provider = |task: usize, geometry, model| {
-            let (name, source) = tasks[task];
-            store.analyzed_program(name, source, geometry, model)
-        };
+        let sources = tasks.map(|(name, source)| TaskSource::new(name, source));
+        let provider =
+            |task: usize, geometry, model| store.analyzed_program(sources[task], geometry, model);
         let outcome =
             rtexplore::evaluate_point(&plan, &provider, store.cells(), index).unwrap();
 
