@@ -210,7 +210,7 @@ fn run() -> Result<(), String> {
     for task in &workloads {
         skyline_rows.push((task.name().to_string(), workload_row(task, &preemptor, sweep_iters)));
     }
-    let (total_kept, total_pruned) = crpd::skyline_stats();
+    let rtobs::SkylineTally { kept: total_kept, pruned: total_pruned } = rtobs::skyline_totals();
 
     write_json(
         &opts.json_out,

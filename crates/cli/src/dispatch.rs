@@ -54,7 +54,7 @@ pub fn parse(mut args: Vec<String>) -> Result<Invocation, CliError> {
             return Err(CliError::Usage(format!(
                 "unexpected argument `{extra}`; trisc serve [--host HOST] [--port PORT] [--threads N] \
                  [--event-threads N] [--max-inflight N] [--deadline-ms MS] [--idle-timeout-ms MS] \
-                 [--poller auto|epoll|poll] [--trace-out TRACE.json]"
+                 [--slow-ms MS] [--flight-capacity N] [--trace-out TRACE.json]"
             )));
         }
         return Ok(Invocation::Serve(opts));
@@ -356,8 +356,11 @@ mod tests {
         }
         // Unknown serve flags are usage errors naming the first
         // unexpected argument.
-        for args in [&["serve", "--cluster", "p.txt", "--front"][..], &["serve", "--node-id", "0"]]
-        {
+        for args in [
+            &["serve", "--cluster", "p.txt", "--front"][..],
+            &["serve", "--node-id", "0"],
+            &["serve", "--poller", "poll"],
+        ] {
             match parse(argv(args)) {
                 Err(CliError::Usage(msg)) => assert!(msg.contains("unexpected argument"), "{msg}"),
                 other => panic!("{args:?}: expected a usage error, got {other:?}"),

@@ -123,10 +123,6 @@ pub struct ServeOptions {
     /// long are closed (slowloris defense). `None` keeps idle
     /// connections forever.
     pub idle_timeout_ms: Option<u64>,
-    /// Readiness backend (`--poller`): `auto` (default), `epoll`, or
-    /// `poll`. Kept as a string here so the CLI crate stays decoupled
-    /// from the reactor; the server validates and converts.
-    pub poller: String,
 }
 
 impl Default for ServeOptions {
@@ -146,7 +142,6 @@ impl Default for ServeOptions {
             max_inflight: 256,
             deadline_ms: None,
             idle_timeout_ms: None,
-            poller: "auto".to_string(),
         }
     }
 }
@@ -166,7 +161,7 @@ impl ServeOptions {
             match arg.as_str() {
                 "--host" | "--port" | "--threads" | "--trace-out" | "--slow-ms"
                 | "--flight-capacity" | "--event-threads" | "--max-inflight" | "--deadline-ms"
-                | "--idle-timeout-ms" | "--poller" => {
+                | "--idle-timeout-ms" => {
                     let value = it
                         .next()
                         .ok_or_else(|| CliError::Options(format!("{arg} needs a value")))?;
@@ -219,14 +214,6 @@ impl ServeOptions {
                                     },
                                     |n| Ok(Some(n)),
                                 )?;
-                        }
-                        "--poller" => {
-                            if !matches!(value.as_str(), "auto" | "epoll" | "poll") {
-                                return Err(CliError::Options(format!(
-                                    "bad value for --poller: {value} (expected auto|epoll|poll)"
-                                )));
-                            }
-                            self.poller = value;
                         }
                         _ => {
                             self.threads =
@@ -434,7 +421,6 @@ mod tests {
         assert_eq!(o.max_inflight, 256);
         assert_eq!(o.deadline_ms, None);
         assert_eq!(o.idle_timeout_ms, None);
-        assert_eq!(o.poller, "auto");
         let mut args: Vec<String> = [
             "--event-threads",
             "4",
@@ -444,8 +430,6 @@ mod tests {
             "250",
             "--idle-timeout-ms",
             "30000",
-            "--poller",
-            "poll",
             "rest",
         ]
         .iter()
@@ -456,12 +440,10 @@ mod tests {
         assert_eq!(o.max_inflight, 0, "a zero cap sheds everything (tests rely on it)");
         assert_eq!(o.deadline_ms, Some(250));
         assert_eq!(o.idle_timeout_ms, Some(30_000));
-        assert_eq!(o.poller, "poll");
         assert_eq!(args, vec!["rest".to_string()]);
         for bad in [
             ["--event-threads", "0"],
             ["--idle-timeout-ms", "0"],
-            ["--poller", "kqueue"],
             ["--max-inflight", "lots"],
             ["--deadline-ms", "soon"],
         ] {

@@ -23,7 +23,6 @@
 //!   fidelity to \[21\] and for tightness ablations.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rtcache::{CacheGeometry, CacheSim, Ciip, MemoryBlock, PackedFootprint, SetIndex};
 use rtprogram::cfg::{BlockId, Cfg};
@@ -31,20 +30,6 @@ use rtprogram::sim::Trace;
 use rtprogram::Program;
 
 use crate::AnalysisError;
-
-/// Process-wide skyline pruning totals, independent of any `rtobs`
-/// session so that long-running servers can expose pruning
-/// effectiveness without an ambient recorder. Write-only from analysis
-/// code; read by [`skyline_stats`].
-static SKYLINE_KEPT: AtomicU64 = AtomicU64::new(0);
-static SKYLINE_PRUNED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide `(kept, pruned)` totals over every useful-trace skyline
-/// built since startup (the `ciip_pack` stage). Monotonic counters for
-/// metrics exposition; never read back by the analysis itself.
-pub fn skyline_stats() -> (u64, u64) {
-    (SKYLINE_KEPT.load(Ordering::Relaxed), SKYLINE_PRUNED.load(Ordering::Relaxed))
-}
 
 /// Safety valve for pathological traces: beyond this many surviving
 /// Pareto points the skyline is abandoned (the exact sweep remains as
@@ -105,11 +90,12 @@ impl UsefulTrace {
     }
 
     /// Rebuilds a trace from an already-classified access sequence, as
-    /// produced by [`UsefulTrace::accesses`] on another node. The
-    /// skyline is a deterministic function of `(geometry, accesses)`,
-    /// so the result is indistinguishable from the [`from_trace`]
-    /// original — the contract behind shipping artifacts between
-    /// cluster peers without shipping programs.
+    /// produced by [`UsefulTrace::accesses`]. The skyline is a
+    /// deterministic function of `(geometry, accesses)`, so the result
+    /// is indistinguishable from the [`from_trace`] original. This is
+    /// the trace half of the artifact's deterministic core (see
+    /// [`AnalyzedProgram::from_parts`](crate::AnalyzedProgram::from_parts)),
+    /// which perfbench's traced `cold_paper` op rebuilds.
     ///
     /// [`from_trace`]: UsefulTrace::from_trace
     pub fn from_accesses(geometry: CacheGeometry, accesses: Vec<(MemoryBlock, bool)>) -> Self {
@@ -120,7 +106,8 @@ impl UsefulTrace {
 
     /// The classified access sequence: `(block, hit)` in execution
     /// order. Together with the geometry this is the trace's entire
-    /// identity (see [`UsefulTrace::from_accesses`]).
+    /// identity, its deterministic core (see
+    /// [`UsefulTrace::from_accesses`]).
     pub fn accesses(&self) -> &[(MemoryBlock, bool)] {
         &self.accesses
     }
@@ -205,11 +192,7 @@ impl UsefulTrace {
         }
         let kept = points.len();
         let pruned = candidates - kept;
-        SKYLINE_KEPT.fetch_add(kept as u64, Ordering::Relaxed);
-        SKYLINE_PRUNED.fetch_add(pruned as u64, Ordering::Relaxed);
-        if rtobs::enabled() {
-            rtobs::record_skyline_points(kept as u64, pruned as u64);
-        }
+        rtobs::record_skyline_points(kept as u64, pruned as u64);
         Some(Skyline { points, candidates })
     }
 
@@ -725,18 +708,6 @@ mod tests {
         let thrash = UsefulTrace::from_trace(&trace_of(&[0, 4, 8, 0, 4, 8], g), g);
         assert_eq!(thrash.skyline_kept(), Some(0));
         assert_eq!(thrash.max_packed_overlap(&mb), 0);
-    }
-
-    #[test]
-    fn skyline_stats_accumulate() {
-        let before = skyline_stats();
-        let g = geom(8, 2);
-        let blocks: Vec<u64> = (0..40).map(|i| (i * 7) % 12).collect();
-        let t = UsefulTrace::from_trace(&trace_of(&blocks, g), g);
-        let after = skyline_stats();
-        assert!(after.0 >= before.0 + t.skyline_kept().unwrap() as u64);
-        let expect_pruned = (t.skyline_candidates().unwrap() - t.skyline_kept().unwrap()) as u64;
-        assert!(after.1 >= before.1 + expect_pruned);
     }
 
     #[test]

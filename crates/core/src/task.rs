@@ -197,9 +197,10 @@ impl AnalyzedProgram {
         })
     }
 
-    /// Rebuilds an artifact from its wire core: the name, WCET,
-    /// fingerprint and per-path classified access sequences, as shipped
-    /// between cluster peers.
+    /// Rebuilds an artifact from its deterministic core: the name, WCET,
+    /// fingerprint and per-path classified access sequences. perfbench's
+    /// traced `cold_paper` op, which times each layer through its public
+    /// calls, uses it to turn the traced pieces back into the artifact.
     ///
     /// Everything else — per-path CIIPs, packed footprints, skylines and
     /// the union footprint — is a deterministic function of `(geometry,
@@ -576,7 +577,7 @@ mod tests {
 
     #[test]
     fn from_parts_round_trips_the_whole_artifact() {
-        // The cluster peer-fetch contract: shipping only (name, wcet,
+        // The deterministic-core contract: keeping only (name, wcet,
         // fingerprint, per-path access sequences) and rebuilding with
         // `from_parts` must reproduce the artifact exactly — CIIPs,
         // packed footprints and skylines included. Debug formatting

@@ -230,11 +230,11 @@ pub const HIST_BUCKETS: usize = 40;
 
 /// A lock-free fixed-log₂-bucket latency histogram over microsecond
 /// durations. All updates are relaxed atomic adds; readers take a
-/// point-in-time [`HistSnapshot`].
+/// point-in-time [`HistSnapshot`] whose count is the sum of its buckets,
+/// so quantiles and cumulative bucket readouts never disagree with it.
 #[derive(Debug)]
 pub struct LogHistogram {
     buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
     sum_us: AtomicU64,
     max_us: AtomicU64,
 }
@@ -243,7 +243,6 @@ impl Default for LogHistogram {
     fn default() -> Self {
         LogHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_us: AtomicU64::new(0),
             max_us: AtomicU64::new(0),
         }
@@ -260,16 +259,17 @@ impl LogHistogram {
     pub fn record(&self, micros: u64) {
         let idx = (63 - u64::leading_zeros(micros.max(1)) as usize).min(HIST_BUCKETS - 1);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(micros, Ordering::Relaxed);
         self.max_us.fetch_max(micros, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the histogram.
     pub fn snapshot(&self) -> HistSnapshot {
+        let buckets: [u64; HIST_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         HistSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
+            buckets,
             sum_us: self.sum_us.load(Ordering::Relaxed),
             max_us: self.max_us.load(Ordering::Relaxed),
         }
@@ -281,7 +281,7 @@ impl LogHistogram {
 pub struct HistSnapshot {
     /// Per-bucket counts (`buckets[i]` covers `[2^i, 2^(i+1))` µs).
     pub buckets: [u64; HIST_BUCKETS],
-    /// Total samples.
+    /// Total samples (the sum of `buckets`).
     pub count: u64,
     /// Sum of all samples, microseconds.
     pub sum_us: u64,
@@ -329,6 +329,22 @@ pub struct EndpointSummary {
     pub max_us: u64,
     /// The full histogram snapshot (for Prometheus bucket families).
     pub hist: HistSnapshot,
+}
+
+impl EndpointSummary {
+    /// Summarizes one endpoint's latency histogram and error count.
+    pub fn new(endpoint: &'static str, errors: u64, hist: HistSnapshot) -> EndpointSummary {
+        EndpointSummary {
+            endpoint,
+            count: hist.count,
+            errors,
+            p50_us: hist.quantile_upper_bound(0.50),
+            p90_us: hist.quantile_upper_bound(0.90),
+            p99_us: hist.quantile_upper_bound(0.99),
+            max_us: hist.max_us,
+            hist,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -439,17 +455,7 @@ impl FlightRecorder {
         stats
             .into_iter()
             .map(|(endpoint, s)| {
-                let hist = s.hist.snapshot();
-                EndpointSummary {
-                    endpoint,
-                    count: hist.count,
-                    errors: s.errors.load(Ordering::Relaxed),
-                    p50_us: hist.quantile_upper_bound(0.50),
-                    p90_us: hist.quantile_upper_bound(0.90),
-                    p99_us: hist.quantile_upper_bound(0.99),
-                    max_us: hist.max_us,
-                    hist,
-                }
+                EndpointSummary::new(endpoint, s.errors.load(Ordering::Relaxed), s.hist.snapshot())
             })
             .collect()
     }
@@ -660,10 +666,44 @@ mod tests {
         let snap = hist.snapshot();
         assert_eq!(snap.count, 10);
         assert_eq!(snap.max_us, 5_000);
+        assert_eq!(snap.sum_us, 5_606, "the sum is exact; only buckets quantize");
         // p50 rank 5 lands in the [64,128) bucket -> bound 127.
         assert_eq!(snap.quantile_upper_bound(0.50), 127);
         assert_eq!(snap.quantile_upper_bound(0.99), 8_191);
         assert_eq!(snap.quantile_upper_bound(0.0), 1, "rank clamps to the first sample");
+
+        // Buckets are log₂: [2^i, 2^(i+1)) µs, with 0 µs in bucket 0.
+        let hist = LogHistogram::new();
+        for us in [0u64, 1, 2, 3, 4, 1_000, 1_000_000] {
+            hist.record(us);
+        }
+        let snap = hist.snapshot();
+        assert_eq!(snap.count, 7);
+        assert_eq!(snap.buckets[0], 2, "0 and 1 µs share bucket 0");
+        assert_eq!(snap.buckets[1], 2, "2 and 3 µs");
+        assert_eq!(snap.buckets[2], 1, "4 µs");
+        assert_eq!(snap.buckets[9], 1, "1000 µs in [512, 1024)");
+        assert_eq!(snap.buckets[19], 1, "1 s in [2^19, 2^20) µs");
+        assert_eq!(snap.sum_us, 1_001_010);
+
+        // Quantiles are bucket upper bounds, monotone in q, and reach a
+        // 2% slow tail at p99.
+        let hist = LogHistogram::new();
+        for _ in 0..98 {
+            hist.record(10); // bucket 3: [8, 16)
+        }
+        hist.record(100_000); // bucket 16
+        hist.record(100_000);
+        let snap = hist.snapshot();
+        let (p50, p95, p99) = (
+            snap.quantile_upper_bound(0.50),
+            snap.quantile_upper_bound(0.95),
+            snap.quantile_upper_bound(0.99),
+        );
+        assert_eq!(p50, 15, "the p50 sample is a 10 µs one");
+        assert_eq!(p95, 15);
+        assert!(p99 >= 100_000, "p99 must reach the slow tail, got {p99}");
+        assert_eq!(snap.sum_us, 98 * 10 + 2 * 100_000);
         assert_eq!(
             HistSnapshot { buckets: [0; HIST_BUCKETS], count: 0, sum_us: 0, max_us: 0 }
                 .quantile_upper_bound(0.5),

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -552,14 +552,33 @@ pub fn record_wcrt_iterations(context: &str, task: usize, values: &[u64]) {
     inner.counters.wcrt_iterations.insert((context.to_string(), task), values.to_vec());
 }
 
+/// Process-wide skyline pruning totals, kept whether or not a session is
+/// live so a long-running server can expose pruning effectiveness
+/// without an ambient recorder. Read by [`skyline_totals`].
+static SKYLINE_TOTAL_KEPT: AtomicU64 = AtomicU64::new(0);
+static SKYLINE_TOTAL_PRUNED: AtomicU64 = AtomicU64::new(0);
+
 /// Records the outcome of one useful-trace skyline build: how many
 /// Pareto-maximal points were kept and how many candidates were pruned
-/// as dominated.
+/// as dominated. Always adds to the process-wide [`skyline_totals`];
+/// also adds to the live session's tally, if any.
 pub fn record_skyline_points(kept: u64, pruned: u64) {
+    SKYLINE_TOTAL_KEPT.fetch_add(kept, Ordering::Relaxed);
+    SKYLINE_TOTAL_PRUNED.fetch_add(pruned, Ordering::Relaxed);
     let Some(recorder) = active() else { return };
     let mut inner = recorder.lock();
     inner.counters.skyline.kept += kept;
     inner.counters.skyline.pruned += pruned;
+}
+
+/// Process-wide skyline totals over every useful-trace skyline built
+/// since startup (the `ciip_pack` stage), session or not. Monotonic
+/// counters for metrics exposition; never read back by the analysis.
+pub fn skyline_totals() -> SkylineTally {
+    SkylineTally {
+        kept: SKYLINE_TOTAL_KEPT.load(Ordering::Relaxed),
+        pruned: SKYLINE_TOTAL_PRUNED.load(Ordering::Relaxed),
+    }
 }
 
 /// Records a batch of evaluated design-space exploration points
@@ -706,12 +725,19 @@ mod tests {
     #[test]
     fn skyline_tallies_accumulate_and_render() {
         let _serial = test_lock();
-        record_skyline_points(5, 100); // silently dropped: no session
+        let before = skyline_totals();
+        record_skyline_points(5, 100); // no session: process-wide totals only
+        let between = skyline_totals();
+        assert_eq!(between, SkylineTally { kept: before.kept + 5, pruned: before.pruned + 100 });
         let session = begin();
         record_skyline_points(3, 40);
         record_skyline_points(2, 10);
         let counters = session.recorder().counters();
         assert_eq!(counters.skyline, SkylineTally { kept: 5, pruned: 50 });
+        assert_eq!(
+            skyline_totals(),
+            SkylineTally { kept: between.kept + 5, pruned: between.pruned + 50 }
+        );
         let json = session.recorder().chrome_trace_json();
         assert!(json.contains("\"skyline\":{\"kept\":5,\"pruned\":50}"), "{json}");
     }

@@ -1,10 +1,10 @@
 //! rtreact — a vendored, std-only nonblocking reactor for rtserver.
 //!
 //! The crate multiplexes thousands of NDJSON connections over a few
-//! event threads: readiness comes from an epoll backend on Linux (or a
-//! portable `poll(2)` fallback) behind the [`Poller`] trait, bytes are
-//! framed into lines by [`LineFramer`], and the event loops in
-//! [`reactor`] own all connection state — per-connection read/write
+//! event threads: readiness comes from one [`EpollPoller`] per event
+//! loop (the crate is Linux-only), bytes are framed into lines by
+//! [`LineFramer`], and the event loops in [`reactor`] own all connection
+//! state — per-connection read/write
 //! buffers, bounded pipelining, idle reaping, and a draining shutdown.
 //! CPU-bound work never runs on an event thread: the embedding server's
 //! [`Handler`] hands requests to its own pool and answers through a
@@ -17,8 +17,8 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-#[cfg(not(unix))]
-compile_error!("rtreact requires a Unix platform (epoll or poll readiness)");
+#[cfg(not(target_os = "linux"))]
+compile_error!("rtreact requires Linux (epoll readiness)");
 
 mod frame;
 mod poller;
@@ -26,8 +26,6 @@ mod reactor;
 mod sys;
 
 pub use frame::{FrameError, LineFramer};
-#[cfg(target_os = "linux")]
-pub use poller::EpollPoller;
-pub use poller::{Event, Interest, PollPoller, Poller, PollerKind};
+pub use poller::{EpollPoller, Event, Interest};
 pub use reactor::{run, Config, Control, Handler, ReactorStats, Responder};
 pub use sys::{nofile_limit, raise_nofile_limit, Rlimit};

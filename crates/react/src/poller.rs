@@ -1,6 +1,5 @@
-//! Readiness notification behind a trait: level-triggered `epoll` on
-//! Linux, portable `poll(2)` everywhere, selectable at runtime so the
-//! fallback stays covered by tests on Linux too.
+//! Readiness notification: one level-triggered `epoll` instance per
+//! event loop.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -23,7 +22,7 @@ impl Interest {
     pub const READ: Interest = Interest { readable: true, writable: false };
 }
 
-/// One readiness event out of [`Poller::wait`].
+/// One readiness event out of [`EpollPoller::wait`].
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The token the fd was registered under.
@@ -37,93 +36,9 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// A level-triggered readiness source. One instance per event loop;
-/// none of the methods are re-entrant.
-pub trait Poller: Send {
-    /// Starts watching `fd` under `token`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS error (epoll) or a duplicate-token error.
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()>;
-
-    /// Changes the interest set of an already-registered fd.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS error, or reports an unknown token.
-    fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()>;
-
-    /// Stops watching `fd`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS error; unknown tokens are ignored.
-    fn deregister(&mut self, fd: RawFd, token: usize) -> io::Result<()>;
-
-    /// Blocks until readiness or `timeout` (`None` blocks indefinitely),
-    /// appending events to `events` (which the caller clears).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS error. `EINTR` is retried internally.
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
-
-    /// The backend's name, for banners and diagnostics.
-    fn name(&self) -> &'static str;
-}
-
-/// Which poller backend to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerKind {
-    /// `epoll` where available (Linux), else `poll`.
-    #[default]
-    Auto,
-    /// Force `epoll`; errors on platforms without it.
-    Epoll,
-    /// Force the portable `poll(2)` backend.
-    Poll,
-}
-
-impl PollerKind {
-    /// Parses `auto`/`epoll`/`poll`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognized name.
-    pub fn parse(name: &str) -> Result<PollerKind, String> {
-        match name {
-            "auto" => Ok(PollerKind::Auto),
-            "epoll" => Ok(PollerKind::Epoll),
-            "poll" => Ok(PollerKind::Poll),
-            other => Err(format!("unknown poller `{other}` (expected auto|epoll|poll)")),
-        }
-    }
-
-    /// Instantiates the backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates epoll-instance creation errors; `Epoll` off Linux is
-    /// [`io::ErrorKind::Unsupported`].
-    pub fn create(self) -> io::Result<Box<dyn Poller>> {
-        match self {
-            #[cfg(target_os = "linux")]
-            PollerKind::Auto | PollerKind::Epoll => Ok(Box::new(EpollPoller::new()?)),
-            #[cfg(not(target_os = "linux"))]
-            PollerKind::Auto => Ok(Box::new(PollPoller::new())),
-            #[cfg(not(target_os = "linux"))]
-            PollerKind::Epoll => {
-                Err(io::Error::new(io::ErrorKind::Unsupported, "epoll requires Linux"))
-            }
-            PollerKind::Poll => Ok(Box::new(PollPoller::new())),
-        }
-    }
-}
-
-/// Converts a wait timeout to the millisecond argument both syscalls
-/// take: `None` → block (-1), sub-millisecond waits round up to 1 ms so
-/// a pending deadline is never spun on.
+/// Converts a wait timeout to `epoll_wait`'s millisecond argument:
+/// `None` → block (-1), sub-millisecond waits round up to 1 ms so a
+/// pending deadline is never spun on.
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
@@ -132,15 +47,14 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-/// The Linux backend: one epoll instance, O(ready) wakeups.
-#[cfg(target_os = "linux")]
+/// The readiness source: one epoll instance, O(ready) wakeups. One
+/// instance per event loop; none of the methods are re-entrant.
 #[derive(Debug)]
 pub struct EpollPoller {
     epfd: RawFd,
     buf: Vec<sys::EpollEvent>,
 }
 
-#[cfg(target_os = "linux")]
 impl EpollPoller {
     /// Creates the epoll instance.
     ///
@@ -164,30 +78,41 @@ impl EpollPoller {
         }
         mask
     }
-}
 
-#[cfg(target_os = "linux")]
-impl Drop for EpollPoller {
-    fn drop(&mut self) {
-        sys::close_fd(self.epfd);
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Poller for EpollPoller {
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+    /// Starts watching `fd` under `token`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the OS error.
+    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
         sys::epoll_control(self.epfd, sys::EPOLL_CTL_ADD, fd, Self::mask(interest), token as u64)
     }
 
-    fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+    /// Changes the interest set of an already-registered fd.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the OS error.
+    pub fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
         sys::epoll_control(self.epfd, sys::EPOLL_CTL_MOD, fd, Self::mask(interest), token as u64)
     }
 
-    fn deregister(&mut self, fd: RawFd, _token: usize) -> io::Result<()> {
+    /// Stops watching `fd`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the OS error.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         sys::epoll_control(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    /// Blocks until readiness or `timeout` (`None` blocks indefinitely),
+    /// appending events to `events` (which the caller clears).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the OS error. `EINTR` is retried internally.
+    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         let n = sys::epoll_wait_events(self.epfd, &mut self.buf, timeout_ms(timeout))?;
         for raw in &self.buf[..n] {
             let bits = raw.events;
@@ -206,86 +131,11 @@ impl Poller for EpollPoller {
         }
         Ok(())
     }
-
-    fn name(&self) -> &'static str {
-        "epoll"
-    }
 }
 
-/// The portable backend: rebuilds the `pollfd` array per wait. O(n) per
-/// wakeup, which is fine for the fallback role and for tests.
-#[derive(Debug, Default)]
-pub struct PollPoller {
-    entries: Vec<(usize, RawFd, Interest)>,
-    fds: Vec<sys::PollFd>,
-}
-
-impl PollPoller {
-    /// An empty poll set.
-    pub fn new() -> PollPoller {
-        PollPoller::default()
-    }
-}
-
-impl Poller for PollPoller {
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        if self.entries.iter().any(|(t, ..)| *t == token) {
-            return Err(io::Error::new(io::ErrorKind::AlreadyExists, "token already registered"));
-        }
-        self.entries.push((token, fd, interest));
-        Ok(())
-    }
-
-    fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        for entry in &mut self.entries {
-            if entry.0 == token {
-                *entry = (token, fd, interest);
-                return Ok(());
-            }
-        }
-        Err(io::Error::new(io::ErrorKind::NotFound, "token not registered"))
-    }
-
-    fn deregister(&mut self, _fd: RawFd, token: usize) -> io::Result<()> {
-        self.entries.retain(|(t, ..)| *t != token);
-        Ok(())
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        self.fds.clear();
-        for (_, fd, interest) in &self.entries {
-            let mut mask = 0;
-            if interest.readable {
-                mask |= sys::POLLIN;
-            }
-            if interest.writable {
-                mask |= sys::POLLOUT;
-            }
-            self.fds.push(sys::PollFd { fd: *fd, events: mask, revents: 0 });
-        }
-        let n = sys::poll_fds(&mut self.fds, timeout_ms(timeout))?;
-        if n == 0 {
-            return Ok(());
-        }
-        for (entry, pollfd) in self.entries.iter().zip(&self.fds) {
-            let bits = pollfd.revents;
-            if bits == 0 {
-                continue;
-            }
-            events.push(Event {
-                token: entry.0,
-                readable: bits
-                    & (sys::POLLIN | sys::POLLPRI | sys::POLLHUP | sys::POLLERR | sys::POLLNVAL)
-                    != 0,
-                writable: bits & sys::POLLOUT != 0,
-                hangup: bits & (sys::POLLHUP | sys::POLLERR | sys::POLLNVAL) != 0,
-            });
-        }
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "poll"
+impl Drop for EpollPoller {
+    fn drop(&mut self) {
+        sys::close_fd(self.epfd);
     }
 }
 
@@ -296,7 +146,9 @@ mod tests {
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
 
-    fn backend_reports_readiness(mut poller: Box<dyn Poller>) {
+    #[test]
+    fn epoll_backend_reports_readiness() {
+        let mut poller = EpollPoller::new().unwrap();
         let (mut a, b) = UnixStream::pair().unwrap();
         b.set_nonblocking(true).unwrap();
         poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
@@ -325,38 +177,9 @@ mod tests {
         poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.readable), "{events:?}");
 
-        poller.deregister(b.as_raw_fd(), 7).unwrap();
+        poller.deregister(b.as_raw_fd()).unwrap();
         events.clear();
         poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
         assert!(events.is_empty(), "deregistered fd still fires: {events:?}");
-    }
-
-    #[test]
-    fn poll_backend_reports_readiness() {
-        backend_reports_readiness(PollerKind::Poll.create().unwrap());
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_backend_reports_readiness() {
-        backend_reports_readiness(PollerKind::Epoll.create().unwrap());
-    }
-
-    #[test]
-    fn kind_parses_and_rejects() {
-        assert_eq!(PollerKind::parse("auto").unwrap(), PollerKind::Auto);
-        assert_eq!(PollerKind::parse("epoll").unwrap(), PollerKind::Epoll);
-        assert_eq!(PollerKind::parse("poll").unwrap(), PollerKind::Poll);
-        assert!(PollerKind::parse("kqueue").is_err());
-    }
-
-    #[test]
-    fn poll_backend_rejects_duplicate_and_unknown_tokens() {
-        let mut poller = PollPoller::new();
-        let (_a, b) = UnixStream::pair().unwrap();
-        poller.register(b.as_raw_fd(), 1, Interest::READ).unwrap();
-        assert!(poller.register(b.as_raw_fd(), 1, Interest::READ).is_err());
-        assert!(poller.reregister(b.as_raw_fd(), 99, Interest::READ).is_err());
-        poller.deregister(b.as_raw_fd(), 99).unwrap(); // unknown: ignored
     }
 }

@@ -1,6 +1,6 @@
 //! The event loops: nonblocking accept, per-connection framing and
-//! buffered writes over a [`Poller`], with request execution delegated
-//! to the embedding server through a [`Handler`].
+//! buffered writes over an [`EpollPoller`], with request execution
+//! delegated to the embedding server through a [`Handler`].
 //!
 //! ## Readiness model
 //!
@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::frame::{FrameError, LineFramer};
-use crate::poller::{Event, Interest, Poller, PollerKind};
+use crate::poller::{EpollPoller, Event, Interest};
 
 /// Reactor tuning. The defaults suit an analysis server: small event
 /// fleet, generous line cap, bounded pipelining.
@@ -61,8 +61,6 @@ pub struct Config {
     /// Framed-but-undispatched lines buffered per connection before its
     /// read interest is dropped.
     pub pipeline_cap: usize,
-    /// Which poller backend to use.
-    pub poller: PollerKind,
     /// Upper bound on the shutdown drain (wedged-peer insurance).
     pub drain_timeout: Duration,
 }
@@ -74,7 +72,6 @@ impl Default for Config {
             idle_timeout: None,
             max_line_bytes: 8 << 20,
             pipeline_cap: 64,
-            poller: PollerKind::Auto,
             drain_timeout: Duration::from_secs(5),
         }
     }
@@ -284,7 +281,7 @@ pub fn run(
     for (index, waker) in wake_ends.into_iter().enumerate() {
         loops.push(EventLoop {
             index,
-            poller: config.poller.create()?,
+            poller: EpollPoller::new()?,
             waker,
             listener: if index == 0 { listener.take() } else { None },
             peers: peers.clone(),
@@ -343,7 +340,7 @@ impl Conn {
 
 struct EventLoop {
     index: usize,
-    poller: Box<dyn Poller>,
+    poller: EpollPoller,
     waker: UnixStream,
     listener: Option<TcpListener>,
     peers: Vec<Arc<LoopShared>>,
@@ -714,7 +711,7 @@ impl EventLoop {
 
     fn close(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].take() else { return };
-        let _ = self.poller.deregister(conn.stream.as_raw_fd(), TOKEN_BASE + slot);
+        let _ = self.poller.deregister(conn.stream.as_raw_fd());
         self.free.push(slot);
         self.stats.connections_open.fetch_sub(1, Ordering::Relaxed);
         // An in-flight completion for this conn resolves by gen mismatch.
@@ -750,7 +747,7 @@ impl EventLoop {
         if self.draining_since.is_none() {
             self.draining_since = Some(Instant::now());
             if let Some(listener) = self.listener.take() {
-                let _ = self.poller.deregister(listener.as_raw_fd(), TOKEN_LISTEN);
+                let _ = self.poller.deregister(listener.as_raw_fd());
             }
             for slot in 0..self.conns.len() {
                 if let Some(conn) = self.conns[slot].as_mut() {
@@ -811,40 +808,30 @@ mod tests {
         (addr, stats, thread)
     }
 
-    fn poller_kinds() -> Vec<PollerKind> {
-        #[cfg(target_os = "linux")]
-        return vec![PollerKind::Epoll, PollerKind::Poll];
-        #[cfg(not(target_os = "linux"))]
-        return vec![PollerKind::Poll];
-    }
-
     #[test]
     fn echoes_pipelined_lines_in_order_and_shuts_down() {
-        for poller in poller_kinds() {
-            let (addr, stats, thread) =
-                spawn_reactor(Config { poller, event_threads: 2, ..Config::default() });
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut writer = BufWriter::new(stream.try_clone().unwrap());
-            let mut reader = BufReader::new(stream);
-            // A pipelined burst (incl. a slow off-thread response and a
-            // dropped responder) must come back in order, minus the drop.
-            write!(writer, "a\nslow:b\n\nc\ndrop\nd\n").unwrap();
-            writer.flush().unwrap();
-            for expected in ["echo:a", "echo:slow:b", "echo:c", "echo:d"] {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                assert_eq!(line.trim_end(), expected, "poller {poller:?}");
-            }
-            writeln!(writer, "quit").unwrap();
-            writer.flush().unwrap();
+        let (addr, stats, thread) = spawn_reactor(Config { event_threads: 2, ..Config::default() });
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = BufWriter::new(stream.try_clone().unwrap());
+        let mut reader = BufReader::new(stream);
+        // A pipelined burst (incl. a slow off-thread response and a
+        // dropped responder) must come back in order, minus the drop.
+        write!(writer, "a\nslow:b\n\nc\ndrop\nd\n").unwrap();
+        writer.flush().unwrap();
+        for expected in ["echo:a", "echo:slow:b", "echo:c", "echo:d"] {
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
-            assert_eq!(line.trim_end(), "bye");
-            thread.join().unwrap().unwrap();
-            assert_eq!(stats.lines_framed(), 6);
-            assert_eq!(stats.connections_total(), 1);
-            assert_eq!(stats.connections_open(), 0, "shutdown closes everything");
+            assert_eq!(line.trim_end(), expected);
         }
+        writeln!(writer, "quit").unwrap();
+        writer.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), "bye");
+        thread.join().unwrap().unwrap();
+        assert_eq!(stats.lines_framed(), 6);
+        assert_eq!(stats.connections_total(), 1);
+        assert_eq!(stats.connections_open(), 0, "shutdown closes everything");
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Hand-written FFI for the poller backends and fd limits.
+//! Hand-written FFI for the epoll poller and fd limits.
 //!
 //! The workspace takes no external dependencies, so the few libc entry
-//! points the reactor needs — `epoll_create1`/`epoll_ctl`/`epoll_wait`
-//! on Linux, `poll(2)` everywhere, `getrlimit`/`setrlimit` for the
-//! `RLIMIT_NOFILE` raise, and `close` — are declared here directly.
+//! points the reactor needs — `epoll_create1`/`epoll_ctl`/`epoll_wait`,
+//! `getrlimit`/`setrlimit` for the `RLIMIT_NOFILE` raise, and `close` —
+//! are declared here directly.
 //! `std` already links libc, so no build script or link attribute is
 //! needed. Every raw call is wrapped in a safe function that owns the
 //! pointer/length invariants; callers of this module never write
@@ -12,17 +12,10 @@
 #![allow(non_camel_case_types)]
 
 use std::io;
-use std::os::raw::{c_int, c_short};
+use std::os::raw::c_int;
 use std::os::unix::io::RawFd;
 
-/// `nfds_t` for `poll(2)`: `unsigned long` on Linux, `unsigned int` on
-/// the BSD family.
-#[cfg(target_os = "linux")]
-type nfds_t = std::os::raw::c_ulong;
-#[cfg(not(target_os = "linux"))]
-type nfds_t = std::os::raw::c_uint;
-
-/// `rlim_t` is 64-bit on every supported target.
+/// `rlim_t` is 64-bit on every Linux target.
 type rlim_t = u64;
 
 /// `struct rlimit`.
@@ -35,38 +28,9 @@ pub struct Rlimit {
     pub max: rlim_t,
 }
 
-#[cfg(target_os = "linux")]
 const RLIMIT_NOFILE: c_int = 7;
-#[cfg(not(target_os = "linux"))]
-const RLIMIT_NOFILE: c_int = 8;
-
-/// `struct pollfd`.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    /// The fd to watch (negative entries are ignored by the kernel).
-    pub fd: c_int,
-    /// Requested readiness (`POLL*` bits).
-    pub events: c_short,
-    /// Returned readiness.
-    pub revents: c_short,
-}
-
-/// `POLLIN`.
-pub const POLLIN: c_short = 0x001;
-/// `POLLPRI`.
-pub const POLLPRI: c_short = 0x002;
-/// `POLLOUT`.
-pub const POLLOUT: c_short = 0x004;
-/// `POLLERR` (always reported; never requested).
-pub const POLLERR: c_short = 0x008;
-/// `POLLHUP` (always reported; never requested).
-pub const POLLHUP: c_short = 0x010;
-/// `POLLNVAL` (fd not open; always reported).
-pub const POLLNVAL: c_short = 0x020;
 
 /// `struct epoll_event`. The kernel packs it on x86-64 only.
-#[cfg(target_os = "linux")]
 #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
 #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Debug, Clone, Copy)]
@@ -77,40 +41,31 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
-#[cfg(target_os = "linux")]
-mod epoll_consts {
-    /// `EPOLL_CLOEXEC` (== `O_CLOEXEC`).
-    pub const EPOLL_CLOEXEC: super::c_int = 0o2000000;
-    /// `EPOLL_CTL_ADD`.
-    pub const EPOLL_CTL_ADD: super::c_int = 1;
-    /// `EPOLL_CTL_DEL`.
-    pub const EPOLL_CTL_DEL: super::c_int = 2;
-    /// `EPOLL_CTL_MOD`.
-    pub const EPOLL_CTL_MOD: super::c_int = 3;
-    /// `EPOLLIN`.
-    pub const EPOLLIN: u32 = 0x001;
-    /// `EPOLLPRI`.
-    pub const EPOLLPRI: u32 = 0x002;
-    /// `EPOLLOUT`.
-    pub const EPOLLOUT: u32 = 0x004;
-    /// `EPOLLERR`.
-    pub const EPOLLERR: u32 = 0x008;
-    /// `EPOLLHUP`.
-    pub const EPOLLHUP: u32 = 0x010;
-    /// `EPOLLRDHUP` (peer closed its write half).
-    pub const EPOLLRDHUP: u32 = 0x2000;
-}
-#[cfg(target_os = "linux")]
-pub use epoll_consts::*;
+/// `EPOLL_CLOEXEC` (== `O_CLOEXEC`).
+pub const EPOLL_CLOEXEC: c_int = 0o2000000;
+/// `EPOLL_CTL_ADD`.
+pub const EPOLL_CTL_ADD: c_int = 1;
+/// `EPOLL_CTL_DEL`.
+pub const EPOLL_CTL_DEL: c_int = 2;
+/// `EPOLL_CTL_MOD`.
+pub const EPOLL_CTL_MOD: c_int = 3;
+/// `EPOLLIN`.
+pub const EPOLLIN: u32 = 0x001;
+/// `EPOLLPRI`.
+pub const EPOLLPRI: u32 = 0x002;
+/// `EPOLLOUT`.
+pub const EPOLLOUT: u32 = 0x004;
+/// `EPOLLERR`.
+pub const EPOLLERR: u32 = 0x008;
+/// `EPOLLHUP`.
+pub const EPOLLHUP: u32 = 0x010;
+/// `EPOLLRDHUP` (peer closed its write half).
+pub const EPOLLRDHUP: u32 = 0x2000;
 
 extern "C" {
-    #[cfg(target_os = "linux")]
     fn epoll_create1(flags: c_int) -> c_int;
-    #[cfg(target_os = "linux")]
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-    #[cfg(target_os = "linux")]
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn poll(fds: *mut PollFd, nfds: nfds_t, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
     fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
@@ -129,7 +84,6 @@ fn check(ret: c_int) -> io::Result<c_int> {
 /// # Errors
 ///
 /// Propagates the OS error.
-#[cfg(target_os = "linux")]
 pub fn epoll_create() -> io::Result<RawFd> {
     // SAFETY: no pointers involved; the returned fd is checked.
     check(unsafe { epoll_create1(EPOLL_CLOEXEC) })
@@ -141,7 +95,6 @@ pub fn epoll_create() -> io::Result<RawFd> {
 /// # Errors
 ///
 /// Propagates the OS error.
-#[cfg(target_os = "linux")]
 pub fn epoll_control(epfd: RawFd, op: c_int, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
     let mut event = EpollEvent { events, data };
     // SAFETY: `event` outlives the call; the kernel copies it.
@@ -155,7 +108,6 @@ pub fn epoll_control(epfd: RawFd, op: c_int, fd: RawFd, events: u32, data: u64) 
 /// # Errors
 ///
 /// Propagates the OS error.
-#[cfg(target_os = "linux")]
 pub fn epoll_wait_events(
     epfd: RawFd,
     events: &mut [EpollEvent],
@@ -165,25 +117,6 @@ pub fn epoll_wait_events(
         let capacity = c_int::try_from(events.len()).unwrap_or(c_int::MAX);
         // SAFETY: `events` is a valid writable buffer of `capacity` entries.
         match check(unsafe { epoll_wait(epfd, events.as_mut_ptr(), capacity, timeout_ms) }) {
-            Ok(n) => return Ok(n as usize),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// `poll(2)` over `fds`; returns how many entries have nonzero
-/// `revents`. `timeout_ms < 0` blocks indefinitely. Retries `EINTR`
-/// internally.
-///
-/// # Errors
-///
-/// Propagates the OS error.
-pub fn poll_fds(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<usize> {
-    loop {
-        let len = fds.len() as nfds_t;
-        // SAFETY: `fds` is a valid mutable slice for `len` entries.
-        match check(unsafe { poll(fds.as_mut_ptr(), len, timeout_ms) }) {
             Ok(n) => return Ok(n as usize),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),

@@ -1,83 +1,41 @@
-//! Built-in observability: per-endpoint request counters, error counters
-//! and log₂-bucketed latency histograms, snapshotted by the `metrics`
-//! request.
+//! Built-in observability: the `metrics` and `metrics_prom` payloads.
 //!
-//! Latencies land in buckets `[2^i, 2^(i+1))` microseconds, so reported
-//! percentiles are upper bounds with at most 2× resolution — plenty to
-//! tell a 50 µs cache hit from a 50 ms cold analysis, at a fixed 512-byte
-//! footprint per endpoint and O(1) recording cost.
+//! Every request is timed once, into the always-on [`FlightRecorder`]'s
+//! per-endpoint log₂ latency histogram. Latencies land in buckets
+//! `[2^i, 2^(i+1))` microseconds, so reported percentiles are upper
+//! bounds with at most 2× resolution — plenty to tell a 50 µs cache hit
+//! from a 50 ms cold analysis. [`Metrics`] keeps only what the recorder
+//! does not: per-endpoint admission sheds and deadline misses, and the
+//! explore gauges. [`Metrics::endpoint_rows`] merges the two into the
+//! one per-endpoint row source that `metrics`, `metrics_prom` and
+//! `statusz` all render.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use crate::json::Json;
 use rtcli::store::ArtifactStore;
+use rtobs::flight::{EndpointSummary, FlightRecorder, LogHistogram};
 
-/// Number of log₂ buckets: covers up to 2^40 µs (~13 days) per request.
-const BUCKETS: usize = 40;
-
-/// A log₂-bucketed latency histogram.
-#[derive(Debug, Clone)]
-struct Histogram {
-    /// `buckets[i]` counts samples in `[2^i, 2^(i+1))` µs (0 µs lands in
-    /// bucket 0 too).
-    buckets: [u64; BUCKETS],
-    total: u64,
-    /// Exact sum of every recorded sample, µs (buckets quantize; the sum
-    /// does not, so mean latency stays exact).
-    sum_us: u64,
-    /// Largest recorded sample, µs.
-    max_us: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram { buckets: [0; BUCKETS], total: 0, sum_us: 0, max_us: 0 }
-    }
-}
-
-impl Histogram {
-    fn record(&mut self, micros: u64) {
-        let index = (63 - u64::leading_zeros(micros.max(1)) as usize).min(BUCKETS - 1);
-        self.buckets[index] += 1;
-        self.total += 1;
-        self.sum_us = self.sum_us.saturating_add(micros);
-        self.max_us = self.max_us.max(micros);
-    }
-
-    /// The upper bound (in µs) of the bucket holding the `q`-quantile
-    /// sample, or 0 with no samples. `q` in `[0, 1]`.
-    fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        // ceil(q * total) with a floor of 1: the rank of the quantile
-        // sample in ascending order.
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0;
-        for (i, count) in self.buckets.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return (1u64 << (i + 1)) - 1;
-            }
-        }
-        u64::MAX
-    }
-}
-
-#[derive(Debug, Clone, Default)]
-struct EndpointStats {
-    requests: u64,
-    errors: u64,
-    /// Requests shed by admission control before any analysis ran (not
-    /// counted in `requests`/`errors`: the server never handled them).
+#[derive(Debug, Clone, Copy, Default)]
+struct AdmissionCounts {
     shed: u64,
-    /// Requests rejected because their queue wait exceeded the deadline
-    /// (these *are* also counted as handled errors).
     deadline_misses: u64,
-    latency: Histogram,
+}
+
+/// One endpoint's statistics, as every surface reports them.
+#[derive(Debug, Clone)]
+pub struct EndpointRow {
+    /// Handled requests, errors and the latency histogram, straight from
+    /// the flight recorder (all zero for an endpoint only ever shed).
+    pub flight: EndpointSummary,
+    /// Requests shed by admission control before any analysis ran (not
+    /// in `flight`: the server never handled them).
+    pub shed: u64,
+    /// Requests rejected because their queue wait exceeded the deadline
+    /// (these *are* also handled errors in `flight`).
+    pub deadline_misses: u64,
 }
 
 /// Admission-control gauges owned by the server state, passed into
@@ -97,70 +55,32 @@ pub struct AdmissionSnapshot {
     pub event_threads: u64,
 }
 
-/// Server-wide metrics. One instance lives in the shared server state;
-/// workers record one sample per handled request.
-#[derive(Debug)]
+/// The server-wide counters the flight recorder does not keep. One
+/// instance lives in the shared server state.
+#[derive(Debug, Default)]
 pub struct Metrics {
-    started: Instant,
-    endpoints: Mutex<BTreeMap<&'static str, EndpointStats>>,
+    endpoints: Mutex<BTreeMap<&'static str, AdmissionCounts>>,
     /// Sweep points evaluated by `explore` requests, cumulative.
     explore_points: AtomicU64,
     /// Pareto-front size of the most recent completed `explore` sweep.
     explore_front_size: AtomicU64,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            started: Instant::now(),
-            endpoints: Mutex::new(BTreeMap::new()),
-            explore_points: AtomicU64::new(0),
-            explore_front_size: AtomicU64::new(0),
-        }
-    }
-}
-
 impl Metrics {
-    /// Records one handled request for `endpoint`.
-    pub fn record(&self, endpoint: &'static str, ok: bool, elapsed: Duration) {
-        let mut endpoints = self.endpoints.lock().expect("metrics lock");
-        let stats = endpoints.entry(endpoint).or_default();
-        stats.requests += 1;
-        if !ok {
-            stats.errors += 1;
-        }
-        stats.latency.record(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
-    }
-
     /// Records one request for `endpoint` shed by admission control. Shed
-    /// requests never ran, so they land only in the shed counter — not in
-    /// `requests`, `errors` or the latency histogram.
+    /// requests never ran, so they land only in the shed counter — never
+    /// in the flight recorder's request count or latency histogram.
     pub fn record_shed(&self, endpoint: &'static str) {
         let mut endpoints = self.endpoints.lock().expect("metrics lock");
         endpoints.entry(endpoint).or_default().shed += 1;
     }
 
     /// Records one deadline miss for `endpoint` (the request was rejected
-    /// after parse but before analysis; the caller still records it as a
-    /// handled error via [`record`](Metrics::record)).
+    /// after parse but before analysis; it still flies through the flight
+    /// recorder as a handled error).
     pub fn record_deadline_miss(&self, endpoint: &'static str) {
         let mut endpoints = self.endpoints.lock().expect("metrics lock");
         endpoints.entry(endpoint).or_default().deadline_misses += 1;
-    }
-
-    /// Per-endpoint admission counters: `(endpoint, shed,
-    /// deadline_misses)`, for the `statusz` payload.
-    pub fn admission_by_endpoint(&self) -> Vec<(String, u64, u64)> {
-        let endpoints = self.endpoints.lock().expect("metrics lock");
-        endpoints
-            .iter()
-            .map(|(name, stats)| ((*name).to_string(), stats.shed, stats.deadline_misses))
-            .collect()
-    }
-
-    /// Seconds since the server started.
-    pub fn uptime_secs(&self) -> u64 {
-        self.started.elapsed().as_secs()
     }
 
     /// Records one completed `explore` sweep: `points` accumulate, the
@@ -170,6 +90,29 @@ impl Metrics {
         self.explore_front_size.store(front_size, Ordering::Relaxed);
     }
 
+    /// Every endpoint that has flown through `flight` or been shed, in
+    /// endpoint-name order, with its admission counters merged in. An
+    /// endpoint that has only ever been shed never flew, so its flight
+    /// summary is all zeros.
+    pub fn endpoint_rows(&self, flight: &FlightRecorder) -> Vec<EndpointRow> {
+        let mut rows: BTreeMap<&'static str, EndpointRow> = flight
+            .endpoints()
+            .into_iter()
+            .map(|e| (e.endpoint, EndpointRow { flight: e, shed: 0, deadline_misses: 0 }))
+            .collect();
+        let admission = self.endpoints.lock().expect("metrics lock");
+        for (&endpoint, counts) in admission.iter() {
+            let row = rows.entry(endpoint).or_insert_with(|| EndpointRow {
+                flight: EndpointSummary::new(endpoint, 0, LogHistogram::new().snapshot()),
+                shed: 0,
+                deadline_misses: 0,
+            });
+            row.shed = counts.shed;
+            row.deadline_misses = counts.deadline_misses;
+        }
+        rows.into_values().collect()
+    }
+
     /// Snapshots everything — uptime, per-endpoint counters and latency
     /// percentiles, the artifact-cache counters, and the analysis-pool
     /// shape (`analysis_threads` total, of which `analysis_workers` are
@@ -177,27 +120,29 @@ impl Metrics {
     pub fn snapshot(
         &self,
         store: &ArtifactStore,
+        flight: &FlightRecorder,
         analysis_threads: usize,
         analysis_workers: usize,
         admission: &AdmissionSnapshot,
     ) -> Json {
-        let endpoints = self.endpoints.lock().expect("metrics lock");
-        let per_endpoint = endpoints
-            .iter()
-            .map(|(name, stats)| {
+        let per_endpoint = self
+            .endpoint_rows(flight)
+            .into_iter()
+            .map(|row| {
+                let hist = &row.flight.hist;
                 let json = Json::obj([
-                    ("requests", Json::from(stats.requests)),
-                    ("errors", Json::from(stats.errors)),
-                    ("shed", Json::from(stats.shed)),
-                    ("deadline_misses", Json::from(stats.deadline_misses)),
-                    ("count", Json::from(stats.latency.total)),
-                    ("sum_us", Json::from(stats.latency.sum_us)),
-                    ("max_us", Json::from(stats.latency.max_us)),
-                    ("p50_us", Json::from(stats.latency.quantile_upper_bound(0.50))),
-                    ("p95_us", Json::from(stats.latency.quantile_upper_bound(0.95))),
-                    ("p99_us", Json::from(stats.latency.quantile_upper_bound(0.99))),
+                    ("requests", Json::from(hist.count)),
+                    ("errors", Json::from(row.flight.errors)),
+                    ("shed", Json::from(row.shed)),
+                    ("deadline_misses", Json::from(row.deadline_misses)),
+                    ("count", Json::from(hist.count)),
+                    ("sum_us", Json::from(hist.sum_us)),
+                    ("max_us", Json::from(hist.max_us)),
+                    ("p50_us", Json::from(hist.quantile_upper_bound(0.50))),
+                    ("p95_us", Json::from(hist.quantile_upper_bound(0.95))),
+                    ("p99_us", Json::from(hist.quantile_upper_bound(0.99))),
                 ]);
-                ((*name).to_string(), json)
+                (row.flight.endpoint.to_string(), json)
             })
             .collect();
         let stages = store
@@ -214,7 +159,7 @@ impl Metrics {
             })
             .collect();
         Json::obj([
-            ("uptime_secs", Json::from(self.uptime_secs())),
+            ("uptime_secs", Json::from(flight.uptime_secs())),
             ("endpoints", Json::Obj(per_endpoint)),
             (
                 // The `analyze` stage's counters, kept under the historic
@@ -272,7 +217,7 @@ impl Metrics {
         &self,
         store: &ArtifactStore,
         pool: &rtpar::PoolStats,
-        flight: &rtobs::flight::FlightRecorder,
+        flight: &FlightRecorder,
         slow_captures: u64,
         admission: &AdmissionSnapshot,
     ) -> String {
@@ -283,7 +228,11 @@ impl Metrics {
             let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {value}");
         };
-        gauge("rtserver_uptime_seconds", "Seconds since the server started.", &self.uptime_secs());
+        gauge(
+            "rtserver_uptime_seconds",
+            "Seconds since the server started.",
+            &flight.uptime_secs(),
+        );
         gauge(
             "rtserver_artifact_cache_entries",
             "Memoized analysis artifacts currently cached.",
@@ -347,16 +296,16 @@ impl Metrics {
             "Work items stolen by background pool workers.",
             pool.items_stolen,
         );
-        let (skyline_kept, skyline_pruned) = crpd::skyline_stats();
+        let skyline = rtobs::skyline_totals();
         counter(
             "rtserver_skyline_points_kept_total",
             "Pareto-maximal useful-footprint points kept by skyline pruning.",
-            skyline_kept,
+            skyline.kept,
         );
         counter(
             "rtserver_skyline_points_pruned_total",
             "Dominated useful-footprint points discarded by skyline pruning.",
-            skyline_pruned,
+            skyline.pruned,
         );
         counter(
             "rtserver_explore_points_total",
@@ -425,69 +374,45 @@ impl Metrics {
                 s.entries
             );
         }
-        let endpoints = self.endpoints.lock().expect("metrics lock");
-        let _ = writeln!(out, "# HELP rtserver_requests_total Handled requests per endpoint.");
-        let _ = writeln!(out, "# TYPE rtserver_requests_total counter");
-        for (name, stats) in endpoints.iter() {
-            let name = escape_label_value(name);
-            let _ =
-                writeln!(out, "rtserver_requests_total{{endpoint=\"{name}\"}} {}", stats.requests);
-        }
-        let _ = writeln!(out, "# HELP rtserver_request_errors_total Failed requests per endpoint.");
-        let _ = writeln!(out, "# TYPE rtserver_request_errors_total counter");
-        for (name, stats) in endpoints.iter() {
-            let _ = writeln!(
-                out,
-                "rtserver_request_errors_total{{endpoint=\"{}\"}} {}",
-                escape_label_value(name),
-                stats.errors
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP rtserver_shed_total Requests shed by admission control per endpoint."
-        );
-        let _ = writeln!(out, "# TYPE rtserver_shed_total counter");
-        for (name, stats) in endpoints.iter() {
-            let _ = writeln!(
-                out,
-                "rtserver_shed_total{{endpoint=\"{}\"}} {}",
-                escape_label_value(name),
-                stats.shed
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP rtserver_deadline_misses_total Requests rejected past their queue-wait deadline per endpoint."
-        );
-        let _ = writeln!(out, "# TYPE rtserver_deadline_misses_total counter");
-        for (name, stats) in endpoints.iter() {
-            let _ = writeln!(
-                out,
-                "rtserver_deadline_misses_total{{endpoint=\"{}\"}} {}",
-                escape_label_value(name),
-                stats.deadline_misses
-            );
+        let rows = self.endpoint_rows(flight);
+        for (name, help, value) in [
+            (
+                "rtserver_requests_total",
+                "Handled requests per endpoint.",
+                (|r: &EndpointRow| r.flight.hist.count) as fn(&EndpointRow) -> u64,
+            ),
+            ("rtserver_request_errors_total", "Failed requests per endpoint.", |r| r.flight.errors),
+            ("rtserver_shed_total", "Requests shed by admission control per endpoint.", |r| r.shed),
+            (
+                "rtserver_deadline_misses_total",
+                "Requests rejected past their queue-wait deadline per endpoint.",
+                |r| r.deadline_misses,
+            ),
+        ] {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} counter");
+            for row in &rows {
+                let endpoint = escape_label_value(row.flight.endpoint);
+                let _ = writeln!(out, "{name}{{endpoint=\"{endpoint}\"}} {}", value(row));
+            }
         }
         let hist = "rtserver_request_duration_microseconds";
         let _ = writeln!(out, "# HELP {hist} Request latency per endpoint, microseconds.");
         let _ = writeln!(out, "# TYPE {hist} histogram");
-        for (name, stats) in endpoints.iter() {
-            let name = escape_label_value(name);
+        for row in &rows {
+            let name = escape_label_value(row.flight.endpoint);
+            let latency = &row.flight.hist;
             let mut cumulative = 0;
-            for (i, count) in stats.latency.buckets.iter().enumerate() {
+            for (i, count) in latency.buckets.iter().enumerate() {
                 cumulative += count;
                 let le = (1u64 << (i + 1)) - 1;
                 let _ =
                     writeln!(out, "{hist}_bucket{{endpoint=\"{name}\",le=\"{le}\"}} {cumulative}");
             }
-            let _ = writeln!(
-                out,
-                "{hist}_bucket{{endpoint=\"{name}\",le=\"+Inf\"}} {}",
-                stats.latency.total
-            );
-            let _ = writeln!(out, "{hist}_sum{{endpoint=\"{name}\"}} {}", stats.latency.sum_us);
-            let _ = writeln!(out, "{hist}_count{{endpoint=\"{name}\"}} {}", stats.latency.total);
+            let _ =
+                writeln!(out, "{hist}_bucket{{endpoint=\"{name}\",le=\"+Inf\"}} {}", latency.count);
+            let _ = writeln!(out, "{hist}_sum{{endpoint=\"{name}\"}} {}", latency.sum_us);
+            let _ = writeln!(out, "{hist}_count{{endpoint=\"{name}\"}} {}", latency.count);
         }
         out
     }
@@ -637,49 +562,25 @@ fn scan_labels(body: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_by_log2() {
-        let mut h = Histogram::default();
-        for micros in [0, 1, 2, 3, 4, 1000, 1_000_000] {
-            h.record(micros);
-        }
-        assert_eq!(h.total, 7);
-        assert_eq!(h.buckets[0], 2, "0 and 1 µs share bucket 0");
-        assert_eq!(h.buckets[1], 2, "2 and 3 µs");
-        assert_eq!(h.buckets[2], 1, "4 µs");
-        assert_eq!(h.buckets[9], 1, "1000 µs in [512, 1024)");
-        assert_eq!(h.buckets[19], 1, "1 s in [2^19, 2^20) µs");
-    }
-
-    #[test]
-    fn quantiles_are_upper_bounds_and_monotone() {
-        let mut h = Histogram::default();
-        assert_eq!(h.quantile_upper_bound(0.5), 0, "empty histogram");
-        for _ in 0..98 {
-            h.record(10); // bucket 3: [8, 16)
-        }
-        h.record(100_000); // bucket 16
-        h.record(100_000);
-        let p50 = h.quantile_upper_bound(0.50);
-        let p95 = h.quantile_upper_bound(0.95);
-        let p99 = h.quantile_upper_bound(0.99);
-        assert_eq!(p50, 15, "the p50 sample is a 10 µs one");
-        assert_eq!(p95, 15);
-        assert!(p99 >= 100_000, "p99 must reach the slow tail, got {p99}");
-        assert!(p50 <= p95 && p95 <= p99);
-    }
+    use rtobs::flight::HIST_BUCKETS;
+    use std::time::Duration;
 
     #[test]
     fn snapshot_shape() {
         let metrics = Metrics::default();
         let store = ArtifactStore::default();
-        metrics.record("wcrt", true, Duration::from_micros(300));
-        metrics.record("wcrt", false, Duration::from_micros(700));
-        metrics.record("ping", true, Duration::from_micros(2));
+        let flight = FlightRecorder::new(8);
+        flight.begin("wcrt", 0, false).finish(true);
+        {
+            let scope = flight.begin("wcrt", 0, false);
+            std::thread::sleep(Duration::from_millis(1));
+            scope.finish(false);
+        }
+        flight.begin("ping", 0, false).finish(true);
         metrics.record_shed("wcrt");
         metrics.record_shed("wcrt");
         metrics.record_deadline_miss("wcrt");
+        metrics.record_shed("crpd"); // shed only: never flew
         let admission = AdmissionSnapshot {
             inflight: 1,
             max_inflight: 256,
@@ -687,16 +588,32 @@ mod tests {
             open_connections: 3,
             event_threads: 2,
         };
-        let snap = metrics.snapshot(&store, 4, 3, &admission);
-        let wcrt = snap.get("endpoints").unwrap().get("wcrt").unwrap();
+        let snap = metrics.snapshot(&store, &flight, 4, 3, &admission);
+        let endpoints = snap.get("endpoints").unwrap();
+        let wcrt = endpoints.get("wcrt").unwrap();
         assert_eq!(wcrt.get("requests").unwrap().as_u64(), Some(2));
         assert_eq!(wcrt.get("errors").unwrap().as_u64(), Some(1));
         assert_eq!(wcrt.get("shed").unwrap().as_u64(), Some(2), "sheds are not requests");
         assert_eq!(wcrt.get("deadline_misses").unwrap().as_u64(), Some(1));
+        // Latency is the flight recorder's histogram, read verbatim.
+        let recorded = flight.endpoints().into_iter().find(|e| e.endpoint == "wcrt").unwrap();
         assert_eq!(wcrt.get("count").unwrap().as_u64(), Some(2));
-        assert_eq!(wcrt.get("sum_us").unwrap().as_u64(), Some(1000));
-        assert_eq!(wcrt.get("max_us").unwrap().as_u64(), Some(700));
-        assert!(wcrt.get("p99_us").unwrap().as_u64().unwrap() >= 700);
+        assert_eq!(wcrt.get("sum_us").unwrap().as_u64(), Some(recorded.hist.sum_us));
+        assert_eq!(wcrt.get("max_us").unwrap().as_u64(), Some(recorded.max_us));
+        assert!(recorded.max_us >= 1_000, "the slept request is the max");
+        assert_eq!(wcrt.get("p50_us").unwrap().as_u64(), Some(recorded.p50_us));
+        assert_eq!(
+            wcrt.get("p95_us").unwrap().as_u64(),
+            Some(recorded.hist.quantile_upper_bound(0.95))
+        );
+        assert_eq!(wcrt.get("p99_us").unwrap().as_u64(), Some(recorded.p99_us));
+        assert!(recorded.p99_us >= recorded.max_us);
+        // A shed-only endpoint still gets a row, with zero latency.
+        let crpd = endpoints.get("crpd").unwrap();
+        assert_eq!(crpd.get("shed").unwrap().as_u64(), Some(1));
+        for key in ["requests", "errors", "count", "sum_us", "max_us", "p50_us", "p99_us"] {
+            assert_eq!(crpd.get(key).unwrap().as_u64(), Some(0), "{key}");
+        }
         let cache = snap.get("artifact_cache").unwrap();
         assert_eq!(cache.get("hits").unwrap().as_u64(), Some(0));
         let stages = snap.get("stages").unwrap();
@@ -714,13 +631,15 @@ mod tests {
         assert_eq!(adm.get("shed_total").unwrap().as_u64(), Some(2));
         assert_eq!(adm.get("open_connections").unwrap().as_u64(), Some(3));
         assert_eq!(adm.get("event_threads").unwrap().as_u64(), Some(2));
-        assert_eq!(
-            metrics.admission_by_endpoint(),
-            vec![("ping".to_string(), 0, 0), ("wcrt".to_string(), 2, 1)]
-        );
+        let rows: Vec<(&str, u64, u64, u64)> = metrics
+            .endpoint_rows(&flight)
+            .iter()
+            .map(|r| (r.flight.endpoint, r.flight.count, r.shed, r.deadline_misses))
+            .collect();
+        assert_eq!(rows, [("crpd", 0, 1, 0), ("ping", 1, 0, 0), ("wcrt", 2, 2, 1)]);
         metrics.record_explore(64, 5);
         metrics.record_explore(36, 3);
-        let snap = metrics.snapshot(&store, 4, 3, &admission);
+        let snap = metrics.snapshot(&store, &flight, 4, 3, &admission);
         let explore = snap.get("explore").unwrap();
         assert_eq!(explore.get("points_total").unwrap().as_u64(), Some(100));
         assert_eq!(explore.get("front_size").unwrap().as_u64(), Some(3), "latest sweep wins");
@@ -733,18 +652,17 @@ mod tests {
     fn prometheus_exposition_is_well_formed() {
         let metrics = Metrics::default();
         let store = ArtifactStore::default();
-        metrics.record("wcrt", true, Duration::from_micros(300));
-        metrics.record("wcrt", false, Duration::from_micros(700));
         metrics.record_explore(200, 7);
         let pool = rtpar::Pool::new(1);
         pool.install(|| rtpar::par_map_range(4, |i| i));
-        let flight = rtobs::flight::FlightRecorder::new(8);
+        let flight = FlightRecorder::new(8);
         let scope = flight.begin("wcrt", 0, false);
         {
             let _span = rtobs::span("crpd");
             std::thread::sleep(Duration::from_millis(1));
         }
         scope.finish(true);
+        flight.begin("wcrt", 0, false).finish(false);
         metrics.record_shed("wcrt");
         metrics.record_deadline_miss("wcrt");
         let admission = AdmissionSnapshot {
@@ -802,19 +720,24 @@ mod tests {
             );
         }
 
-        // Histogram invariants: cumulative buckets are monotone, +Inf
-        // equals _count, and _sum holds the exact total.
-        let mut last = 0;
-        let mut bucket_lines = 0;
-        for line in text.lines().filter(|l| {
-            l.starts_with("rtserver_request_duration_microseconds_bucket{endpoint=\"wcrt\"")
-        }) {
-            let value: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-            assert!(value >= last, "buckets must be cumulative: {line}");
-            last = value;
-            bucket_lines += 1;
+        // The histogram family is the flight recorder's histogram:
+        // cumulative buckets match it bucket by bucket (so they are
+        // monotone), +Inf equals _count, and _sum holds its exact total.
+        let recorded = flight.endpoints().into_iter().find(|e| e.endpoint == "wcrt").unwrap();
+        let bucket_lines: Vec<&str> = text
+            .lines()
+            .filter(|l| {
+                l.starts_with("rtserver_request_duration_microseconds_bucket{endpoint=\"wcrt\"")
+            })
+            .collect();
+        assert_eq!(bucket_lines.len(), HIST_BUCKETS + 1, "all buckets plus +Inf");
+        let mut cumulative = 0;
+        for (i, line) in bucket_lines[..HIST_BUCKETS].iter().enumerate() {
+            cumulative += recorded.hist.buckets[i];
+            let le = (1u64 << (i + 1)) - 1;
+            assert!(line.ends_with(&format!("le=\"{le}\"}} {cumulative}")), "{line}");
         }
-        assert_eq!(bucket_lines, super::BUCKETS + 1, "all buckets plus +Inf");
+        assert_eq!(cumulative, 2);
         assert!(
             text.contains(
                 "rtserver_request_duration_microseconds_bucket{endpoint=\"wcrt\",le=\"+Inf\"} 2"
@@ -822,19 +745,14 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("rtserver_request_duration_microseconds_sum{endpoint=\"wcrt\"} 1000"),
+            text.contains(&format!(
+                "rtserver_request_duration_microseconds_sum{{endpoint=\"wcrt\"}} {}",
+                recorded.hist.sum_us
+            )),
             "{text}"
         );
         assert!(
             text.contains("rtserver_request_duration_microseconds_count{endpoint=\"wcrt\"} 2"),
-            "{text}"
-        );
-        // 300 µs lands in bucket [256, 512) and 700 µs in [512, 1024),
-        // so the le="511" bucket holds exactly one sample.
-        assert!(
-            text.contains(
-                "rtserver_request_duration_microseconds_bucket{endpoint=\"wcrt\",le=\"511\"} 1"
-            ),
             "{text}"
         );
 
@@ -845,7 +763,7 @@ mod tests {
         assert!(text.contains("rtserver_event_threads 2"), "{text}");
         assert!(text.contains("rtserver_shed_total{endpoint=\"wcrt\"} 1"), "{text}");
         assert!(text.contains("rtserver_deadline_misses_total{endpoint=\"wcrt\"} 1"), "{text}");
-        assert!(text.contains("rtserver_flight_records_total 1"), "{text}");
+        assert!(text.contains("rtserver_flight_records_total 2"), "{text}");
         assert!(text.contains("rtserver_slow_requests_total 3"), "{text}");
         let crpd = text
             .lines()

@@ -23,7 +23,7 @@
 //! accepting and reading, drains every dispatched request, and `serve`
 //! returns after the request pool finishes any remaining work.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
@@ -53,7 +53,9 @@ use rtcli::store::{ArtifactStore, TaskSource};
 pub struct ServerState {
     /// Memoized analysis artifacts.
     pub store: ArtifactStore,
-    /// Request counters and latency histograms.
+    /// The counters the flight recorder does not keep: per-endpoint
+    /// sheds and deadline misses, and the explore gauges. Request counts
+    /// and latencies live in `flight` alone.
     pub metrics: Metrics,
     /// The always-on flight recorder every request flies through.
     pub flight: FlightRecorder,
@@ -161,19 +163,15 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind error (bad host, port in use, …) or an invalid
-    /// `--poller` value.
+    /// Returns the bind error (bad host, port in use, …).
     pub fn bind(opts: &ServeOptions) -> io::Result<Server> {
         // A reactor server is expected to hold thousands of sockets;
         // lift the fd ceiling best-effort before the first accept.
         let _ = rtreact::raise_nofile_limit(65_536);
         let listener = TcpListener::bind((opts.host.as_str(), opts.port))?;
-        let poller = rtreact::PollerKind::parse(&opts.poller)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let config = rtreact::Config {
             event_threads: opts.event_threads,
             idle_timeout: opts.idle_timeout_ms.map(Duration::from_millis),
-            poller,
             ..rtreact::Config::default()
         };
         // `--threads` sizes both the request pool and the analysis pool
@@ -364,13 +362,11 @@ fn try_shed(state: &ServerState, line: &str) -> Option<String> {
 /// over-threshold requests additionally land their full span tree in
 /// the black box.
 fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, bool) {
-    let started = Instant::now();
     let queue_us = ready.elapsed().as_micros() as u64;
     let request = match Request::parse(line) {
         Ok(request) => request,
         Err(error) => {
             state.flight.begin("invalid", queue_us, false).finish(false);
-            state.metrics.record("invalid", false, started.elapsed());
             let response = match error.code {
                 Some(code) => err_response_coded(None, code, &error.message),
                 None => err_response(None, &error.message),
@@ -389,7 +385,6 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
             if queue_us / 1000 >= deadline_ms {
                 state.flight.begin(endpoint, queue_us, false).finish(false);
                 state.metrics.record_deadline_miss(endpoint);
-                state.metrics.record(endpoint, false, started.elapsed());
                 return (
                     err_response_coded(
                         id,
@@ -414,6 +409,7 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
             Command::Metrics => {
                 let snapshot = state.metrics.snapshot(
                     &state.store,
+                    &state.flight,
                     state.analysis.threads(),
                     state.analysis.background_workers(),
                     &state.admission(),
@@ -471,7 +467,6 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
             black_box.push_back(finished);
         }
     }
-    state.metrics.record(endpoint, ok, started.elapsed());
     (response, shutdown)
 }
 
@@ -575,24 +570,17 @@ fn run_batch(state: &ServerState, id: Option<u64>, items: &[Command]) -> (String
 /// quantiles (with shed and deadline-miss counters merged in), stage
 /// wall time and stage-cache hit rates, all from always-on collectors.
 fn statusz(state: &ServerState) -> Json {
-    let admission_by_endpoint: BTreeMap<String, (u64, u64)> = state
+    let endpoints = state
         .metrics
-        .admission_by_endpoint()
+        .endpoint_rows(&state.flight)
         .into_iter()
-        .map(|(endpoint, shed, deadline_misses)| (endpoint, (shed, deadline_misses)))
-        .collect();
-    let mut endpoints: BTreeMap<String, Json> = state
-        .flight
-        .endpoints()
-        .into_iter()
-        .map(|e| {
-            let (shed, deadline_misses) =
-                admission_by_endpoint.get(e.endpoint).copied().unwrap_or((0, 0));
+        .map(|row| {
+            let e = &row.flight;
             let json = Json::obj([
                 ("count", Json::from(e.count)),
                 ("errors", Json::from(e.errors)),
-                ("shed", Json::from(shed)),
-                ("deadline_misses", Json::from(deadline_misses)),
+                ("shed", Json::from(row.shed)),
+                ("deadline_misses", Json::from(row.deadline_misses)),
                 ("p50_us", Json::from(e.p50_us)),
                 ("p90_us", Json::from(e.p90_us)),
                 ("p99_us", Json::from(e.p99_us)),
@@ -601,22 +589,6 @@ fn statusz(state: &ServerState) -> Json {
             (e.endpoint.to_string(), json)
         })
         .collect();
-    // An endpoint that has only ever been shed never flew, so it is
-    // absent from the flight recorder; surface it anyway.
-    for (endpoint, (shed, deadline_misses)) in &admission_by_endpoint {
-        endpoints.entry(endpoint.clone()).or_insert_with(|| {
-            Json::obj([
-                ("count", Json::from(0u64)),
-                ("errors", Json::from(0u64)),
-                ("shed", Json::from(*shed)),
-                ("deadline_misses", Json::from(*deadline_misses)),
-                ("p50_us", Json::from(0u64)),
-                ("p90_us", Json::from(0u64)),
-                ("p99_us", Json::from(0u64)),
-                ("max_us", Json::from(0u64)),
-            ])
-        });
-    }
     let stage_ns = state
         .flight
         .stage_totals()

@@ -267,6 +267,14 @@ fn metrics_prom_returns_consistent_prometheus_text() {
         "wcrt _sum line present"
     );
 
+    // Skyline totals are process-wide and fed by every cold analysis,
+    // with or without a tracing session.
+    let kept_line = text
+        .lines()
+        .find(|l| l.starts_with("rtserver_skyline_points_kept_total "))
+        .expect("skyline kept line");
+    assert!(bucket_value(kept_line) > 0, "cold analyses built skylines: {kept_line}");
+
     assert_eq!(replies[3].get("ok").and_then(Json::as_bool), Some(true));
     handle.join().expect("clean exit");
 }
@@ -330,12 +338,26 @@ fn error_paths_leave_the_server_serving() {
     assert_eq!(replies[0].get("output").and_then(Json::as_str), Some("pong"));
 
     // Both request failures are on the books, attributed per endpoint.
-    let replies = roundtrip(addr, &[r#"{"cmd":"metrics"}"#.to_string()]);
-    let endpoints =
-        replies[0].get("metrics").and_then(|m| m.get("endpoints")).expect("metrics endpoint stats");
-    let errors = |ep: &str| {
+    // The half-request is dispatched when its event loop reads the EOF,
+    // which can land after the ping above was served on another loop, so
+    // wait (bounded) until it is booked before asserting exact counts.
+    let errors = |endpoints: &Json, ep: &str| {
         endpoints.get(ep).and_then(|e| e.get("errors")).and_then(Json::as_u64).unwrap_or(0)
     };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let endpoints = loop {
+        let replies = roundtrip(addr, &[r#"{"cmd":"metrics"}"#.to_string()]);
+        let endpoints = replies[0]
+            .get("metrics")
+            .and_then(|m| m.get("endpoints"))
+            .cloned()
+            .expect("metrics endpoint stats");
+        if errors(&endpoints, "invalid") >= 2 || std::time::Instant::now() >= deadline {
+            break endpoints;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    let errors = |ep: &str| errors(&endpoints, ep);
     assert_eq!(errors("explore"), 1, "the malformed grid counts as an explore error");
     // The oversized spec never produces a `Command`, so it is booked
     // under the parse-stage `invalid` endpoint — as is the disconnected
@@ -470,6 +492,59 @@ fn flight_endpoints_expose_statusz_journal_and_black_box() {
         assert!(s.get("dur_ns").and_then(Json::as_u64).is_some(), "{s:?}");
         assert!(s.get("start_ns").and_then(Json::as_u64).is_some(), "{s:?}");
     }
+
+    // `metrics`, `metrics_prom` and `statusz` read one histogram per
+    // endpoint. Each snapshot is taken before its own request commits,
+    // so only the rows of the three ops endpoints move between them.
+    let replies = roundtrip(
+        addr,
+        &[
+            r#"{"cmd":"statusz"}"#.to_string(),
+            r#"{"cmd":"metrics"}"#.to_string(),
+            r#"{"cmd":"metrics_prom"}"#.to_string(),
+        ],
+    );
+    let Some(Json::Obj(status_rows)) = replies[0].get("status").and_then(|s| s.get("endpoints"))
+    else {
+        panic!("statusz endpoints: {:?}", replies[0])
+    };
+    let Some(Json::Obj(metric_rows)) = replies[1].get("metrics").and_then(|m| m.get("endpoints"))
+    else {
+        panic!("metrics endpoints: {:?}", replies[1])
+    };
+    let prom = replies[2].get("output").and_then(Json::as_str).expect("exposition text");
+    let prom_value = |family: &str, endpoint: &str| -> u64 {
+        let prefix = format!("{family}{{endpoint=\"{endpoint}\"}} ");
+        let line = prom.lines().find(|l| l.starts_with(&prefix)).expect(&prefix);
+        line[prefix.len()..].parse().expect("integral sample")
+    };
+    for endpoint in ["flight", "journal", "ping", "wcrt"] {
+        let (status_row, metric_row) = (&status_rows[endpoint], &metric_rows[endpoint]);
+        for key in ["count", "errors", "p50_us", "p99_us", "max_us"] {
+            assert_eq!(
+                status_row.get(key).and_then(Json::as_u64),
+                metric_row.get(key).and_then(Json::as_u64),
+                "{endpoint} {key}: statusz {status_row:?} vs metrics {metric_row:?}"
+            );
+        }
+        let count = metric_row.get("count").and_then(Json::as_u64).unwrap();
+        assert_eq!(metric_row.get("requests").and_then(Json::as_u64), Some(count));
+        assert_eq!(prom_value("rtserver_requests_total", endpoint), count);
+        assert_eq!(prom_value("rtserver_request_duration_microseconds_count", endpoint), count);
+        assert_eq!(
+            Some(prom_value("rtserver_request_duration_microseconds_sum", endpoint)),
+            metric_row.get("sum_us").and_then(Json::as_u64)
+        );
+        assert_eq!(
+            Some(prom_value("rtserver_request_errors_total", endpoint)),
+            metric_row.get("errors").and_then(Json::as_u64)
+        );
+    }
+    assert_eq!(status_rows["ping"].get("count").and_then(Json::as_u64), Some(5));
+    let statusz_count = |rows: &std::collections::BTreeMap<String, Json>| {
+        rows["statusz"].get("count").and_then(Json::as_u64).unwrap()
+    };
+    assert_eq!(statusz_count(metric_rows), statusz_count(status_rows) + 1);
 
     let replies = roundtrip(addr, &[r#"{"cmd":"shutdown"}"#.to_string()]);
     assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true));
@@ -746,29 +821,6 @@ fn mid_write_disconnect_leaves_the_server_serving() {
     );
     assert_eq!(replies[1].get("ok").and_then(Json::as_bool), Some(true));
     handle.join().expect("server survives the reset and drains cleanly");
-}
-
-/// `--poller poll` swaps the epoll backend for portable `poll(2)` with
-/// identical observable behavior: same bytes, same shutdown.
-#[test]
-fn poll_backend_serves_identically() {
-    let opts = rtcli::ServeOptions {
-        host: "127.0.0.1".to_string(),
-        port: 0,
-        threads: 2,
-        poller: "poll".to_string(),
-        ..rtcli::ServeOptions::default()
-    };
-    let handle = Server::spawn(&opts).expect("bind ephemeral port");
-    let replies =
-        roundtrip(handle.addr(), &[request_line(30), r#"{"cmd":"shutdown"}"#.to_string()]);
-    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[0]);
-    assert_eq!(
-        replies[0].get("output").and_then(Json::as_str),
-        Some(one_shot_reference().as_str()),
-        "poll backend must serve byte-identical analysis"
-    );
-    handle.join().expect("clean exit");
 }
 
 /// Slow capture must trigger *only* for over-threshold requests: with an
