@@ -96,46 +96,6 @@ fn bench_approaches_and_wcrt(c: &mut Criterion) {
     });
 }
 
-fn bench_hierarchy(c: &mut Criterion) {
-    let l1 = CacheGeometry::new(128, 2, 16).expect("valid geometry");
-    let l2 = CacheGeometry::new(1024, 8, 16).expect("valid geometry");
-    let program = rtworkloads::mobile_robot();
-    c.bench_function("hierarchy/wcet_mr", |b| {
-        b.iter(|| {
-            rtwcet::estimate_wcet_hierarchy(
-                black_box(&program),
-                l1,
-                l2,
-                rtwcet::HierarchyTimingModel::default(),
-            )
-            .expect("estimates")
-        })
-    });
-    let mr = AnalyzedTask::analyze(
-        &program,
-        TaskParams { period: 1_000_000, priority: 2 },
-        l1,
-        TimingModel::default(),
-    )
-    .expect("analyzes");
-    let ed = AnalyzedTask::analyze(
-        &rtworkloads::edge_detection_with_dim(12),
-        TaskParams { period: 2_000_000, priority: 3 },
-        l1,
-        TimingModel::default(),
-    )
-    .expect("analyzes");
-    let params = crpd::TwoLevelParams {
-        l2_geometry: l2,
-        model: rtwcet::HierarchyTimingModel::default(),
-        ctx_switch: 300,
-        max_iterations: 10_000,
-    };
-    c.bench_function("hierarchy/two_level_delay", |b| {
-        b.iter(|| crpd::two_level_preemption_delay(black_box(&ed), black_box(&mr), &params))
-    });
-}
-
 fn bench_kernels(c: &mut Criterion) {
     use rtworkloads::kernels;
     let mut group = c.benchmark_group("kernel_analysis");
@@ -159,7 +119,6 @@ criterion_group!(
     bench_useful,
     bench_task_analysis,
     bench_approaches_and_wcrt,
-    bench_hierarchy,
     bench_kernels
 );
 criterion_main!(benches);

@@ -23,20 +23,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().map(String::as_str).unwrap_or("all");
     let known = [
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "table5",
-        "table6",
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "ablation",
-        "extension",
-        "all",
+        "table1", "table2", "table3", "table4", "table5", "table6", "fig1", "fig2", "fig3", "fig4",
+        "fig5", "ablation", "all",
     ];
     if !known.contains(&what) {
         eprintln!("usage: repro [{}]", known.join("|"));
@@ -101,68 +89,6 @@ fn main() {
     if run_all || what == "ablation" {
         ablation(geometry);
     }
-    if run_all || what == "extension" {
-        extension();
-    }
-}
-
-/// The paper's §IX future work: two-level hierarchy CRPD/WCRT, on a
-/// contended L1 so the L2's effect on the *bound* is visible.
-fn extension() {
-    use crpd::{two_level_analyze_all, two_level_preemption_delay, TwoLevelParams};
-    use rtwcet::HierarchyTimingModel;
-
-    println!("Extension (paper §IX): two-level hierarchy CRPD/WCRT");
-    let l1 = CacheGeometry::new(128, 2, 16).expect("valid geometry");
-    let hierarchy = HierarchyTimingModel { cpi: 1, l2_penalty: 6, mem_penalty: 40 };
-    let flat = TimingModel { cpi: 1, miss_penalty: hierarchy.mem_penalty };
-    let programs = vec![
-        rtworkloads::mobile_robot(),
-        rtworkloads::edge_detection(),
-        rtworkloads::ofdm_transmitter(),
-    ];
-    let periods = [140_000u64, 1_000_000, 6_000_000];
-    let tasks: Vec<crpd::AnalyzedTask> = programs
-        .iter()
-        .zip(periods)
-        .zip([2u32, 3, 4])
-        .map(|((p, period), priority)| {
-            crpd::AnalyzedTask::analyze(p, crpd::TaskParams { period, priority }, l1, flat)
-                .expect("analyzes")
-        })
-        .collect();
-    println!("  per-preemption delay of OFDM by ED (cycles), by L2 size:");
-    let single = crpd::reload_lines(crpd::CrpdApproach::Combined, &tasks[2], &tasks[1]) as u64
-        * hierarchy.mem_penalty;
-    println!("    no L2 (memory only): {single}");
-    for (sets, ways) in [(256u32, 4u32), (1024, 4), (4096, 8)] {
-        let params = TwoLevelParams {
-            l2_geometry: CacheGeometry::new(sets, ways, 16).expect("valid geometry"),
-            model: hierarchy,
-            ctx_switch: 0,
-            max_iterations: 10_000,
-        };
-        let d = two_level_preemption_delay(&tasks[2], &tasks[1], &params);
-        println!("    with {:>7} B L2: {d}", params.l2_geometry.size_bytes());
-    }
-    let params = TwoLevelParams {
-        l2_geometry: CacheGeometry::new(2048, 4, 16).expect("valid geometry"),
-        model: hierarchy,
-        ctx_switch: 300,
-        max_iterations: 10_000,
-    };
-    let two = two_level_analyze_all(&tasks, &programs, &params).expect("analyzes");
-    let matrix = crpd::CrpdMatrix::compute(crpd::CrpdApproach::Combined, &tasks);
-    let single_all = crpd::analyze_all(
-        &tasks,
-        &matrix,
-        &crpd::WcrtParams { miss_penalty: 40, ctx_switch: 300, max_iterations: 10_000 },
-    );
-    println!("  WCRT (cycles): single-level vs two-level (128-set L1 + 128 KiB L2)");
-    for (i, t) in tasks.iter().enumerate() {
-        println!("    {:>6}: {:>8} -> {:>8}", t.name(), single_all[i].cycles, two[i].cycles);
-    }
-    println!();
 }
 
 /// Fig. 1: the OFDM-analog's response with and without inter-task cache

@@ -1,6 +1,6 @@
-//! A two-level cache hierarchy (L1 + L2) — the paper's stated future
-//! work ("we plan to expand our analysis approach for systems with more
-//! than two-level memory hierarchy", §IX).
+//! A two-level cache hierarchy (L1 + L2) for measurement: the scheduler
+//! co-simulation's optional L2. No analysis bounds this hierarchy; the
+//! paper leaves multi-level caches to future work (§IX).
 //!
 //! The model is a non-inclusive lookup hierarchy: every access probes L1;
 //! on an L1 miss the L2 is probed; on an L2 miss both levels fill. L2
@@ -21,19 +21,7 @@ pub enum LevelOutcome {
     MemMiss,
 }
 
-impl LevelOutcome {
-    /// `true` unless the access hit in L1.
-    pub const fn is_l1_miss(self) -> bool {
-        !matches!(self, LevelOutcome::L1Hit)
-    }
-
-    /// `true` if main memory was accessed.
-    pub const fn is_mem_miss(self) -> bool {
-        matches!(self, LevelOutcome::MemMiss)
-    }
-}
-
-/// Errors from [`CacheHierarchy::new`].
+/// Errors from [`CacheHierarchy::with_policy`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HierarchyError {
     /// L1 and L2 must share a line size (no sectoring).
@@ -72,18 +60,19 @@ impl From<GeometryError> for HierarchyError {
 /// An executable L1 + L2 hierarchy.
 ///
 /// ```
-/// use rtcache::{CacheGeometry, CacheHierarchy, LevelOutcome};
+/// use rtcache::{CacheGeometry, CacheHierarchy, LevelOutcome, ReplacementPolicy};
 ///
 /// # fn main() -> Result<(), rtcache::HierarchyError> {
 /// let l1 = CacheGeometry::new(2, 1, 16)?;
 /// let l2 = CacheGeometry::new(8, 2, 16)?;
-/// let mut h = CacheHierarchy::new(l1, l2)?;
-/// assert_eq!(h.access(0x000), LevelOutcome::MemMiss);
-/// assert_eq!(h.access(0x000), LevelOutcome::L1Hit);
+/// let mut h = CacheHierarchy::with_policy(l1, l2, ReplacementPolicy::Lru)?;
+/// let block = |addr| l1.block_of_addr(addr);
+/// assert_eq!(h.access_block(block(0x000)), LevelOutcome::MemMiss);
+/// assert_eq!(h.access_block(block(0x000)), LevelOutcome::L1Hit);
 /// // Evict from the tiny L1 (same set), then re-touch: the L2 holds it.
-/// h.access(0x020);
-/// h.access(0x040);
-/// assert_eq!(h.access(0x000), LevelOutcome::L2Hit);
+/// h.access_block(block(0x020));
+/// h.access_block(block(0x040));
+/// assert_eq!(h.access_block(block(0x000)), LevelOutcome::L2Hit);
 /// # Ok(())
 /// # }
 /// ```
@@ -94,16 +83,6 @@ pub struct CacheHierarchy {
 }
 
 impl CacheHierarchy {
-    /// Creates an empty hierarchy with LRU at both levels.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`HierarchyError`] if the line sizes differ or the L2 is
-    /// smaller than the L1.
-    pub fn new(l1: CacheGeometry, l2: CacheGeometry) -> Result<Self, HierarchyError> {
-        CacheHierarchy::with_policy(l1, l2, ReplacementPolicy::Lru)
-    }
-
     /// Creates an empty hierarchy with the given replacement policy at
     /// both levels.
     ///
@@ -131,11 +110,6 @@ impl CacheHierarchy {
         })
     }
 
-    /// Accesses the block containing `addr`.
-    pub fn access(&mut self, addr: u64) -> LevelOutcome {
-        self.access_block(self.l1.geometry().block_of_addr(addr))
-    }
-
     /// Accesses a memory block.
     pub fn access_block(&mut self, block: MemoryBlock) -> LevelOutcome {
         if self.l1.access_block(block).is_hit() {
@@ -157,12 +131,6 @@ impl CacheHierarchy {
     pub fn l2(&self) -> &CacheSim {
         &self.l2
     }
-
-    /// Invalidates both levels.
-    pub fn invalidate_all(&mut self) {
-        self.l1.invalidate_all();
-        self.l2.invalidate_all();
-    }
 }
 
 #[cfg(test)]
@@ -170,17 +138,22 @@ mod tests {
     use super::*;
 
     fn hierarchy() -> CacheHierarchy {
-        CacheHierarchy::new(
+        CacheHierarchy::with_policy(
             CacheGeometry::new(2, 1, 16).unwrap(),
             CacheGeometry::new(8, 2, 16).unwrap(),
+            ReplacementPolicy::Lru,
         )
         .unwrap()
+    }
+
+    fn access(h: &mut CacheHierarchy, addr: u64) -> LevelOutcome {
+        h.access_block(h.l1().geometry().block_of_addr(addr))
     }
 
     #[test]
     fn miss_fills_both_levels() {
         let mut h = hierarchy();
-        assert_eq!(h.access(0x00), LevelOutcome::MemMiss);
+        assert_eq!(access(&mut h, 0x00), LevelOutcome::MemMiss);
         assert!(h.l1().is_resident(h.l1().geometry().block_of_addr(0x00)));
         assert!(h.l2().is_resident(h.l2().geometry().block_of_addr(0x00)));
     }
@@ -188,9 +161,9 @@ mod tests {
     #[test]
     fn l1_eviction_falls_back_to_l2() {
         let mut h = hierarchy();
-        h.access(0x00);
-        h.access(0x20); // same L1 set (2 sets), evicts 0x00 from L1
-        assert_eq!(h.access(0x00), LevelOutcome::L2Hit);
+        access(&mut h, 0x00);
+        access(&mut h, 0x20); // same L1 set (2 sets), evicts 0x00 from L1
+        assert_eq!(access(&mut h, 0x00), LevelOutcome::L2Hit);
     }
 
     #[test]
@@ -200,7 +173,7 @@ mod tests {
         // the 8-set 2-way L2 (different L2 sets).
         for _ in 0..3 {
             for addr in [0x000u64, 0x020, 0x040] {
-                h.access(addr);
+                access(&mut h, addr);
             }
         }
         let mem_misses = h.l2().stats().misses;
@@ -210,10 +183,10 @@ mod tests {
     #[test]
     fn l2_recency_updated_only_on_l1_miss() {
         let mut h = hierarchy();
-        h.access(0x00);
+        access(&mut h, 0x00);
         // 100 L1 hits on 0x00 leave the L2 untouched after the first fill.
         for _ in 0..100 {
-            assert_eq!(h.access(0x00), LevelOutcome::L1Hit);
+            assert_eq!(access(&mut h, 0x00), LevelOutcome::L1Hit);
         }
         assert_eq!(h.l2().stats().accesses, 1);
     }
@@ -222,17 +195,16 @@ mod tests {
     fn rejects_mismatched_lines_and_small_l2() {
         let a = CacheGeometry::new(2, 1, 16).unwrap();
         let b = CacheGeometry::new(8, 2, 32).unwrap();
-        assert!(matches!(CacheHierarchy::new(a, b), Err(HierarchyError::LineSizeMismatch { .. })));
+        let lru = ReplacementPolicy::Lru;
+        assert!(matches!(
+            CacheHierarchy::with_policy(a, b, lru),
+            Err(HierarchyError::LineSizeMismatch { .. })
+        ));
         let tiny = CacheGeometry::new(1, 1, 16).unwrap();
-        assert!(matches!(CacheHierarchy::new(a, tiny), Err(HierarchyError::L2SmallerThanL1)));
-    }
-
-    #[test]
-    fn outcome_predicates() {
-        assert!(!LevelOutcome::L1Hit.is_l1_miss());
-        assert!(LevelOutcome::L2Hit.is_l1_miss());
-        assert!(!LevelOutcome::L2Hit.is_mem_miss());
-        assert!(LevelOutcome::MemMiss.is_mem_miss());
+        assert!(matches!(
+            CacheHierarchy::with_policy(a, tiny, lru),
+            Err(HierarchyError::L2SmallerThanL1)
+        ));
     }
 
     #[test]

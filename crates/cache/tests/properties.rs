@@ -254,7 +254,7 @@ mod packed_props {
 
 mod hierarchy_props {
     use super::*;
-    use rtcache::{CacheHierarchy, LevelOutcome};
+    use rtcache::{CacheHierarchy, LevelOutcome, ReplacementPolicy};
 
     proptest! {
         /// Hierarchy invariants: an access never hits L1 without being
@@ -265,7 +265,7 @@ mod hierarchy_props {
         fn hierarchy_residency_and_memory_traffic(refs in prop::collection::vec(0u64..64, 1..300)) {
             let l1 = CacheGeometry::new(4, 1, 16).expect("valid geometry");
             let l2 = CacheGeometry::new(64, 2, 16).expect("valid geometry");
-            let mut h = CacheHierarchy::new(l1, l2).expect("valid pair");
+            let mut h = CacheHierarchy::with_policy(l1, l2, ReplacementPolicy::Lru).expect("valid pair");
             let mut mem_misses = 0u64;
             for r in &refs {
                 let block = MemoryBlock::new(*r);
@@ -288,7 +288,7 @@ mod hierarchy_props {
         fn hierarchy_l1_behaves_like_standalone_l1(refs in prop::collection::vec(0u64..128, 1..200)) {
             let l1 = CacheGeometry::new(8, 2, 16).expect("valid geometry");
             let l2 = CacheGeometry::new(128, 4, 16).expect("valid geometry");
-            let mut h = CacheHierarchy::new(l1, l2).expect("valid pair");
+            let mut h = CacheHierarchy::with_policy(l1, l2, ReplacementPolicy::Lru).expect("valid pair");
             let mut alone = CacheSim::new(l1);
             for r in &refs {
                 let block = MemoryBlock::new(*r);

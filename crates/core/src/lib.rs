@@ -54,9 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod approaches;
-pub mod hierarchy;
 pub mod intra;
-pub mod multicore;
 pub mod partition;
 pub mod schedutil;
 pub mod task;
@@ -79,9 +77,7 @@ use std::fmt;
 pub use approaches::{
     combined_overlap_breakdown, reload_lines, CrpdApproach, CrpdCellCache, CrpdMatrix,
 };
-pub use hierarchy::{two_level_analyze_all, two_level_preemption_delay, TwoLevelParams};
 pub use intra::{dataflow_useful, DataflowUseful, UsefulTrace};
-pub use multicore::{first_fit_assignment, multicore_analyze, CoreAssignment, SharedL2};
 pub use partition::{even_way_partition, partitioned_analyze_all, PartitionedTask};
 pub use schedutil::{hyperperiod, liu_layland_bound, rate_monotonic_priorities, total_utilization};
 pub use task::{

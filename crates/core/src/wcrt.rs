@@ -131,9 +131,10 @@ pub fn response_time<T: Borrow<AnalyzedTask>>(
 /// The raw Eq. 7 recurrence over explicit task vectors: `wcets`,
 /// `periods` (deadlines equal periods) and `priorities`, with an
 /// arbitrary per-preemption cost function `cpre(i, j)` in cycles (which
-/// should include context-switch charges). Exposed so extended analyses —
-/// e.g. the two-level hierarchy in [`crate::hierarchy`] — can reuse the
-/// exact iteration semantics.
+/// should include context-switch charges). Exposed so analyses with
+/// their own cost function — way-partitioning in
+/// [`crate::partition::partitioned_analyze_all`] and the fuzz farm's
+/// reference fixpoint — reuse the exact iteration semantics.
 ///
 /// # Panics
 ///

@@ -46,7 +46,7 @@ use rtworkloads::synthetic::{synthetic_task, SyntheticSpec};
 use crate::spec::FuzzSpec;
 
 /// Simulation horizon cap, bounding the cost of one point.
-const HORIZON_CAP: u64 = 3_000_000;
+pub const HORIZON_CAP: u64 = 3_000_000;
 
 /// Which oracle a point failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -271,7 +271,7 @@ pub mod prop {
             VecStrategy { element, size }
         }
 
-        /// The strategy returned by [`vec`].
+        /// The strategy returned by [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

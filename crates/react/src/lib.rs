@@ -3,9 +3,9 @@
 //! The crate multiplexes thousands of NDJSON connections over a few
 //! event threads: readiness comes from one [`EpollPoller`] per event
 //! loop (the crate is Linux-only), bytes are framed into lines by
-//! [`LineFramer`], and the event loops in [`reactor`] own all connection
-//! state — per-connection read/write
-//! buffers, bounded pipelining, idle reaping, and a draining shutdown.
+//! [`LineFramer`], and the event loops started by [`run`] own all
+//! connection state — per-connection read/write buffers, bounded
+//! pipelining, idle reaping, and a draining shutdown.
 //! CPU-bound work never runs on an event thread: the embedding server's
 //! [`Handler`] hands requests to its own pool and answers through a
 //! [`Responder`].

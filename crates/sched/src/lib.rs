@@ -63,7 +63,10 @@ use rtprogram::sim::{trace_variant, AccessKind, MemoryAccess};
 use rtprogram::{ExecError, Program};
 use rtwcet::TimingModel;
 
-/// An optional L2 behind the L1 (the paper's future-work hierarchy).
+/// An optional L2 behind the L1, for measurement only: no analysis in
+/// this workspace bounds a two-level hierarchy (the paper leaves it to
+/// future work, §IX), so an L2 run yields measured responses that any
+/// future L2 bound must be checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2Config {
     /// L2 geometry (same line size as the L1, at least as large).
@@ -135,7 +138,8 @@ pub struct SchedConfig {
     /// are for measurement ablations).
     pub replacement: ReplacementPolicy,
     /// Optional L2 cache level. `None` models the paper's single-level
-    /// setup; `Some` enables the two-level hierarchy extension.
+    /// setup, the only one the analysis bounds; `Some` measures a
+    /// two-level hierarchy that no analysis covers.
     pub l2: Option<L2Config>,
 }
 

@@ -32,7 +32,7 @@
 
 use std::fmt;
 
-use rtcache::{CacheGeometry, CacheHierarchy, CacheSim, HierarchyError};
+use rtcache::{CacheGeometry, CacheSim};
 use rtprogram::cfg::Cfg;
 use rtprogram::paths::{self, PathEnumError};
 use rtprogram::sim::Simulator;
@@ -110,8 +110,6 @@ pub enum WcetError {
     },
     /// Structural analysis failed (irreducible CFG).
     Paths(PathEnumError),
-    /// The L1/L2 pair was ill-formed.
-    Hierarchy(HierarchyError),
 }
 
 impl fmt::Display for WcetError {
@@ -121,7 +119,6 @@ impl fmt::Display for WcetError {
                 write!(f, "simulating variant `{variant}`: {source}")
             }
             WcetError::Paths(e) => write!(f, "structural analysis: {e}"),
-            WcetError::Hierarchy(e) => write!(f, "cache hierarchy: {e}"),
         }
     }
 }
@@ -131,7 +128,6 @@ impl std::error::Error for WcetError {
         match self {
             WcetError::Exec { source, .. } => Some(source),
             WcetError::Paths(e) => Some(e),
-            WcetError::Hierarchy(e) => Some(e),
         }
     }
 }
@@ -139,12 +135,6 @@ impl std::error::Error for WcetError {
 impl From<PathEnumError> for WcetError {
     fn from(e: PathEnumError) -> Self {
         WcetError::Paths(e)
-    }
-}
-
-impl From<HierarchyError> for WcetError {
-    fn from(e: HierarchyError) -> Self {
-        WcetError::Hierarchy(e)
     }
 }
 
@@ -204,99 +194,6 @@ pub fn estimate_wcet(
         worst_variant: worst.name,
         per_variant,
     })
-}
-
-/// Timing model for a two-level hierarchy: an L1 miss that hits L2 costs
-/// `l2_penalty`; a miss in both levels costs `mem_penalty` (the paper's
-/// future-work configuration, §IX).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HierarchyTimingModel {
-    /// Cycles per issued instruction.
-    pub cpi: u64,
-    /// Extra cycles for an access satisfied by the L2.
-    pub l2_penalty: u64,
-    /// Extra cycles for an access that goes to memory.
-    pub mem_penalty: u64,
-}
-
-impl Default for HierarchyTimingModel {
-    /// Single-cycle issue, 6-cycle L2 hits, 40-cycle memory accesses.
-    fn default() -> Self {
-        HierarchyTimingModel { cpi: 1, l2_penalty: 6, mem_penalty: 40 }
-    }
-}
-
-/// Per-variant timing under a two-level hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HierarchyVariantTiming {
-    /// Variant name.
-    pub name: String,
-    /// Cold-hierarchy cycle count.
-    pub cycles: u64,
-    /// Instructions executed.
-    pub instructions: u64,
-    /// Accesses satisfied by the L2.
-    pub l2_hits: u64,
-    /// Accesses that reached memory.
-    pub mem_misses: u64,
-}
-
-/// Result of [`estimate_wcet_hierarchy`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HierarchyWcetEstimate {
-    /// Worst-case cycles over all feasible paths.
-    pub cycles: u64,
-    /// Name of the worst path's variant.
-    pub worst_variant: String,
-    /// Per-variant breakdown.
-    pub per_variant: Vec<HierarchyVariantTiming>,
-}
-
-/// Estimates the WCET of a program over a cold two-level hierarchy: the
-/// slowest feasible path with `cycles = instrs·cpi + l2_hits·l2_penalty +
-/// mem_misses·mem_penalty`.
-///
-/// # Errors
-///
-/// Returns [`WcetError::Exec`] if a variant simulation faults, or
-/// [`WcetError::Hierarchy`] for an ill-formed L1/L2 pair.
-pub fn estimate_wcet_hierarchy(
-    program: &Program,
-    l1: CacheGeometry,
-    l2: CacheGeometry,
-    model: HierarchyTimingModel,
-) -> Result<HierarchyWcetEstimate, WcetError> {
-    let mut per_variant = Vec::with_capacity(program.variants().len());
-    for variant in program.variants() {
-        let wrap = |source: ExecError| WcetError::Exec { variant: variant.name.clone(), source };
-        let mut sim = Simulator::with_variant(program, variant)
-            .map_err(|source| wrap(ExecError::Mem { pc: program.entry(), source }))?;
-        let mut hierarchy = CacheHierarchy::new(l1, l2)?;
-        let (mut l2_hits, mut mem_misses) = (0u64, 0u64);
-        sim.run_with_limit(rtprogram::sim::DEFAULT_STEP_LIMIT, |access| {
-            match hierarchy.access(access.addr) {
-                rtcache::LevelOutcome::L1Hit => {}
-                rtcache::LevelOutcome::L2Hit => l2_hits += 1,
-                rtcache::LevelOutcome::MemMiss => mem_misses += 1,
-            }
-        })
-        .map_err(wrap)?;
-        per_variant.push(HierarchyVariantTiming {
-            name: variant.name.clone(),
-            cycles: sim.steps() * model.cpi
-                + l2_hits * model.l2_penalty
-                + mem_misses * model.mem_penalty,
-            instructions: sim.steps(),
-            l2_hits,
-            mem_misses,
-        });
-    }
-    let worst = per_variant
-        .iter()
-        .max_by_key(|v| v.cycles)
-        .expect("programs always have at least one variant")
-        .clone();
-    Ok(HierarchyWcetEstimate { cycles: worst.cycles, worst_variant: worst.name, per_variant })
 }
 
 /// A structural, simulation-free WCET bound: every access (fetch and
@@ -465,43 +362,6 @@ mod tests {
         let e = WcetError::Paths(PathEnumError::Irreducible);
         assert!(e.to_string().contains("structural"));
         assert!(e.source().is_some());
-    }
-
-    #[test]
-    fn hierarchy_wcet_between_l1_only_bounds() {
-        // With an L2, the WCET must lie between the all-L1-hit lower bound
-        // and the single-level estimate at the memory penalty.
-        let p = rtworkloads::mobile_robot();
-        let l1 = CacheGeometry::new(64, 2, 16).unwrap();
-        let l2 = CacheGeometry::new(1024, 8, 16).unwrap();
-        let model = HierarchyTimingModel { cpi: 1, l2_penalty: 6, mem_penalty: 40 };
-        let h = estimate_wcet_hierarchy(&p, l1, l2, model).unwrap();
-        let single = estimate_wcet(&p, l1, TimingModel { cpi: 1, miss_penalty: 40 }).unwrap();
-        assert!(h.cycles <= single.cycles, "an L2 can only help");
-        assert!(h.cycles >= single.instructions, "at least one cycle per instruction");
-        let worst = &h.per_variant[0];
-        assert!(worst.mem_misses <= single.misses);
-    }
-
-    #[test]
-    fn hierarchy_l2_hits_appear_when_l1_thrashes() {
-        // ED's image scan thrashes a tiny L1 but fits a big L2.
-        let p = rtworkloads::edge_detection_with_dim(10);
-        let l1 = CacheGeometry::new(4, 1, 16).unwrap();
-        let l2 = CacheGeometry::new(2048, 8, 16).unwrap();
-        let h = estimate_wcet_hierarchy(&p, l1, l2, HierarchyTimingModel::default()).unwrap();
-        assert!(h.per_variant.iter().all(|v| v.l2_hits > 0));
-    }
-
-    #[test]
-    fn hierarchy_rejects_bad_pair() {
-        let p = rtworkloads::mobile_robot();
-        let l1 = CacheGeometry::new(64, 2, 16).unwrap();
-        let l2 = CacheGeometry::new(64, 2, 32).unwrap();
-        assert!(matches!(
-            estimate_wcet_hierarchy(&p, l1, l2, HierarchyTimingModel::default()),
-            Err(WcetError::Hierarchy(_))
-        ));
     }
 
     #[test]
