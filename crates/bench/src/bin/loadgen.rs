@@ -1,49 +1,27 @@
-//! Load generator for the `rtserver` analysis daemon.
+//! Reactor soak for the `rtserver` analysis daemon.
 //!
 //! ```text
 //! # Against a running server:
 //! trisc serve --port 7227 &
-//! cargo run --release -p rtbench --bin loadgen -- --addr 127.0.0.1:7227
+//! cargo run --release -p rtbench --bin loadgen -- --addr 127.0.0.1:7227 --connections 2000
 //!
 //! # Self-contained (spawns an in-process server on an ephemeral port):
-//! cargo run --release -p rtbench --bin loadgen -- --connections 8 --requests 200
+//! cargo run --release -p rtbench --bin loadgen -- --connections 2000 --active 64 --requests 50
 //! ```
 //!
-//! Opens `--connections` concurrent client connections, each sending
-//! `--requests` pipelined `wcrt` requests for the same two-task system,
-//! then prints client-side throughput and latency percentiles next to
-//! the server's own `metrics` snapshot. Because every request carries
-//! the same spec, steady-state traffic should be served almost entirely
-//! from the artifact cache — the hit/miss line is the point of the tool.
-//!
-//! `--par-sweep` instead benchmarks a *single* cold analysis (paper
-//! Experiment I, all four CRPD approaches at the reference miss penalty)
-//! under `rtpar` pools of 1, 2, 4 and 8 threads, verifying the rendered
-//! report is byte-identical at every pool size and printing the
-//! wall-time speedup over the single-threaded run.
-//!
-//! `--soak` exercises the reactor instead of the cache: it opens
-//! `--connections` sockets (raising `RLIMIT_NOFILE` as needed), keeps
-//! most of them idle, drives wcrt traffic over `--active` of them, and
-//! proves the idle pool still answers `ping` after the storm. Responses
-//! are tallied tolerantly — `overloaded` and `deadline_exceeded` are
-//! expected outcomes under admission control, while any framing or
-//! transport failure is a protocol error and fails the run. The summary
-//! (p99 latency, shed rate, peak RSS) lands in `BENCH_async.json`;
+//! Opens `--connections` sockets (raising `RLIMIT_NOFILE` as needed),
+//! keeps most of them idle, drives `--requests` wcrt requests over each
+//! of `--active` of them, and proves the idle pool still answers `ping`
+//! after the storm. Responses are tallied tolerantly — `overloaded` and
+//! `deadline_exceeded` are expected outcomes under admission control,
+//! while any framing or transport failure is a protocol error and fails
+//! the run. The summary (p99 latency, shed rate, peak RSS, per-stage
+//! `rtobs` span durations of everything that ran in this process) lands
+//! in `BENCH_async.json` (`--json-out PATH` to relocate it);
 //! `--max-shed-rate R` additionally gates on the observed shed fraction.
-//!
-//! The load mode also snapshots the server's per-stage artifact-DAG
-//! counters before and after the run and reports each stage's hit rate
-//! over the delta; `--min-stage-hit-rate R` turns that report into a
-//! gate (exit non-zero if any touched stage's rate is below `R`), which
-//! is how CI asserts a warmed server serves repeat traffic from cache.
-//!
-//! Either mode also writes a machine-readable summary — the printed
-//! numbers plus the per-stage `rtobs` span durations of everything that
-//! ran in this process — to `BENCH_wcrt.json` (`--json-out PATH` to
-//! relocate it).
+//! Open-connection count is the one thing this measures that perfbench's
+//! single-caller `serve_edit` cannot.
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -59,35 +37,15 @@ const TASK_LO: &str = ".data 0x100400\nbuf: .word 7,8\n.text 0x2000\nstart: li r
 
 struct Options {
     addr: Option<String>,
+    /// Open sockets, most of them idle.
     connections: usize,
     requests: usize,
-    par_sweep: bool,
-    /// `--soak`: open-connection reactor soak instead of the closed-loop
-    /// cache benchmark. `--connections` then counts *open sockets* (most
-    /// idle), with traffic driven over `--active` of them.
-    soak: bool,
+    /// Connections that drive traffic.
     active: usize,
-    /// `--max-shed-rate R` (soak only): fail unless the fraction of
-    /// requests answered `overloaded` stays at or below `R`.
+    /// `--max-shed-rate R`: fail unless the fraction of requests answered
+    /// `overloaded` stays at or below `R`.
     max_shed_rate: Option<f64>,
-    /// `--json-out PATH`; defaults to `BENCH_async.json` under `--soak`
-    /// and `BENCH_wcrt.json` otherwise.
-    json_out: Option<String>,
-    /// `--min-stage-hit-rate R`: fail the run unless every pipeline stage
-    /// the run touched served at least fraction `R` of its lookups from
-    /// cache (measured as a delta over this run only, so a warm server
-    /// can be gated independently of its history).
-    min_stage_hit_rate: Option<f64>,
-}
-
-impl Options {
-    fn json_out(&self) -> String {
-        match &self.json_out {
-            Some(path) => path.clone(),
-            None if self.soak => "BENCH_async.json".to_string(),
-            None => "BENCH_wcrt.json".to_string(),
-        }
-    }
+    json_out: String,
 }
 
 fn parse_options() -> Result<Options, String> {
@@ -95,12 +53,9 @@ fn parse_options() -> Result<Options, String> {
         addr: None,
         connections: 4,
         requests: 100,
-        par_sweep: false,
-        soak: false,
         active: 64,
         max_shed_rate: None,
-        json_out: None,
-        min_stage_hit_rate: None,
+        json_out: "BENCH_async.json".to_string(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -115,8 +70,6 @@ fn parse_options() -> Result<Options, String> {
                 opts.requests =
                     value("--requests")?.parse().map_err(|e| format!("--requests: {e}"))?;
             }
-            "--par-sweep" => opts.par_sweep = true,
-            "--soak" => opts.soak = true,
             "--active" => {
                 opts.active = value("--active")?.parse().map_err(|e| format!("--active: {e}"))?;
             }
@@ -129,84 +82,14 @@ fn parse_options() -> Result<Options, String> {
                 }
                 opts.max_shed_rate = Some(rate);
             }
-            "--json-out" => opts.json_out = Some(value("--json-out")?),
-            "--min-stage-hit-rate" => {
-                let rate: f64 = value("--min-stage-hit-rate")?
-                    .parse()
-                    .map_err(|e| format!("--min-stage-hit-rate: {e}"))?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err("--min-stage-hit-rate must be in [0, 1]".to_string());
-                }
-                opts.min_stage_hit_rate = Some(rate);
-            }
+            "--json-out" => opts.json_out = value("--json-out")?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if opts.connections == 0 || opts.requests == 0 {
-        return Err("--connections and --requests must be positive".to_string());
-    }
-    if opts.soak && opts.active == 0 {
-        return Err("--active must be positive under --soak".to_string());
+    if opts.connections == 0 || opts.requests == 0 || opts.active == 0 {
+        return Err("--connections, --requests and --active must be positive".to_string());
     }
     Ok(opts)
-}
-
-/// Per-stage `(hits, misses)` out of one `metrics` snapshot's `stages`
-/// object, keyed by stage name.
-fn stage_counters(metrics: &Json) -> Vec<(String, u64, u64)> {
-    let Some(Json::Obj(stages)) = metrics.get("stages") else { return Vec::new() };
-    stages
-        .iter()
-        .map(|(name, s)| {
-            let field = |key: &str| s.get(key).and_then(Json::as_u64).unwrap_or(0);
-            (name.clone(), field("hits"), field("misses"))
-        })
-        .collect()
-}
-
-/// The run's per-stage cache effectiveness: lookups and hit rate over
-/// the delta between the before/after snapshots. Prints one line per
-/// stage and returns the JSON rows plus the gate verdict (`Some` failure
-/// message if any touched stage fell below `min_rate`), so the caller
-/// can still publish the JSON before failing.
-fn stage_effectiveness(
-    before: &Json,
-    after: &Json,
-    min_rate: Option<f64>,
-) -> (Json, Option<String>) {
-    let baseline = stage_counters(before);
-    let mut rows = BTreeMap::new();
-    let mut failures = Vec::new();
-    for (stage, hits_after, misses_after) in stage_counters(after) {
-        let (hits_before, misses_before) = baseline
-            .iter()
-            .find(|(name, ..)| *name == stage)
-            .map(|(_, h, m)| (*h, *m))
-            .unwrap_or((0, 0));
-        let hits = hits_after.saturating_sub(hits_before);
-        let misses = misses_after.saturating_sub(misses_before);
-        let lookups = hits + misses;
-        let rate = if lookups == 0 { 1.0 } else { hits as f64 / lookups as f64 };
-        println!(
-            "server side: stage {stage:>9}: {hits} hits / {misses} misses this run \
-             (hit rate {rate:.3})"
-        );
-        if let Some(min) = min_rate {
-            if lookups > 0 && rate < min {
-                failures.push(format!("stage {stage}: hit rate {rate:.3} < required {min:.3}"));
-            }
-        }
-        rows.insert(
-            stage,
-            Json::obj([
-                ("hits", Json::from(hits)),
-                ("misses", Json::from(misses)),
-                ("hit_rate", Json::Num(rate)),
-            ]),
-        );
-    }
-    let verdict = if failures.is_empty() { None } else { Some(failures.join("; ")) };
-    (Json::Obj(rows), verdict)
 }
 
 /// The recorder's per-stage span totals as a JSON object:
@@ -226,87 +109,6 @@ fn stage_durations_json(session: &rtobs::Session) -> Json {
     )
 }
 
-/// Writes the machine-readable run summary next to the printed report.
-fn write_bench_json(path: &str, report: Json) -> Result<(), String> {
-    let mut text = report.encode();
-    text.push('\n');
-    std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-    println!("wrote {path}");
-    Ok(())
-}
-
-/// One cold Experiment-I analysis, shaped like a single server `wcrt`
-/// request: analyze every task once, then compute the four CRPD matrices
-/// and WCRT fixpoints (fanned out per approach) and render a report.
-fn cold_analysis() -> String {
-    use std::fmt::Write as _;
-    let model = rtwcet::TimingModel::with_miss_penalty(rtbench::REFERENCE_CMISS);
-    let experiment = rtbench::Experiment::build(
-        &rtbench::experiment1_spec(),
-        rtcache::CacheGeometry::paper_l1(),
-    );
-    let params = crpd::WcrtParams {
-        miss_penalty: rtbench::REFERENCE_CMISS,
-        ctx_switch: experiment.ctx_switch_cost(model),
-        max_iterations: 10_000,
-    };
-    let per_approach = rtpar::par_map(&crpd::CrpdApproach::ALL, |a| {
-        let matrix = crpd::CrpdMatrix::compute(*a, &experiment.reference);
-        crpd::analyze_all(&experiment.reference, &matrix, &params)
-    });
-    let mut out = String::new();
-    for (approach, results) in crpd::CrpdApproach::ALL.iter().zip(&per_approach) {
-        for (i, r) in results.iter().enumerate() {
-            let _ = writeln!(out, "{approach} task{i}: {} {}", r.cycles, r.schedulable);
-        }
-    }
-    out
-}
-
-/// `--par-sweep`: times [`cold_analysis`] under pools of 1/2/4/8 threads
-/// and checks the reports are byte-identical across pool sizes. Returns
-/// one JSON row per pool size for the `BENCH_wcrt.json` summary.
-fn par_sweep() -> Result<Json, String> {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!(
-        "par-sweep: Experiment I cold analysis (4 approaches, Cmiss=20) per pool size \
-         ({cores} core(s) available{})",
-        if cores == 1 { "; expect no speedup, only invariance" } else { "" }
-    );
-    let mut reference: Option<(String, f64)> = None;
-    let mut rows = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let pool = rtpar::Pool::new(threads);
-        let started = Instant::now();
-        let report = pool.install(cold_analysis);
-        let secs = started.elapsed().as_secs_f64();
-        let speedup = match &reference {
-            None => {
-                println!("  threads=1: {:>8.1} ms (baseline)", secs * 1e3);
-                reference = Some((report, secs));
-                1.0
-            }
-            Some((baseline, base_secs)) => {
-                if report != *baseline {
-                    return Err(format!("report at {threads} threads differs from baseline"));
-                }
-                println!(
-                    "  threads={threads}: {:>8.1} ms ({:.2}x vs 1 thread, byte-identical)",
-                    secs * 1e3,
-                    base_secs / secs
-                );
-                base_secs / secs
-            }
-        };
-        rows.push(Json::obj([
-            ("threads", Json::from(threads as u64)),
-            ("millis", Json::Num(secs * 1e3)),
-            ("speedup_vs_1_thread", Json::Num(speedup)),
-        ]));
-    }
-    Ok(Json::Arr(rows))
-}
-
 fn wcrt_request(id: u64) -> String {
     Json::obj([
         ("id", Json::from(id)),
@@ -315,28 +117,6 @@ fn wcrt_request(id: u64) -> String {
         ("sources", Json::obj([("hi.s", Json::from(TASK_HI)), ("lo.s", Json::from(TASK_LO))])),
     ])
     .encode()
-}
-
-/// One client connection: sends `requests` wcrt requests back-to-back and
-/// returns per-request latencies in microseconds.
-fn client(addr: &str, requests: usize) -> Result<Vec<u64>, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut writer = BufWriter::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut reader = BufReader::new(stream);
-    let mut latencies = Vec::with_capacity(requests);
-    for id in 0..requests {
-        let started = Instant::now();
-        writeln!(writer, "{}", wcrt_request(id as u64)).map_err(|e| e.to_string())?;
-        writer.flush().map_err(|e| e.to_string())?;
-        let mut line = String::new();
-        reader.read_line(&mut line).map_err(|e| e.to_string())?;
-        let reply = Json::parse(line.trim_end()).map_err(|e| e.to_string())?;
-        if reply.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(format!("request {id} failed: {line}"));
-        }
-        latencies.push(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
-    }
-    Ok(latencies)
 }
 
 fn one_shot(addr: &str, line: &str) -> Result<Json, String> {
@@ -474,11 +254,15 @@ fn peak_rss_kb() -> Option<u64> {
     line.trim_start_matches("VmHWM:").trim().trim_end_matches("kB").trim().parse().ok()
 }
 
-/// `--soak`: the open-connection reactor soak. See the module docs for
-/// the shape of the run; gates (always: zero protocol errors; optional:
+/// The open-connection reactor soak. See the module docs for the shape
+/// of the run; gates (always: zero protocol errors; optional:
 /// `--max-shed-rate`) fire after `BENCH_async.json` is written so a
 /// failed run still leaves its evidence.
-fn soak(opts: &Options, session: &rtobs::Session) -> Result<(), String> {
+fn run() -> Result<(), String> {
+    let opts = parse_options()?;
+    // Record per-stage span durations for everything analyzed in this
+    // process (the in-process server's work).
+    let session = rtobs::begin();
     let (addr, local) = match &opts.addr {
         Some(addr) => (addr.clone(), None),
         None => {
@@ -609,45 +393,45 @@ fn soak(opts: &Options, session: &rtobs::Session) -> Result<(), String> {
         handle.join().map_err(|e| e.to_string())?;
     }
 
-    write_bench_json(
-        &opts.json_out(),
-        Json::obj([
-            ("mode", Json::from("async_soak")),
-            ("in_process_server", Json::Bool(in_process)),
-            ("nofile_limit", Json::from(limit)),
-            ("connections", Json::from(connections as u64)),
-            ("idle_connections", Json::from(idle_target as u64)),
-            ("active_connections", Json::from(active as u64)),
-            ("requests_per_active", Json::from(opts.requests as u64)),
-            ("ok", Json::from(tally.ok)),
-            ("shed", Json::from(tally.shed)),
-            ("deadline_exceeded", Json::from(tally.deadline_exceeded)),
-            ("protocol_errors", Json::from(tally.protocol_errors)),
-            ("shed_rate", Json::Num(shed_rate)),
-            ("elapsed_secs", Json::Num(elapsed.as_secs_f64())),
-            ("requests_per_sec", Json::Num(tally.attempts() as f64 / elapsed.as_secs_f64())),
-            (
-                "latency_us",
-                Json::obj([
-                    ("p50", Json::from(percentile(&tally.latencies, 0.50))),
-                    ("p95", Json::from(percentile(&tally.latencies, 0.95))),
-                    ("p99", Json::from(percentile(&tally.latencies, 0.99))),
-                ]),
-            ),
-            ("peak_rss_kb", rss.map_or(Json::Null, Json::from)),
-            ("peak_rss_covers_server", Json::Bool(in_process)),
-            (
-                "server",
-                Json::obj([
-                    ("open_connections", Json::from(field("open_connections"))),
-                    ("event_threads", Json::from(field("event_threads"))),
-                    ("max_inflight", Json::from(field("max_inflight"))),
-                    ("shed_total", Json::from(field("shed_total"))),
-                ]),
-            ),
-            ("stages", stage_durations_json(session)),
-        ]),
-    )?;
+    let report = Json::obj([
+        ("mode", Json::from("async_soak")),
+        ("in_process_server", Json::Bool(in_process)),
+        ("nofile_limit", Json::from(limit)),
+        ("connections", Json::from(connections as u64)),
+        ("idle_connections", Json::from(idle_target as u64)),
+        ("active_connections", Json::from(active as u64)),
+        ("requests_per_active", Json::from(opts.requests as u64)),
+        ("ok", Json::from(tally.ok)),
+        ("shed", Json::from(tally.shed)),
+        ("deadline_exceeded", Json::from(tally.deadline_exceeded)),
+        ("protocol_errors", Json::from(tally.protocol_errors)),
+        ("shed_rate", Json::Num(shed_rate)),
+        ("elapsed_secs", Json::Num(elapsed.as_secs_f64())),
+        ("requests_per_sec", Json::Num(tally.attempts() as f64 / elapsed.as_secs_f64())),
+        (
+            "latency_us",
+            Json::obj([
+                ("p50", Json::from(percentile(&tally.latencies, 0.50))),
+                ("p95", Json::from(percentile(&tally.latencies, 0.95))),
+                ("p99", Json::from(percentile(&tally.latencies, 0.99))),
+            ]),
+        ),
+        ("peak_rss_kb", rss.map_or(Json::Null, Json::from)),
+        ("peak_rss_covers_server", Json::Bool(in_process)),
+        (
+            "server",
+            Json::obj([
+                ("open_connections", Json::from(field("open_connections"))),
+                ("event_threads", Json::from(field("event_threads"))),
+                ("max_inflight", Json::from(field("max_inflight"))),
+                ("shed_total", Json::from(field("shed_total"))),
+            ]),
+        ),
+        ("stages", stage_durations_json(&session)),
+    ]);
+    std::fs::write(&opts.json_out, report.encode() + "\n")
+        .map_err(|e| format!("{}: {e}", opts.json_out))?;
+    println!("wrote {}", opts.json_out);
 
     if tally.protocol_errors > 0 {
         return Err(format!("{} protocol errors (required: 0)", tally.protocol_errors));
@@ -660,149 +444,14 @@ fn soak(opts: &Options, session: &rtobs::Session) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<(), String> {
-    let opts = parse_options()?;
-    // Record per-stage span durations for everything analyzed in this
-    // process (the par-sweep itself, or the in-process server's work).
-    let session = rtobs::begin();
-    if opts.par_sweep {
-        let sweep = par_sweep()?;
-        return write_bench_json(
-            &opts.json_out(),
-            Json::obj([
-                ("mode", Json::from("par_sweep")),
-                ("par_sweep", sweep),
-                ("stages", stage_durations_json(&session)),
-            ]),
-        );
-    }
-    if opts.soak {
-        return soak(&opts, &session);
-    }
-
-    // Without --addr, run a server inside this process on an ephemeral
-    // port so the tool works out of the box.
-    let (addr, local) = match &opts.addr {
-        Some(addr) => (addr.clone(), None),
-        None => {
-            let serve = ServeOptions {
-                host: "127.0.0.1".to_string(),
-                port: 0,
-                threads: 4,
-                ..ServeOptions::default()
-            };
-            let handle = Server::spawn(&serve).map_err(|e| format!("spawn server: {e}"))?;
-            (handle.addr().to_string(), Some(handle))
-        }
-    };
-
-    println!(
-        "loadgen: {} connections x {} wcrt requests against {addr}{}",
-        opts.connections,
-        opts.requests,
-        if local.is_some() { " (in-process server)" } else { "" },
-    );
-
-    // Snapshot the stage counters before the run, so effectiveness is a
-    // delta over this run's traffic even against a long-lived server.
-    let before = one_shot(&addr, r#"{"cmd":"metrics"}"#)?
-        .get("metrics")
-        .cloned()
-        .ok_or("metrics reply missing payload")?;
-
-    let started = Instant::now();
-    let workers: Vec<_> = (0..opts.connections)
-        .map(|_| {
-            let addr = addr.clone();
-            let requests = opts.requests;
-            std::thread::spawn(move || client(&addr, requests))
-        })
-        .collect();
-    let mut latencies = Vec::new();
-    for worker in workers {
-        latencies.extend(worker.join().map_err(|_| "client thread panicked")??);
-    }
-    let elapsed = started.elapsed();
-
-    latencies.sort_unstable();
-    let total = latencies.len();
-    println!(
-        "client side: {total} ok in {:.2?} ({:.0} req/s), latency p50 {} us / p95 {} us / p99 {} us",
-        elapsed,
-        total as f64 / elapsed.as_secs_f64(),
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.95),
-        percentile(&latencies, 0.99),
-    );
-
-    let reply = one_shot(&addr, r#"{"cmd":"metrics"}"#)?;
-    let metrics = reply.get("metrics").ok_or("metrics reply missing payload")?;
-    let cache = metrics.get("artifact_cache").ok_or("metrics missing artifact_cache")?;
-    let field = |json: &Json, key: &str| json.get(key).and_then(Json::as_u64).unwrap_or(0);
-    println!(
-        "server side: artifact cache {} hits / {} misses / {} entries, uptime {} s",
-        field(cache, "hits"),
-        field(cache, "misses"),
-        field(cache, "entries"),
-        field(metrics, "uptime_secs"),
-    );
-    if let Some(wcrt) = metrics.get("endpoints").and_then(|e| e.get("wcrt")) {
-        println!(
-            "server side: wcrt {} requests ({} errors), p50 <= {} us / p95 <= {} us / p99 <= {} us",
-            field(wcrt, "requests"),
-            field(wcrt, "errors"),
-            field(wcrt, "p50_us"),
-            field(wcrt, "p95_us"),
-            field(wcrt, "p99_us"),
-        );
-    }
-    let (stage_caches, gate_verdict) =
-        stage_effectiveness(&before, metrics, opts.min_stage_hit_rate);
-
-    let in_process = local.is_some();
-    if let Some(handle) = local {
-        one_shot(&addr, r#"{"cmd":"shutdown"}"#)?;
-        handle.join().map_err(|e| e.to_string())?;
-    }
-
-    write_bench_json(
-        &opts.json_out(),
-        Json::obj([
-            ("mode", Json::from("load")),
-            ("in_process_server", Json::Bool(in_process)),
-            ("connections", Json::from(opts.connections as u64)),
-            ("requests_per_connection", Json::from(opts.requests as u64)),
-            ("total_requests", Json::from(total as u64)),
-            ("elapsed_secs", Json::Num(elapsed.as_secs_f64())),
-            ("requests_per_sec", Json::Num(total as f64 / elapsed.as_secs_f64())),
-            (
-                "latency_us",
-                Json::obj([
-                    ("p50", Json::from(percentile(&latencies, 0.50))),
-                    ("p95", Json::from(percentile(&latencies, 0.95))),
-                    ("p99", Json::from(percentile(&latencies, 0.99))),
-                ]),
-            ),
-            ("server_metrics", metrics.clone()),
-            ("stage_caches", stage_caches),
-            ("stages", stage_durations_json(&session)),
-        ]),
-    )?;
-    // Gate after publishing, so a failed run still leaves its evidence.
-    match gate_verdict {
-        Some(message) => Err(message),
-        None => Ok(()),
-    }
-}
-
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("loadgen: {message}");
             eprintln!(
-                "usage: loadgen [--addr HOST:PORT] [--connections N] [--requests M] [--par-sweep] \
-                 [--soak [--active K] [--max-shed-rate R]] [--json-out PATH] [--min-stage-hit-rate R]"
+                "usage: loadgen [--addr HOST:PORT] [--connections N] [--requests M] [--active K] \
+                 [--max-shed-rate R] [--json-out PATH]"
             );
             ExitCode::from(2)
         }

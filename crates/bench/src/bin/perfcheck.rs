@@ -1,32 +1,29 @@
-//! The perf-regression observatory: canonical paper + synthetic
-//! workloads through the full analysis pipeline, profiled by the
-//! `rtflight` recorder, gated against a committed baseline.
+//! The recorder-overhead gate: the paper and synthetic workloads through
+//! the full analysis pipeline, with the `rtflight` recorder on and off.
 //!
 //! ```text
 //! # Full profile (committed as BENCH_profile.json):
-//! cargo run --release -p rtbench --bin perfcheck
+//! RTPAR_THREADS=8 cargo run --release -p rtbench --bin perfcheck
 //!
-//! # CI smoke run: fewer reps, same gates:
-//! cargo run --release -p rtbench --bin perfcheck -- --smoke
+//! # CI run: fewer reps, a looser overhead budget for shared runners:
+//! RTPAR_THREADS=8 cargo run --release -p rtbench --bin perfcheck -- --reps 3 --max-overhead 0.25
 //! ```
 //!
-//! Each workload runs `reps` times inside a [`rtobs::flight`] frame, so
-//! per-stage wall time comes from the exact same attribution machinery
-//! the live server uses. The profile records, per workload:
+//! Each workload runs `reps` times inside a [`rtobs::flight`] frame on
+//! the `rtpar` pool `RTPAR_THREADS` sizes. The profile records, per
+//! workload:
 //!
 //! * request p50/p99 in µs — exact, over the sorted per-rep totals;
-//! * histogram p50/p99 — the recorder's log₂-bucket readout, proving
-//!   the ops-plane quantiles bound the exact ones;
-//! * per-stage p50/p99 in ns for every pipeline stage that fired;
+//! * histogram p50/p99 — the recorder's log₂-bucket readout of the same
+//!   requests, showing how far the ops-plane quantiles sit above the
+//!   exact ones;
 //! * recorder overhead — alternating flight-on/flight-off rounds,
 //!   `max(0, median(on)/median(off) - 1)`.
 //!
-//! Gates run *after* the JSON is published (a failed run still leaves
-//! its evidence): measured overhead must stay under `--max-overhead`
-//! (default 5%), and each workload's request p50 must stay within
-//! `--tolerance` (multiplicative, default 2.0) of the committed
-//! baseline. A missing baseline warns and passes, so the first run
-//! bootstraps itself.
+//! Per-stage times are perfbench's job. The one gate runs *after* the
+//! JSON is published (a failed run still leaves its evidence): the
+//! median measured overhead must stay under `--max-overhead` (default
+//! 5%).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -39,54 +36,36 @@ use rtserver::json::Json;
 use rtworkloads::synthetic::{system, SystemParams};
 
 struct Options {
-    smoke: bool,
-    reps: Option<usize>,
+    reps: usize,
     json_out: String,
-    baseline: Option<String>,
-    tolerance: f64,
     max_overhead: f64,
-    threads: usize,
 }
 
 fn parse_options(args: impl Iterator<Item = String>) -> Result<Options, String> {
-    let mut opts = Options {
-        smoke: false,
-        reps: None,
-        json_out: "BENCH_profile.json".to_string(),
-        baseline: None,
-        tolerance: 2.0,
-        max_overhead: 0.05,
-        threads: 8,
-    };
+    let mut opts =
+        Options { reps: 15, json_out: "BENCH_profile.json".to_string(), max_overhead: 0.05 };
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        let ratio = |name: &str, raw: String| {
-            raw.parse::<f64>()
-                .ok()
-                .filter(|r| r.is_finite() && *r >= 0.0)
-                .ok_or(format!("{name} must be a non-negative number, got `{raw}`"))
-        };
         match arg.as_str() {
-            "--smoke" => opts.smoke = true,
             "--reps" => {
                 let n: usize = value("--reps")?.parse().map_err(|e| format!("--reps: {e}"))?;
                 if n == 0 {
                     return Err("--reps must be at least 1".to_string());
                 }
-                opts.reps = Some(n);
+                opts.reps = n;
             }
             "--json-out" => opts.json_out = value("--json-out")?,
-            "--baseline" => opts.baseline = Some(value("--baseline")?),
-            "--tolerance" => opts.tolerance = ratio("--tolerance", value("--tolerance")?)?.max(1.0),
             "--max-overhead" => {
-                opts.max_overhead = ratio("--max-overhead", value("--max-overhead")?)?
-            }
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1)
+                let raw = value("--max-overhead")?;
+                opts.max_overhead = match raw.parse::<f64>() {
+                    Ok(r) if r.is_finite() && r >= 0.0 => r,
+                    _ => {
+                        return Err(format!(
+                            "--max-overhead must be a non-negative number, got `{raw}`"
+                        ))
+                    }
+                };
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -177,23 +156,17 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
-/// Profiles one workload: `reps` flight-framed runs for the latency and
-/// stage profile, then `reps` alternating on/off rounds for overhead.
+/// Profiles one workload: `reps` flight-framed runs for the latency
+/// profile, then `reps` alternating on/off rounds for overhead.
 fn profile_workload(w: &Workload, recorder: &FlightRecorder, reps: usize) -> (Json, f64) {
     // Warmup outside any frame: first-touch allocation and code paging
     // belong to neither side of the overhead comparison.
     (w.run)();
     let mut totals_us: Vec<u64> = Vec::with_capacity(reps);
-    let mut stage_samples: Vec<Vec<u64>> =
-        vec![Vec::with_capacity(reps); rtobs::flight::STAGES.len()];
     for _ in 0..reps {
         let scope = recorder.begin(w.name, 0, false);
         (w.run)();
-        let finished = scope.finish(true);
-        totals_us.push(finished.record.total_us);
-        for (samples, ns) in stage_samples.iter_mut().zip(finished.record.stage_ns) {
-            samples.push(ns);
-        }
+        totals_us.push(scope.finish(true).record.total_us);
     }
     totals_us.sort_unstable();
 
@@ -212,21 +185,6 @@ fn profile_workload(w: &Workload, recorder: &FlightRecorder, reps: usize) -> (Js
     }
     let overhead = overhead_ratio(&on_secs, &off_secs);
 
-    let stages = Json::Obj(
-        rtobs::flight::STAGES
-            .iter()
-            .zip(&mut stage_samples)
-            .filter(|(_, samples)| samples.iter().any(|&ns| ns > 0))
-            .map(|(stage, samples)| {
-                samples.sort_unstable();
-                let entry = Json::obj([
-                    ("p50_ns", Json::from(percentile(samples, 0.50))),
-                    ("p99_ns", Json::from(percentile(samples, 0.99))),
-                ]);
-                (stage.to_string(), entry)
-            })
-            .collect(),
-    );
     let profile = Json::obj([
         (
             "request_us",
@@ -236,7 +194,6 @@ fn profile_workload(w: &Workload, recorder: &FlightRecorder, reps: usize) -> (Js
                 ("max", Json::from(*totals_us.last().expect("reps >= 1"))),
             ]),
         ),
-        ("stages_ns", stages),
         ("overhead", Json::Num(overhead)),
     ]);
     (profile, overhead)
@@ -261,63 +218,15 @@ fn histogram_json(recorder: &FlightRecorder) -> Json {
     )
 }
 
-/// Compares a fresh profile against the committed baseline: each
-/// workload's request p50 may grow by at most `tolerance`x. Workloads
-/// present on only one side are reported but never fail the gate (the
-/// set is allowed to evolve).
-fn gate_against_baseline(new: &Json, baseline: &Json, tolerance: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    let (Some(Json::Obj(new_wl)), Some(Json::Obj(old_wl))) =
-        (new.get("workloads"), baseline.get("workloads"))
-    else {
-        return vec!["baseline has no `workloads` object".to_string()];
-    };
-    for (name, fresh) in new_wl {
-        let Some(old) = old_wl.get(name) else {
-            println!("gate: workload `{name}` has no baseline entry (new workload, skipped)");
-            continue;
-        };
-        let fresh_p50 = fresh.get("request_us").and_then(|r| r.get("p50")).and_then(Json::as_u64);
-        let old_p50 = old.get("request_us").and_then(|r| r.get("p50")).and_then(Json::as_u64);
-        let (Some(fresh_p50), Some(old_p50)) = (fresh_p50, old_p50) else {
-            failures.push(format!("workload `{name}`: missing request_us.p50"));
-            continue;
-        };
-        let limit = (old_p50 as f64 * tolerance).ceil() as u64;
-        if fresh_p50 > limit.max(1) {
-            failures.push(format!(
-                "workload `{name}`: request p50 {fresh_p50}us > {limit}us \
-                 (baseline {old_p50}us x tolerance {tolerance})"
-            ));
-        } else {
-            println!(
-                "gate: {name} request p50 {fresh_p50}us within {limit}us (baseline {old_p50}us)"
-            );
-        }
-    }
-    failures
-}
-
 fn run() -> Result<(), String> {
     let opts = parse_options(std::env::args().skip(1))?;
-    let reps = opts.reps.unwrap_or(if opts.smoke { 3 } else { 15 });
-    rtpar::configure_global(opts.threads);
-    // Read the committed baseline BEFORE overwriting it: by default the
-    // gate compares this run against the profile being replaced.
-    let baseline_path = opts.baseline.clone().unwrap_or_else(|| opts.json_out.clone());
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .ok()
-        .map(|text| Json::parse(text.trim_end()).map_err(|e| format!("{baseline_path}: {e}")))
-        .transpose()?;
+    let reps = opts.reps;
+    let threads = rtpar::current_threads();
 
     let recorder = FlightRecorder::new(1024);
     let mut workload_profiles = std::collections::BTreeMap::new();
     let mut overheads = Vec::new();
-    println!(
-        "perfcheck: {} mode, {reps} reps/workload, {} threads",
-        if opts.smoke { "smoke" } else { "full" },
-        opts.threads
-    );
+    println!("perfcheck: {reps} reps/workload, {threads} threads");
     for w in workloads() {
         let started = Instant::now();
         let (profile, overhead) = profile_workload(&w, &recorder, reps);
@@ -339,10 +248,9 @@ fn run() -> Result<(), String> {
     let overhead_max = overheads.iter().cloned().fold(0.0f64, f64::max);
 
     let report = Json::obj([
-        ("schema", Json::from("perfcheck-v1")),
-        ("mode", Json::from(if opts.smoke { "smoke" } else { "full" })),
+        ("schema", Json::from("perfcheck-v2")),
         ("reps", Json::from(reps as u64)),
-        ("threads", Json::from(opts.threads as u64)),
+        ("threads", Json::from(threads as u64)),
         ("workloads", Json::Obj(workload_profiles)),
         (
             "recorder_overhead",
@@ -358,30 +266,20 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("{}: {e}", opts.json_out))?;
     println!("wrote {}", opts.json_out);
 
-    // Gates run after publishing, so a failed run still leaves evidence.
-    let mut failures = Vec::new();
+    // The gate runs after publishing, so a failed run still leaves evidence.
     if overhead_median > opts.max_overhead {
-        failures.push(format!(
+        return Err(format!(
             "recorder overhead {:.2}% exceeds budget {:.2}%",
             overhead_median * 100.0,
             opts.max_overhead * 100.0
         ));
-    } else {
-        println!(
-            "gate: recorder overhead {:.2}% within {:.2}% budget",
-            overhead_median * 100.0,
-            opts.max_overhead * 100.0
-        );
     }
-    match &baseline {
-        Some(baseline) => failures.extend(gate_against_baseline(&report, baseline, opts.tolerance)),
-        None => println!("gate: no baseline at {baseline_path}; first run passes unconditionally"),
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
+    println!(
+        "gate: recorder overhead {:.2}% within {:.2}% budget",
+        overhead_median * 100.0,
+        opts.max_overhead * 100.0
+    );
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -390,8 +288,8 @@ fn main() -> ExitCode {
         Err(message) => {
             eprintln!("perfcheck: {message}");
             eprintln!(
-                "usage: perfcheck [--smoke] [--reps N] [--json-out PATH] [--baseline PATH] \
-                 [--tolerance R>=1] [--max-overhead R] [--threads N]"
+                "usage: perfcheck [--reps N] [--json-out PATH] [--max-overhead R] \
+                 (pool size from RTPAR_THREADS)"
             );
             ExitCode::from(2)
         }
@@ -420,42 +318,17 @@ mod tests {
     }
 
     #[test]
-    fn gate_flags_regressions_and_tolerates_growth_within_budget() {
-        let fresh = Json::parse(
-            r#"{"workloads":{"a":{"request_us":{"p50":190}},
-                             "b":{"request_us":{"p50":500}},
-                             "new":{"request_us":{"p50":1}}}}"#,
-        )
-        .unwrap();
-        let baseline = Json::parse(
-            r#"{"workloads":{"a":{"request_us":{"p50":100}},
-                             "b":{"request_us":{"p50":100}}}}"#,
-        )
-        .unwrap();
-        let failures = gate_against_baseline(&fresh, &baseline, 2.0);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("workload `b`"), "{failures:?}");
-        assert!(failures[0].contains("500us"), "{failures:?}");
-    }
-
-    #[test]
     fn parse_options_covers_flags_and_rejects_nonsense() {
         let opts = parse_options(std::iter::empty()).unwrap();
-        assert!(!opts.smoke);
-        assert_eq!(opts.tolerance, 2.0);
+        assert_eq!(opts.reps, 15);
         assert_eq!(opts.max_overhead, 0.05);
-        let opts = parse_options(
-            ["--smoke", "--reps", "7", "--tolerance", "1.5", "--max-overhead", "0.1"]
-                .map(String::from)
-                .into_iter(),
-        )
-        .unwrap();
-        assert!(opts.smoke);
-        assert_eq!(opts.reps, Some(7));
-        assert_eq!(opts.tolerance, 1.5);
+        let opts =
+            parse_options(["--reps", "7", "--max-overhead", "0.1"].map(String::from).into_iter())
+                .unwrap();
+        assert_eq!(opts.reps, 7);
         assert_eq!(opts.max_overhead, 0.1);
         assert!(parse_options(["--reps", "0"].map(String::from).into_iter()).is_err());
-        assert!(parse_options(["--tolerance", "soon"].map(String::from).into_iter()).is_err());
+        assert!(parse_options(["--max-overhead", "soon"].map(String::from).into_iter()).is_err());
         assert!(parse_options(["--wat"].map(String::from).into_iter()).is_err());
     }
 

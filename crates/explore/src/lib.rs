@@ -192,7 +192,8 @@ mod tests {
         // 2 geometries x 2 cmiss x 2 ccs x 2 pscale x 4 approaches = 64
         // points, but only 2x2 unique (geometry, model) keys per task:
         // the recorder must see exactly one analyze span per unique key
-        // and a stage hit rate >= 0.9 across the sweep.
+        // and a stage hit rate >= 0.9 across the sweep. A warm re-sweep on
+        // the same store re-runs no pipeline stage and yields the same front.
         let _serial = crate::obs_serial();
         let grid =
             Grid::parse("sets 32 64\ncmiss 20 40\nccs 50 150\nperiod-scale 0.5 1\napproach all\n")
@@ -204,9 +205,11 @@ mod tests {
         let sources = sources();
         let provider = store.sweep_provider(&sources);
         let session = rtobs::begin();
-        run_sweep(&plan, &provider, store.cells(), |_, _| {}).unwrap();
+        let cold = run_sweep(&plan, &provider, store.cells(), |_, _| {}).unwrap();
         let stages = session.recorder().stage_durations();
         let counters = session.recorder().counters();
+        let warm = run_sweep(&plan, &provider, store.cells(), |_, _| {}).unwrap();
+        let warm_stages = session.recorder().stage_durations();
         drop(session);
         let span_count = |stage: &str| stages.get(stage).map(|(count, _)| *count).unwrap_or(0);
         assert_eq!(span_count("analyze"), 2 * 2 * 2, "one analyze per (task, geometry, model)");
@@ -215,6 +218,11 @@ mod tests {
         let analyze = counters.stage_lookups.get("analyze").copied().unwrap_or_default();
         let rate = analyze.hits as f64 / (analyze.hits + analyze.misses) as f64;
         assert!(rate >= 0.9, "analyze stage hit rate {rate} below 0.9");
+        for stage in ["assemble", "analyze", "trace", "ciip", "wcet"] {
+            let warm_count = warm_stages.get(stage).map(|(count, _)| *count).unwrap_or(0);
+            assert_eq!(warm_count, span_count(stage), "warm re-sweep re-ran stage {stage}");
+        }
+        assert_eq!(warm.front.members(), cold.front.members(), "warm re-sweep changed the front");
     }
 
     #[test]
