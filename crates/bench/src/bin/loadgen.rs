@@ -15,9 +15,8 @@
 //! after the storm. Responses are tallied tolerantly — `overloaded` and
 //! `deadline_exceeded` are expected outcomes under admission control,
 //! while any framing or transport failure is a protocol error and fails
-//! the run. The summary (p99 latency, shed rate, peak RSS, per-stage
-//! `rtobs` span durations of everything that ran in this process) lands
-//! in `BENCH_async.json` (`--json-out PATH` to relocate it);
+//! the run. The summary (p99 latency, shed rate, peak RSS) lands in
+//! `BENCH_async.json` (`--json-out PATH` to relocate it);
 //! `--max-shed-rate R` additionally gates on the observed shed fraction.
 //! Open-connection count is the one thing this measures that perfbench's
 //! single-caller `serve_edit` cannot.
@@ -90,23 +89,6 @@ fn parse_options() -> Result<Options, String> {
         return Err("--connections, --requests and --active must be positive".to_string());
     }
     Ok(opts)
-}
-
-/// The recorder's per-stage span totals as a JSON object:
-/// `{"wcrt": {"count": 8, "total_us": 1234}, ...}`.
-fn stage_durations_json(session: &rtobs::Session) -> Json {
-    Json::Obj(
-        session
-            .recorder()
-            .stage_durations()
-            .into_iter()
-            .map(|(stage, (count, total_us))| {
-                let entry =
-                    Json::obj([("count", Json::from(count)), ("total_us", Json::from(total_us))]);
-                (stage.to_string(), entry)
-            })
-            .collect(),
-    )
 }
 
 fn wcrt_request(id: u64) -> String {
@@ -260,9 +242,6 @@ fn peak_rss_kb() -> Option<u64> {
 /// failed run still leaves its evidence.
 fn run() -> Result<(), String> {
     let opts = parse_options()?;
-    // Record per-stage span durations for everything analyzed in this
-    // process (the in-process server's work).
-    let session = rtobs::begin();
     let (addr, local) = match &opts.addr {
         Some(addr) => (addr.clone(), None),
         None => {
@@ -427,7 +406,6 @@ fn run() -> Result<(), String> {
                 ("shed_total", Json::from(field("shed_total"))),
             ]),
         ),
-        ("stages", stage_durations_json(&session)),
     ]);
     std::fs::write(&opts.json_out, report.encode() + "\n")
         .map_err(|e| format!("{}: {e}", opts.json_out))?;

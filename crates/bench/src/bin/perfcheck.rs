@@ -332,25 +332,21 @@ mod tests {
         assert!(parse_options(["--wat"].map(String::from).into_iter()).is_err());
     }
 
-    /// The ISSUE's hot-path promise: a begin/finish cycle with no work
-    /// inside costs well under the 5% budget on any realistic request.
+    /// The hot-path promise: a begin/finish cycle with no work inside
+    /// costs under 5% of a 2 ms request (100 µs). The cycles are timed
+    /// directly, so scheduler jitter around a sleeping workload cannot
+    /// decide the outcome.
     #[test]
     fn recorder_frame_overhead_is_small_against_a_millisecond_workload() {
+        const CYCLES: u32 = 1_000;
         let recorder = FlightRecorder::new(64);
-        let work = || std::thread::sleep(std::time::Duration::from_millis(2));
-        let mut on = Vec::new();
-        let mut off = Vec::new();
-        for _ in 0..5 {
-            let started = Instant::now();
-            let scope = recorder.begin("bench", 0, false);
-            work();
-            scope.finish(true);
-            on.push(started.elapsed().as_secs_f64());
-            let started = Instant::now();
-            work();
-            off.push(started.elapsed().as_secs_f64());
+        let started = Instant::now();
+        for _ in 0..CYCLES {
+            recorder.begin("bench", 0, false).finish(true);
         }
-        let overhead = overhead_ratio(&on, &off);
-        assert!(overhead < 0.05, "begin/finish cost {overhead:.4} of a 2ms request");
+        let mean = started.elapsed() / CYCLES;
+        let budget = std::time::Duration::from_millis(2) / 20;
+        assert!(mean < budget, "a begin/finish cycle costs {mean:?}, budget {budget:?}");
+        assert_eq!(recorder.records_total(), u64::from(CYCLES));
     }
 }

@@ -114,10 +114,14 @@ pub fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
     args.len() != before
 }
 
-/// Runs `f` with an `rtobs` recording session installed when `trace_out`
-/// names a path, writing the Chrome trace there afterwards. With no path
-/// the command runs bare: collection stays disabled and costs nothing.
-fn with_recorder(
+/// Runs `f` in an `rtobs` session on the calling thread when `trace_out`
+/// names a path, then writes the Chrome trace there. With no path the
+/// command runs bare: collection stays disabled and costs nothing.
+///
+/// # Errors
+///
+/// Returns `f`'s error, or an I/O error writing the trace.
+pub fn with_recorder(
     trace_out: Option<&str>,
     f: impl FnOnce() -> Result<String, CliError>,
 ) -> Result<String, CliError> {

@@ -53,7 +53,7 @@ use rtprogram::{Program, Simulator};
 use rtsched::{render_timeline, simulate, CacheMode, SchedConfig, SchedTask, VariantPolicy};
 use rtwcet::{estimate_wcet, structural_wcet_bound};
 
-pub use dispatch::{dispatch, parse, Invocation, USAGE};
+pub use dispatch::{dispatch, parse, with_recorder, Invocation, USAGE};
 pub use options::{CacheOptions, CliError, ServeOptions, StatusOptions};
 pub use spec::SystemSpec;
 

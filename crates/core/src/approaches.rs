@@ -417,7 +417,6 @@ mod tests {
 
     #[test]
     fn matrix_cells_are_recorded_per_pair() {
-        let _serial = crate::obs_test_lock();
         let (ed, mr) = small_pair(); // ed prio 3, mr prio 2
         let tasks = vec![mr, ed];
         let session = rtobs::begin();
@@ -518,7 +517,6 @@ mod tests {
         // The recorder-on path takes the tree kernel (for per-set
         // counters) while the recorder-off path takes the packed kernel,
         // so this doubles as a packed/tree differential check.
-        let _serial = crate::obs_test_lock();
         let (ed, mr) = small_pair();
         let plain: Vec<usize> =
             CrpdApproach::ALL.iter().map(|a| reload_lines(*a, &ed, &mr)).collect();

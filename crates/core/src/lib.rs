@@ -60,18 +60,6 @@ pub mod schedutil;
 pub mod task;
 pub mod wcrt;
 
-/// Serializes unit tests that install an `rtobs` session: the recorder
-/// is process-global, so a concurrently-running test could otherwise
-/// record into (and collide with) another test's counters.
-#[cfg(test)]
-pub(crate) fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    match LOCK.get_or_init(std::sync::Mutex::default).lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 use std::fmt;
 
 pub use approaches::{

@@ -517,11 +517,7 @@ mod tests {
 
     #[test]
     fn recurrence_iterates_are_recorded_and_do_not_perturb() {
-        let _serial = crate::obs_test_lock();
         let tasks = vec![task(1, 50_000), task(2, 1_000_000)];
-        // InterTask: no other test in this binary records under "App. 2",
-        // so a concurrently-running test cannot overwrite the key while
-        // our session has recording enabled.
         let m = CrpdMatrix::compute(CrpdApproach::InterTask, &tasks);
         let plain = response_time(&tasks, &m, 1, &WcrtParams::default());
         let session = rtobs::begin();

@@ -44,18 +44,6 @@ pub use front::{dominates, ParetoFront, PointOutcome};
 pub use grid::Grid;
 pub use plan::{Plan, PointConfig, MAX_POINTS};
 
-/// Serializes the tests of this crate that run the pipeline: the rtobs
-/// recorder is process-global, so a test that counts spans would also
-/// count those of any pipeline running beside it.
-#[cfg(test)]
-pub(crate) fn obs_serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    match LOCK.get_or_init(std::sync::Mutex::default).lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// `trisc explore GRID`: loads the grid file, its base spec and task
 /// sources from disk, runs the sweep in-process, and renders the header,
 /// every per-point row and the explained Pareto front as one report.
@@ -134,7 +122,6 @@ mod tests {
 
     #[test]
     fn single_point_sweep_matches_the_wcrt_pipeline() {
-        let _serial = crate::obs_serial();
         // An empty grid sweeps exactly the base configuration; its WCRT
         // vector must agree with what `trisc wcrt` computes.
         let spec = spec();
@@ -167,7 +154,6 @@ mod tests {
 
     #[test]
     fn sweep_report_streams_points_and_explains_the_front() {
-        let _serial = crate::obs_serial();
         let grid = Grid::parse("sets 32 64\nways 1 2\ncmiss 20 40\napproach all\n").unwrap();
         let report = cmd_explore_with(&spec(), sources(), &grid).unwrap();
         assert!(report.contains("explore: 32 points"), "{report}");
@@ -194,7 +180,6 @@ mod tests {
         // the recorder must see exactly one analyze span per unique key
         // and a stage hit rate >= 0.9 across the sweep. A warm re-sweep on
         // the same store re-runs no pipeline stage and yields the same front.
-        let _serial = crate::obs_serial();
         let grid =
             Grid::parse("sets 32 64\ncmiss 20 40\nccs 50 150\nperiod-scale 0.5 1\napproach all\n")
                 .unwrap();
@@ -227,7 +212,6 @@ mod tests {
 
     #[test]
     fn cmd_explore_reads_grid_spec_and_sources_from_disk() {
-        let _serial = crate::obs_serial();
         let dir = std::env::temp_dir().join(format!("rtexplore-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("hi.s"), TASK_HI).unwrap();

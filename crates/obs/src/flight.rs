@@ -1,10 +1,10 @@
 //! `rtflight`: an always-on, lock-light flight recorder for production
 //! request observability.
 //!
-//! The opt-in [`Recorder`](crate::Recorder) (PR 3) is a debugging tool:
-//! it stores every span with a heap-allocated label and path, so it is
-//! off by default. This module is the production counterpart — cheap
-//! enough to leave on for every request a server handles:
+//! The opt-in [`Recorder`](crate::Recorder) is a debugging tool: it
+//! stores every span with a heap-allocated label and path, so it records
+//! only inside a [`Session`](crate::Session). This module is the
+//! production counterpart — cheap enough to leave on for every request:
 //!
 //! * **[`FlightRecord`]** — one fixed-size, allocation-free summary per
 //!   request: per-stage wall time, stage-cache hit/miss attribution,
@@ -16,11 +16,10 @@
 //!   O(capacity-independent): one atomic fetch-add for the sequence
 //!   number and one uncontended per-slot mutex store.
 //! * **Flight context propagation** — a request installs its
-//!   [`ActiveFlight`] frame thread-locally ([`FlightScope`]); spans
-//!   opened anywhere under it attribute their duration to the frame.
-//!   [`rtpar`](../../par) captures the submitting thread's context at
-//!   batch creation ([`context`]) and re-installs it on helper threads
-//!   ([`adopt`]), so work stolen by pool workers still attributes to the
+//!   [`ActiveFlight`] frame in the thread's [`Context`](crate::Context)
+//!   ([`FlightScope`]); spans opened anywhere under it attribute their
+//!   duration to the frame. `rtpar` batches carry the context onto helper
+//!   threads, so work stolen by pool workers still attributes to the
 //!   request that spawned it, at any thread count.
 //!
 //! The determinism contract of the parent crate extends here: analysis
@@ -35,7 +34,6 @@
 //! [`SpanEvent`] into a buffer preallocated at frame creation, so
 //! nothing allocates between `begin` and `finish`.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -153,47 +151,6 @@ impl ActiveFlight {
         let Some(idx) = stage_index(stage) else { return };
         let tally = if hit { &self.stage_hits } else { &self.stage_misses };
         tally[idx].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-thread_local! {
-    /// The flight frame requests on this thread attribute into.
-    static CURRENT: RefCell<Option<Arc<ActiveFlight>>> = const { RefCell::new(None) };
-}
-
-/// The flight frame installed on this thread, if any. `rtpar` calls this
-/// on the submitting thread when a batch is created, so the frame can
-/// follow the work onto helper threads.
-pub fn context() -> Option<Arc<ActiveFlight>> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Installs `flight` as this thread's frame for the guard's lifetime,
-/// restoring the previous frame on drop. `adopt(None)` is a no-op guard
-/// that leaves the thread's frame untouched.
-pub fn adopt(flight: Option<Arc<ActiveFlight>>) -> AdoptGuard {
-    match flight {
-        None => AdoptGuard { previous: None, installed: false },
-        Some(f) => {
-            let previous = CURRENT.with(|c| c.borrow_mut().replace(f));
-            AdoptGuard { previous, installed: true }
-        }
-    }
-}
-
-/// Guard returned by [`adopt`]; restores the thread's previous flight
-/// frame when dropped.
-pub struct AdoptGuard {
-    previous: Option<Arc<ActiveFlight>>,
-    installed: bool,
-}
-
-impl Drop for AdoptGuard {
-    fn drop(&mut self) {
-        if self.installed {
-            let previous = self.previous.take();
-            CURRENT.with(|c| *c.borrow_mut() = previous);
-        }
     }
 }
 
@@ -394,7 +351,8 @@ impl FlightRecorder {
     }
 
     /// Opens a flight frame for one request and installs it on the
-    /// calling thread. `capture_spans` additionally buffers up to
+    /// calling thread, keeping the thread's recorder, if any.
+    /// `capture_spans` additionally buffers up to
     /// [`SPAN_EVENT_CAP`] span events for black-box retrieval.
     pub fn begin(
         &self,
@@ -404,7 +362,8 @@ impl FlightRecorder {
     ) -> FlightScope<'_> {
         self.inflight.fetch_add(1, Ordering::Relaxed);
         let flight = Arc::new(ActiveFlight::new(capture_spans));
-        let guard = adopt(Some(flight.clone()));
+        let guard =
+            crate::adopt(crate::Context { flight: Some(flight.clone()), ..crate::context() });
         FlightScope {
             recorder: self,
             endpoint,
@@ -511,7 +470,7 @@ impl FlightRecorder {
 
 struct ScopeInner {
     flight: Arc<ActiveFlight>,
-    _adopt: AdoptGuard,
+    _adopt: crate::AdoptGuard,
 }
 
 /// One request's open flight frame; created by [`FlightRecorder::begin`].
@@ -525,11 +484,6 @@ pub struct FlightScope<'a> {
 }
 
 impl FlightScope<'_> {
-    /// The live frame, for tests and cross-thread adoption.
-    pub fn flight(&self) -> Arc<ActiveFlight> {
-        self.inner.as_ref().expect("flight scope already finished").flight.clone()
-    }
-
     /// Ends the frame: uninstalls it from the thread, commits the record
     /// into the ring and histograms, and returns it together with any
     /// captured span events.
@@ -618,7 +572,7 @@ mod tests {
         let recorder = FlightRecorder::new(8);
         let scope = recorder.begin("wcrt", 42, true);
         assert_eq!(recorder.inflight(), 1);
-        let flight = scope.flight();
+        let flight = crate::context().flight.unwrap();
         let t0 = Instant::now();
         flight.note_span("crpd", 2, t0, Duration::from_nanos(1_500));
         flight.note_span("crpd", 2, t0, Duration::from_nanos(500));
@@ -726,7 +680,7 @@ mod tests {
     fn span_capture_is_bounded() {
         let recorder = FlightRecorder::new(1);
         let scope = recorder.begin("wcrt", 0, true);
-        let flight = scope.flight();
+        let flight = crate::context().flight.unwrap();
         let t0 = Instant::now();
         for _ in 0..(SPAN_EVENT_CAP + 10) {
             flight.note_span("crpd", 1, t0, Duration::from_nanos(1));
@@ -740,7 +694,7 @@ mod tests {
     fn capture_off_records_no_spans() {
         let recorder = FlightRecorder::new(1);
         let scope = recorder.begin("wcrt", 0, false);
-        let flight = scope.flight();
+        let flight = crate::context().flight.unwrap();
         flight.note_span("crpd", 1, Instant::now(), Duration::from_nanos(7));
         let finished = scope.finish(true);
         assert!(finished.spans.is_empty());
@@ -749,21 +703,23 @@ mod tests {
 
     #[test]
     fn adoption_nests_and_restores() {
-        assert!(context().is_none());
+        let flight = || crate::context().flight;
+        assert!(flight().is_none());
         let recorder = FlightRecorder::new(1);
         let scope = recorder.begin("wcrt", 0, false);
-        let outer = scope.flight();
-        assert!(Arc::ptr_eq(&context().unwrap(), &outer));
+        let outer = flight().unwrap();
+        assert!(Arc::ptr_eq(&flight().unwrap(), &outer));
         {
             let inner = Arc::new(ActiveFlight::new(false));
-            let _guard = adopt(Some(inner.clone()));
-            assert!(Arc::ptr_eq(&context().unwrap(), &inner));
-            let _noop = adopt(None);
-            assert!(Arc::ptr_eq(&context().unwrap(), &inner), "adopt(None) leaves the frame");
+            let _guard =
+                crate::adopt(crate::Context { flight: Some(inner.clone()), ..crate::context() });
+            assert!(Arc::ptr_eq(&flight().unwrap(), &inner));
+            let _none = crate::adopt(crate::Context::default());
+            assert!(flight().is_none(), "adopting an empty context clears the frame");
         }
-        assert!(Arc::ptr_eq(&context().unwrap(), &outer), "previous frame restored");
+        assert!(Arc::ptr_eq(&flight().unwrap(), &outer), "previous frame restored");
         scope.finish(true);
-        assert!(context().is_none(), "finish uninstalls the frame");
+        assert!(flight().is_none(), "finish uninstalls the frame");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `rtobs`: zero-dependency, opt-in observability for the analysis pipeline.
 //!
-//! The crate provides three things, all gated behind one global switch:
+//! The crate provides three things, all scoped to the calling thread:
 //!
 //! * **Spans** — scoped wall-clock timings with stable identifiers derived
 //!   from span nesting (a `/`-joined path of enclosing stage names plus an
@@ -14,100 +14,126 @@
 //!   a run, never consumed by it. Analysis code may write into the
 //!   recorder but must never read it back, so enabling collection cannot
 //!   perturb a single output byte. When no recorder is installed every
-//!   entry point is a single relaxed atomic load and a no-op.
+//!   entry point is one thread-local read and a no-op.
 //!
-//! Recording is scoped: [`begin`] installs a process-global [`Recorder`]
-//! and returns a [`Session`] guard; dropping the last live session
-//! uninstalls it. Sessions nest (they share one recorder), which keeps
-//! concurrent tests in one process from fighting over the switch.
+//! Every thread has one [`Context`]: the [`Recorder`] of an opt-in
+//! [`Session`] and the always-on [`flight`] frame of a request. [`begin`]
+//! installs a recorder on the calling thread (or joins the one there);
+//! dropping the [`Session`] restores the previous context. Other threads
+//! never see it, except `rtpar` helpers running the thread's batches: a
+//! batch captures its submitter's [`context`] and helpers [`adopt`]
+//! exactly that. So concurrent sessions on different threads never mix.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod flight;
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
+use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Fast-path switch: `true` while at least one [`Session`] is live.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Slow-path state behind the switch: the installed recorder plus a
-/// session refcount so nested/concurrent sessions share one recorder.
-fn global() -> &'static Mutex<GlobalState> {
-    static GLOBAL: OnceLock<Mutex<GlobalState>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(GlobalState { recorder: None, sessions: 0 }))
-}
-
-struct GlobalState {
+/// What one thread records into: the recorder of an opt-in [`Session`]
+/// and the always-on [`flight`] frame of a request. Either may be absent.
+#[derive(Clone, Default)]
+pub struct Context {
     recorder: Option<Arc<Recorder>>,
-    sessions: usize,
+    flight: Option<Arc<flight::ActiveFlight>>,
 }
 
 thread_local! {
+    /// The calling thread's recording context.
+    static CONTEXT: RefCell<Context> =
+        const { RefCell::new(Context { recorder: None, flight: None }) };
     /// Stack of enclosing span stage names on this thread; the source of
     /// the stable span path.
-    static SPAN_STACK: std::cell::RefCell<Vec<&'static str>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Returns `true` when a recorder is installed. One relaxed atomic load;
-/// instrumentation sites use it to skip all argument construction.
+/// The calling thread's context. `rtpar` captures it when a batch is
+/// created, so the batch's work records where its submitter records.
+pub fn context() -> Context {
+    CONTEXT.with(|c| c.borrow().clone())
+}
+
+/// Installs `context` as the calling thread's context for the guard's
+/// lifetime, restoring the previous one on drop.
+pub fn adopt(context: Context) -> AdoptGuard {
+    let previous = CONTEXT.with(|c| c.replace(context));
+    AdoptGuard { previous, _thread: PhantomData }
+}
+
+/// Guard returned by [`adopt`]; restores the thread's previous context
+/// when dropped. Bound to the thread that made it.
+pub struct AdoptGuard {
+    previous: Context,
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for AdoptGuard {
+    fn drop(&mut self) {
+        let previous = std::mem::take(&mut self.previous);
+        // During thread teardown the slot may already be gone. The
+        // replaced context drops outside the slot's borrow.
+        let _replaced = CONTEXT.try_with(|c| c.replace(previous));
+    }
+}
+
+/// Returns `true` when a recorder is installed on the calling thread.
+/// Instrumentation sites use it to skip all argument construction.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    CONTEXT.with(|c| c.borrow().recorder.is_some())
 }
 
-/// The recorder currently installed, if any.
+/// The recorder installed on the calling thread, if any.
 fn active() -> Option<Arc<Recorder>> {
-    if !enabled() {
-        return None;
-    }
-    global().lock().expect("rtobs global state poisoned").recorder.clone()
+    CONTEXT.with(|c| c.borrow().recorder.clone())
 }
 
-/// Installs a process-global recorder (or joins the one already
-/// installed) and returns a guard that keeps it alive.
+/// Installs a recorder on the calling thread, or joins the one already
+/// installed there, and returns a guard that keeps it installed.
 pub fn begin() -> Session {
-    let mut state = global().lock().expect("rtobs global state poisoned");
-    state.sessions += 1;
-    let recorder = state.recorder.get_or_insert_with(|| Arc::new(Recorder::new())).clone();
-    ENABLED.store(true, Ordering::Relaxed);
-    Session { recorder }
+    begin_with(active().unwrap_or_default())
+}
+
+/// Installs `recorder` on the calling thread, keeping the thread's flight
+/// frame. A server uses it to record every request into one recorder.
+pub fn begin_with(recorder: Arc<Recorder>) -> Session {
+    let guard = adopt(Context { recorder: Some(recorder.clone()), ..context() });
+    Session { recorder, _context: guard }
 }
 
 /// Starts a session only when the `RTOBS` environment variable is `1`.
-/// CI uses this to re-run the invariance suite with collection enabled.
+/// CI uses this to re-run the test suites with collection enabled.
 pub fn env_session() -> Option<Session> {
     (std::env::var("RTOBS").as_deref() == Ok("1")).then(begin)
 }
 
-/// Guard for one recording scope. All live sessions share the same
-/// [`Recorder`]; when the last one drops, collection switches off.
+/// Guard for one recording scope on one thread. Nested sessions on a
+/// thread share its [`Recorder`]; dropping a session restores the
+/// context the thread had before it, so the outermost one switches
+/// collection off. A session cannot move to another thread:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<rtobs::Session>();
+/// ```
 pub struct Session {
     recorder: Arc<Recorder>,
+    _context: AdoptGuard,
 }
 
 impl Session {
     /// The recorder this session writes into.
     pub fn recorder(&self) -> &Arc<Recorder> {
         &self.recorder
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        let mut state = global().lock().expect("rtobs global state poisoned");
-        state.sessions -= 1;
-        if state.sessions == 0 {
-            ENABLED.store(false, Ordering::Relaxed);
-            state.recorder = None;
-        }
     }
 }
 
@@ -208,7 +234,7 @@ pub struct StageLookupTally {
 }
 
 /// Snapshot of every typed counter in the recorder.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Cache-sim tallies keyed by set index.
     pub cache_sets: BTreeMap<u32, SetTally>,
@@ -237,25 +263,29 @@ pub struct Counters {
     pub explore: ExploreTally,
 }
 
-/// Thread-safe store for spans and counters. Created by [`begin`];
-/// analysis code only ever appends, readers come after the run.
+/// Thread-safe store for spans and counters. Created by [`begin`] (or
+/// `default()`, for [`begin_with`]); analysis code only ever appends,
+/// readers come after the run.
+#[derive(Debug)]
 pub struct Recorder {
     start: Instant,
     inner: Mutex<Inner>,
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Inner {
     spans: Vec<SpanRecord>,
     threads: BTreeMap<String, u64>,
     counters: Counters,
 }
 
-impl Recorder {
-    fn new() -> Self {
-        Recorder { start: Instant::now(), inner: Mutex::new(Inner::default()) }
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder { start: Instant::now(), inner: Mutex::default() }
     }
+}
 
+impl Recorder {
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("rtobs recorder poisoned")
     }
@@ -460,8 +490,7 @@ pub fn span(stage: &'static str) -> SpanGuard {
 /// duration to the frame without building the label or path, so the hot
 /// path stays allocation-free.
 pub fn span_labeled(stage: &'static str, label: impl FnOnce() -> String) -> SpanGuard {
-    let recorder = active();
-    let flight = flight::context();
+    let Context { recorder, flight } = context();
     if recorder.is_none() && flight.is_none() {
         return SpanGuard { active: None };
     }
@@ -601,10 +630,11 @@ pub fn record_explore_front(size: u64) {
 /// `hit` means the artifact was reused, `!hit` means the stage re-ran.
 /// Also attributed to the thread's [`flight`] frame, if one is active.
 pub fn record_stage_lookup(stage: &'static str, hit: bool) {
-    if let Some(frame) = flight::context() {
+    let Context { recorder, flight } = context();
+    if let Some(frame) = flight {
         frame.note_lookup(stage, hit);
     }
-    let Some(recorder) = active() else { return };
+    let Some(recorder) = recorder else { return };
     let mut inner = recorder.lock();
     let tally = inner.counters.stage_lookups.entry(stage).or_default();
     if hit {
@@ -618,16 +648,8 @@ pub fn record_stage_lookup(stage: &'static str, hit: bool) {
 mod tests {
     use super::*;
 
-    /// The global switch is process-wide, so tests that install a
-    /// session serialize on this lock to stay independent.
-    fn test_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(Mutex::default).lock().expect("test lock")
-    }
-
     #[test]
     fn disabled_by_default_and_recording_is_scoped() {
-        let _serial = test_lock();
         assert!(!enabled());
         record_cache_set(0, 1, 2, 3); // silently dropped
         let session = begin();
@@ -646,19 +668,40 @@ mod tests {
 
     #[test]
     fn nested_sessions_share_one_recorder() {
-        let _serial = test_lock();
         let outer = begin();
         let inner = begin();
+        assert!(
+            Arc::ptr_eq(outer.recorder(), inner.recorder()),
+            "begin joins the thread's recorder"
+        );
         record_dataflow_rounds(3, 4);
         drop(inner);
         assert!(enabled(), "outer session keeps recording on");
         let counters = outer.recorder().counters();
         assert_eq!((counters.dataflow_runs, counters.rmb_rounds, counters.lmb_rounds), (1, 3, 4));
+        drop(outer);
+        assert!(!enabled(), "the outermost session switches collection off");
+    }
+
+    #[test]
+    fn a_flight_frame_keeps_the_threads_recorder_and_restores_it() {
+        let session = begin();
+        let flights = flight::FlightRecorder::new(1);
+        let scope = flights.begin("wcrt", 0, false);
+        assert!(enabled(), "the frame keeps the session's recorder");
+        record_stage_lookup("analyze", true);
+        let finished = scope.finish(true);
+        assert!(enabled(), "finishing the frame leaves the session installed");
+        let analyze = flight::stage_index("analyze").unwrap();
+        assert_eq!(finished.record.stage_hits[analyze], 1);
+        assert_eq!(
+            session.recorder().counters().stage_lookups.get("analyze"),
+            Some(&StageLookupTally { hits: 1, misses: 0 })
+        );
     }
 
     #[test]
     fn spans_nest_into_stable_paths() {
-        let _serial = test_lock();
         let session = begin();
         {
             let _outer = span_labeled("wcrt", || "task0".into());
@@ -679,7 +722,6 @@ mod tests {
 
     #[test]
     fn counters_render_into_trace_metadata() {
-        let _serial = test_lock();
         let session = begin();
         record_overlap_set(3, 2, OverlapCap::Ways);
         record_crpd_cell("App. 4", 1, 0, 24);
@@ -698,7 +740,6 @@ mod tests {
 
     #[test]
     fn stage_lookups_tally_hits_and_misses() {
-        let _serial = test_lock();
         record_stage_lookup("analyze", true); // silently dropped: no session
         let session = begin();
         record_stage_lookup("analyze", false);
@@ -724,7 +765,6 @@ mod tests {
 
     #[test]
     fn skyline_tallies_accumulate_and_render() {
-        let _serial = test_lock();
         let before = skyline_totals();
         record_skyline_points(5, 100); // no session: process-wide totals only
         let between = skyline_totals();
@@ -744,7 +784,6 @@ mod tests {
 
     #[test]
     fn explore_tallies_accumulate_points_and_track_the_latest_front() {
-        let _serial = test_lock();
         record_explore_points(9); // silently dropped: no session
         let session = begin();
         record_explore_points(128);
@@ -759,14 +798,12 @@ mod tests {
 
     #[test]
     fn span_guard_is_inert_when_disabled() {
-        let _serial = test_lock();
         let guard = span_labeled("wcrt", || panic!("label must not be built when disabled"));
         assert!(guard.active.is_none());
     }
 
     #[test]
     fn spans_and_lookups_attribute_to_flight_frames_without_a_recorder() {
-        let _serial = test_lock();
         assert!(!enabled());
         let recorder = flight::FlightRecorder::new(2);
         let scope = recorder.begin("wcrt", 0, true);

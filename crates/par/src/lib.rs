@@ -85,10 +85,10 @@ struct Batch {
     run_one: unsafe fn(*const (), usize),
     completion: Mutex<Completion>,
     finished: Condvar,
-    /// The submitting thread's flight frame, re-installed on whichever
-    /// thread executes the batch so per-request attribution survives
-    /// work stealing (`rtobs::flight`).
-    flight: Option<Arc<rtobs::flight::ActiveFlight>>,
+    /// The submitting thread's recording context (its `rtobs` session
+    /// and flight frame, either possibly absent), installed on whichever
+    /// thread executes the batch so recording survives work stealing.
+    context: rtobs::Context,
 }
 
 // SAFETY: `data` is only dereferenced through `run_one` for indices
@@ -109,9 +109,9 @@ impl Batch {
     /// is fully accounted (a batched add on loop exit would race the
     /// owner's `stats()` read).
     fn run_to_exhaustion(&self, claimed: &AtomicU64) {
-        // Attribute everything this thread claims to the submitting
-        // request's flight frame (no-op when the batch carries none).
-        let _flight = rtobs::flight::adopt(self.flight.clone());
+        // Record everything this thread claims exactly where the
+        // submitting thread records, and nowhere if it records nowhere.
+        let _context = rtobs::adopt(self.context.clone());
         loop {
             let index = self.next.fetch_add(1, Ordering::Relaxed);
             if index >= self.total {
@@ -202,7 +202,7 @@ impl Shared {
             run_one: run_one_erased::<R, F>,
             completion: Mutex::new(Completion { done: 0, panic: None }),
             finished: Condvar::new(),
-            flight: rtobs::flight::context(),
+            context: rtobs::context(),
         });
         // The caller takes one item itself, so at most `len - 1` helpers
         // can ever be useful.
@@ -689,6 +689,33 @@ mod tests {
             finished.record.stage_hits[analyze], 64,
             "every item attributes to the submitting request, wherever it ran"
         );
+    }
+
+    #[test]
+    fn batches_carry_recorder_sessions_onto_worker_threads() {
+        const ITEMS: usize = 64;
+        let pool = Pool::new(8);
+        let item = |_| {
+            let enabled = rtobs::enabled();
+            rtobs::record_explore_points(1);
+            std::thread::sleep(Duration::from_millis(1));
+            enabled
+        };
+        let session = rtobs::begin();
+        let traced = pool.par_map_range(ITEMS, item);
+        assert!(traced.iter().all(|&e| e), "every item ran under the submitter's session");
+        assert!(pool.stats().items_stolen > 0, "helpers must have claimed some items");
+        assert_eq!(session.recorder().counters().explore.points, ITEMS as u64);
+
+        // The same helpers, now running a batch submitted from a thread
+        // with no session, record nothing anywhere.
+        let stolen_before = pool.stats().items_stolen;
+        let untraced = std::thread::scope(|scope| {
+            scope.spawn(|| pool.par_map_range(ITEMS, item)).join().expect("untraced submitter")
+        });
+        assert!(untraced.iter().all(|&e| !e), "no item may see a session");
+        assert!(pool.stats().items_stolen > stolen_before, "helpers claimed untraced items");
+        assert_eq!(session.recorder().counters().explore.points, ITEMS as u64);
     }
 
     #[test]

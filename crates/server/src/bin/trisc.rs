@@ -5,9 +5,8 @@ use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    // `RTOBS=1` keeps an rtobs recording session alive for the whole
-    // invocation even without `--trace-out` (counters only, no file);
-    // commands that take `--trace-out` install their own session too.
+    // `RTOBS=1` records on this thread and the pool threads working for
+    // it even without `--trace-out` (no file); `--trace-out` joins it.
     let _env_session = rtobs::env_session();
     match rtcli::parse(std::env::args().skip(1).collect()) {
         Ok(rtcli::Invocation::Output(output)) => {
@@ -52,13 +51,5 @@ fn main() -> ExitCode {
 /// `trisc explore GRID [--trace-out TRACE.json]`: run the sweep in
 /// process, optionally flushing a Chrome trace of the whole run.
 fn run_explore(grid: &str, trace_out: Option<String>) -> Result<String, rtcli::CliError> {
-    let session = trace_out.as_deref().map(|_| rtobs::begin());
-    let output = rtexplore::cmd_explore(Path::new(grid))?;
-    if let (Some(session), Some(path)) = (session, trace_out.as_deref()) {
-        session
-            .recorder()
-            .write_chrome_trace(Path::new(path))
-            .map_err(|e| rtcli::CliError::Io(format!("{path}: {e}")))?;
-    }
-    Ok(output)
+    rtcli::with_recorder(trace_out.as_deref(), || rtexplore::cmd_explore(Path::new(grid)))
 }

@@ -85,6 +85,10 @@ pub struct ServerState {
     shed_total: AtomicU64,
     /// The reactor's always-on connection counters.
     react_stats: Arc<rtreact::ReactorStats>,
+    /// `--trace-out`: the recorder every request installs on its thread
+    /// for its lifetime, written out by [`run`] after the drain. `None`
+    /// leaves collection off.
+    trace: Option<Arc<rtobs::Recorder>>,
 }
 
 /// How many slow-request span trees the black box retains.
@@ -129,6 +133,7 @@ impl ServerState {
             inflight: AtomicU64::new(0),
             shed_total: AtomicU64::new(0),
             react_stats: Arc::new(rtreact::ReactorStats::default()),
+            trace: opts.trace_out.as_ref().map(|_| Arc::default()),
         }
     }
 
@@ -259,11 +264,11 @@ impl ServerHandle {
 ///
 /// Returns bind/listener errors.
 pub fn run(opts: &ServeOptions) -> io::Result<()> {
-    // With `--trace-out`, keep one rtobs session alive for the daemon's
-    // whole life and flush the Chrome trace of everything it served after
-    // the drain. Without it, collection stays disabled and free.
-    let session = opts.trace_out.as_deref().map(|_| rtobs::begin());
     let server = Server::bind(opts)?;
+    // With `--trace-out`, every request records into the state's one
+    // recorder; the Chrome trace of everything served is flushed after
+    // the drain.
+    let trace = server.state.trace.clone();
     println!(
         "rtserver listening on {} ({} event threads, {} request workers, {}-thread analysis pool)",
         server.local_addr()?,
@@ -288,8 +293,8 @@ pub fn run(opts: &ServeOptions) -> io::Result<()> {
         ),
     }
     server.serve()?;
-    if let (Some(session), Some(path)) = (session, opts.trace_out.as_deref()) {
-        session.recorder().write_chrome_trace(Path::new(path))?;
+    if let (Some(trace), Some(path)) = (trace, opts.trace_out.as_deref()) {
+        trace.write_chrome_trace(Path::new(path))?;
         println!("rtobs trace written to {path}");
     }
     Ok(())
@@ -399,6 +404,7 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
             }
         }
     }
+    let _trace = state.trace.clone().map(rtobs::begin_with);
     let scope = state.flight.begin(endpoint, queue_us, state.slow_ms.is_some());
     let (response, ok, shutdown) = {
         // The whole-request span: the root of a slow request's captured

@@ -5,7 +5,6 @@
 //! cache, and every cached report stays byte-identical to a cold one.
 
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crpd::{AnalyzedTask, TaskParams};
 use proptest::prelude::*;
@@ -15,18 +14,6 @@ use rtcli::SystemSpec;
 const SPEC: &str = "cache 64 2 16\ncmiss 20\nccs 50\ntask hi hi.s 5000 1\ntask lo lo.s 50000 2\n";
 const TASK_HI: &str = ".data 0x100000\nbuf: .word 1,2,3,4\n.text 0x1000\nstart: li r1, buf\nli r3, 4\nloop: ld r2, 0(r1)\naddi r1, r1, 4\naddi r3, r3, -1\nbne r3, r0, loop\n.bound loop, 4\nhalt\n";
 const TASK_LO: &str = ".data 0x100400\nbuf: .word 7,8\n.text 0x2000\nstart: li r1, buf\nld r2, 0(r1)\nld r4, 4(r1)\nadd r2, r2, r4\nhalt\n";
-
-/// The `rtobs` recorder is process-global, and the pipeline records into
-/// it whenever a session is live — so every test in this binary (even
-/// those that don't record) serializes here to keep span/counter
-/// assertions honest.
-fn obs_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(Mutex::default).lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 fn spec() -> SystemSpec {
     SystemSpec::parse(SPEC, Path::new("")).expect("spec parses")
@@ -62,7 +49,6 @@ fn cold_report(spec: &SystemSpec, params: [TaskParams; 2]) -> String {
 
 #[test]
 fn param_only_change_reruns_zero_pipeline_stages() {
-    let _serial = obs_lock();
     let spec = spec();
     let p1 =
         [TaskParams { period: 5_000, priority: 1 }, TaskParams { period: 50_000, priority: 2 }];
@@ -110,7 +96,6 @@ fn param_only_change_reruns_zero_pipeline_stages() {
 
 #[test]
 fn repeated_wcrt_requests_hit_the_cell_cache() {
-    let _serial = obs_lock();
     let spec = spec();
     let params =
         [TaskParams { period: 5_000, priority: 1 }, TaskParams { period: 50_000, priority: 2 }];
@@ -184,7 +169,6 @@ proptest! {
     /// schedulability — and re-evaluating the point stays bit-identical.
     #[test]
     fn sweep_point_rebind_matches_fresh_analysis(case in arb_sweep_grid()) {
-        let _serial = obs_lock();
         let (grid, seed) = case;
         let spec = spec();
         let plan = rtexplore::Plan::new(&spec, &grid).unwrap();
@@ -245,7 +229,6 @@ proptest! {
     fn rebinding_matches_fresh_analysis_at_any_thread_count(
         p1 in arb_system(), p2 in arb_system(),
     ) {
-        let _serial = obs_lock();
         let spec = spec();
         for threads in [1usize, 8] {
             let pool = rtpar::Pool::new(threads);

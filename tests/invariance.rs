@@ -3,8 +3,12 @@
 //! threads. This is the hard determinism contract of the parallel
 //! runtime — reductions merge in index order, so the pool size may only
 //! change wall-clock time, never a single output byte.
+//! Sessions are per thread, so each test opens `rtobs::env_session()`
+//! itself to run under `RTOBS=1` with a recorder installed.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Barrier;
 
 use preempt_wcrt::analysis::{
     analyze_all, AnalyzedTask, CrpdApproach, CrpdMatrix, TaskParams, WcrtParams,
@@ -100,6 +104,7 @@ fn cli_report(tag: &str) -> String {
 
 #[test]
 fn analysis_artifacts_are_byte_identical_at_any_pool_size() {
+    let _ambient = rtobs::env_session();
     let reference = rtpar::Pool::new(1).install(analysis_report);
     assert!(reference.contains("App. 4"), "report looks wrong: {reference}");
     for threads in POOL_SIZES {
@@ -112,6 +117,7 @@ fn analysis_artifacts_are_byte_identical_at_any_pool_size() {
 
 #[test]
 fn cli_wcrt_report_is_byte_identical_at_any_pool_size() {
+    let _ambient = rtobs::env_session();
     let reference = rtpar::Pool::new(1).install(|| cli_report("ref"));
     assert!(reference.contains("WCRT"), "report looks wrong: {reference}");
     for threads in POOL_SIZES {
@@ -160,6 +166,7 @@ fn explore_report(tag: &str) -> String {
 /// explanations — is byte-identical at 1, 2 and 8 threads.
 #[test]
 fn explore_report_is_byte_identical_at_any_pool_size() {
+    let _ambient = rtobs::env_session();
     let reference = rtpar::Pool::new(1).install(|| explore_report("ref"));
     assert!(reference.contains("explore: 128 points"), "report looks wrong: {reference}");
     assert!(reference.contains("Pareto front ("), "report looks wrong: {reference}");
@@ -173,6 +180,7 @@ fn explore_report_is_byte_identical_at_any_pool_size() {
 /// also stable run-to-run (no scheduling-order leak into the artifacts).
 #[test]
 fn repeated_runs_on_one_pool_are_stable() {
+    let _ambient = rtobs::env_session();
     let pool = rtpar::Pool::new(8);
     let first = pool.install(analysis_report);
     for _ in 0..3 {
@@ -182,9 +190,9 @@ fn repeated_runs_on_one_pool_are_stable() {
 
 /// The rtobs determinism contract: an installed recorder observes the
 /// pipeline but never perturbs it, so every report is byte-identical
-/// with tracing on and off, at every pool size. (`rtobs::env_session`
-/// honors `RTOBS=1`, so CI re-runs this whole suite with an extra
-/// ambient recorder installed as well.)
+/// with tracing on and off, at every pool size. (Under `RTOBS=1` the
+/// "off" runs record into the ambient session too, and the explicit
+/// session below joins it.)
 #[test]
 fn reports_are_byte_identical_with_tracing_on_and_off() {
     let _ambient = rtobs::env_session();
@@ -218,6 +226,7 @@ fn reports_are_byte_identical_with_tracing_on_and_off() {
 /// it watched, including work stolen by pool helper threads.
 #[test]
 fn reports_are_byte_identical_with_the_flight_recorder_on_and_off() {
+    let _ambient = rtobs::env_session();
     let plain_analysis = rtpar::Pool::new(1).install(analysis_report);
     let plain_cli = rtpar::Pool::new(1).install(|| cli_report("flight-ref"));
     let recorder = rtobs::flight::FlightRecorder::new(8);
@@ -248,4 +257,47 @@ fn reports_are_byte_identical_with_the_flight_recorder_on_and_off() {
         assert!(!finished.spans.is_empty(), "span capture recorded the pipeline");
     }
     assert_eq!(recorder.records_total(), 2);
+}
+
+/// What one session saw: span counts per stage (durations vary, counts
+/// do not) and every typed counter.
+fn observed_run(pool: &rtpar::Pool) -> (String, BTreeMap<&'static str, u64>, rtobs::Counters) {
+    let session = rtobs::begin();
+    let report = pool.install(analysis_report);
+    let spans = session.recorder().stage_durations().into_iter().map(|(s, (n, _))| (s, n));
+    (report, spans.collect(), session.recorder().counters())
+}
+
+/// Sessions are scoped to the thread that opens them and the pool
+/// helpers working for it: two sessions running the pipeline at once on
+/// one shared 8-thread pool each record exactly what a solo run records,
+/// and a thread with no session sees recording off, helpers included.
+/// (This test opens its own sessions, so no ambient one.)
+#[test]
+fn concurrent_sessions_record_exactly_what_a_solo_run_records() {
+    let pool = rtpar::Pool::new(8);
+    let solo = observed_run(&pool);
+    assert!(solo.1.get("wcrt").is_some_and(|&n| n > 0) && !solo.2.crpd_cells.is_empty());
+    let start = Barrier::new(3);
+    let traced = || {
+        start.wait();
+        observed_run(&pool)
+    };
+    let (a, b, (report, seen)) = std::thread::scope(|scope| {
+        let (a, b) = (scope.spawn(traced), scope.spawn(traced));
+        let bare = scope.spawn(|| {
+            start.wait();
+            let mut seen = pool.install(|| rtpar::par_map_range(64, |_| rtobs::enabled()));
+            seen.push(rtobs::enabled());
+            (pool.install(analysis_report), seen)
+        });
+        (a.join().unwrap(), b.join().unwrap(), bare.join().unwrap())
+    });
+    for (name, run) in [("first", a), ("second", b)] {
+        assert_eq!(run.0, solo.0, "{name} session changed the analysis output");
+        assert_eq!(run.1, solo.1, "{name} session's span counts differ from a solo run's");
+        assert_eq!(run.2, solo.2, "{name} session's counters differ from a solo run's");
+    }
+    assert_eq!(report, solo.0);
+    assert!(seen.iter().all(|&e| !e), "a thread with no session must see recording off");
 }
