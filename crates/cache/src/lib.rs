@@ -51,6 +51,6 @@ mod sim;
 pub use ciip::{Ciip, OverlapContribution};
 pub use geometry::{CacheGeometry, GeometryError, MemoryBlock, SetIndex};
 pub use hierarchy::{CacheHierarchy, HierarchyError, LevelOutcome};
-pub use packed::PackedFootprint;
+pub use packed::{counts_dominate, PackedFootprint};
 pub use replacement::ReplacementPolicy;
 pub use sim::{AccessOutcome, CacheSim, CacheSnapshot, CacheStats};

@@ -127,9 +127,35 @@ impl PackedFootprint {
             "packed footprints from different cache geometries cannot be compared"
         );
         // Cheap rejection: element-wise dominance implies sum dominance.
-        self.line_bound >= other.line_bound
-            && self.counts.iter().zip(&other.counts).all(|(a, b)| a >= b)
+        self.line_bound >= other.line_bound && counts_dominate(&self.counts, &other.counts)
     }
+}
+
+/// `true` if `high[r] >= low[r]` for every set `r`: the element-wise
+/// dominance test behind [`PackedFootprint::dominates`] and the
+/// useful-trace skyline build, over raw saturated-count slices.
+///
+/// Branchless within 32-byte chunks (the compiler turns each into a
+/// vector compare and one mask test), with an early exit between
+/// chunks and a scalar tail.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn counts_dominate(high: &[u8], low: &[u8]) -> bool {
+    assert_eq!(high.len(), low.len(), "count vectors of different lengths cannot be compared");
+    let mut high_chunks = high.chunks_exact(32);
+    let mut low_chunks = low.chunks_exact(32);
+    for (ch, cl) in high_chunks.by_ref().zip(low_chunks.by_ref()) {
+        let mut below = false;
+        for i in 0..32 {
+            below |= ch[i] < cl[i];
+        }
+        if below {
+            return false;
+        }
+    }
+    high_chunks.remainder().iter().zip(low_chunks.remainder()).all(|(h, l)| h >= l)
 }
 
 /// Branchless chunked min-sum: 16-byte blocks (two `u64` lanes' worth,
@@ -284,6 +310,33 @@ mod tests {
         let left = PackedFootprint::from_ciip(&Ciip::from_addrs(g, [0x000u64])).unwrap();
         let right = PackedFootprint::from_ciip(&Ciip::from_addrs(g, [0x010u64])).unwrap();
         assert!(!left.dominates(&right) && !right.dominates(&left));
+    }
+
+    #[test]
+    fn counts_dominate_checks_every_chunk_and_the_tail() {
+        // 32-byte chunks: a single lower byte anywhere — first chunk,
+        // last full chunk or the scalar tail — breaks dominance.
+        for len in [0usize, 7, 32, 64, 100, 512] {
+            let high = vec![3u8; len];
+            let low: Vec<u8> = (0..len).map(|i| (i % 4) as u8).collect();
+            assert!(counts_dominate(&high, &low), "{len} bytes");
+            assert_eq!(counts_dominate(&low, &high), len == 0, "{len} bytes");
+            for at in [0, len / 2, len.saturating_sub(1)] {
+                if at >= len {
+                    continue;
+                }
+                let mut bumped = low.clone();
+                bumped[at] = 4;
+                assert!(!counts_dominate(&high, &bumped), "{len} bytes, raised at {at}");
+                assert!(counts_dominate(&bumped, &low), "{len} bytes, raised at {at}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different lengths")]
+    fn counts_dominate_rejects_mismatched_lengths() {
+        let _ = counts_dominate(&[1, 2], &[1]);
     }
 
     #[test]

@@ -174,11 +174,6 @@ pub struct CacheSim {
     sets: Vec<SetState>,
     clock: u64,
     stats: CacheStats,
-    /// Per-set counters, allocated only while an `rtobs` recorder is
-    /// installed at construction time. Pure diagnostics: nothing in the
-    /// analysis reads them back, so presence or absence cannot change a
-    /// single output byte.
-    set_stats: Option<Vec<CacheStats>>,
 }
 
 impl CacheSim {
@@ -195,8 +190,6 @@ impl CacheSim {
             sets: (0..geometry.sets()).map(|_| SetState::new(geometry.ways())).collect(),
             clock: 0,
             stats: CacheStats::default(),
-            set_stats: rtobs::enabled()
-                .then(|| vec![CacheStats::default(); geometry.sets() as usize]),
         }
     }
 
@@ -218,27 +211,6 @@ impl CacheSim {
     /// Resets the statistics counters without touching cache contents.
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-        if let Some(per_set) = &mut self.set_stats {
-            per_set.fill(CacheStats::default());
-        }
-    }
-
-    /// Per-set statistics, present only when an `rtobs` recorder was
-    /// installed when the simulator was created.
-    pub fn set_stats(&self) -> Option<&[CacheStats]> {
-        self.set_stats.as_deref()
-    }
-
-    /// Flushes the per-set counters (sets with activity only) into the
-    /// installed `rtobs` recorder, if any. Call after a simulation pass;
-    /// counters merge-add across flushes.
-    pub fn flush_set_stats(&self) {
-        let Some(per_set) = &self.set_stats else { return };
-        for (idx, tally) in per_set.iter().enumerate() {
-            if tally.accesses > 0 {
-                rtobs::record_cache_set(idx as u32, tally.hits, tally.misses, tally.evictions);
-            }
-        }
     }
 
     /// Invalidates every line (cold cache) and clears recency state.
@@ -259,15 +231,9 @@ impl CacheSim {
         self.stats.accesses += 1;
         let idx = self.geometry.index_of_block(block).as_usize();
         let policy = self.effective_policy();
-        if let Some(per_set) = &mut self.set_stats {
-            per_set[idx].accesses += 1;
-        }
         let set = &mut self.sets[idx];
         if let Some(way) = set.find(block) {
             self.stats.hits += 1;
-            if let Some(per_set) = &mut self.set_stats {
-                per_set[idx].hits += 1;
-            }
             set.last_used[way] = self.clock;
             if policy == ReplacementPolicy::PseudoLru {
                 set.plru_touch(way);
@@ -275,9 +241,6 @@ impl CacheSim {
             return AccessOutcome::Hit;
         }
         self.stats.misses += 1;
-        if let Some(per_set) = &mut self.set_stats {
-            per_set[idx].misses += 1;
-        }
         // Prefer an invalid way; otherwise ask the policy for a victim.
         let way = match set.lines.iter().position(Option::is_none) {
             Some(w) => w,
@@ -306,9 +269,6 @@ impl CacheSim {
         let evicted = set.lines[way];
         if evicted.is_some() {
             self.stats.evictions += 1;
-            if let Some(per_set) = &mut self.set_stats {
-                per_set[idx].evictions += 1;
-            }
         }
         set.lines[way] = Some(block);
         set.last_used[way] = self.clock;

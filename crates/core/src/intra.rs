@@ -23,8 +23,9 @@
 //!   fidelity to \[21\] and for tightness ablations.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-use rtcache::{CacheGeometry, CacheSim, Ciip, MemoryBlock, PackedFootprint, SetIndex};
+use rtcache::{counts_dominate, CacheGeometry, Ciip, MemoryBlock, PackedFootprint, SetIndex};
 use rtprogram::cfg::{BlockId, Cfg};
 use rtprogram::sim::Trace;
 use rtprogram::Program;
@@ -56,11 +57,16 @@ struct Skyline {
 
 /// A memory trace reduced to block granularity with per-access hit flags
 /// from a cold-cache LRU simulation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct UsefulTrace {
     geometry: CacheGeometry,
-    /// `(block, next-run-is-hit)` per access, in program order.
+    /// `(block, hit)` per access, in program order.
     accesses: Vec<(MemoryBlock, bool)>,
+    /// `next_hit[pos]`: the next access to `accesses[pos]`'s block hits
+    /// (`false` if there is none) — the sweep's per-access "was useful"
+    /// flag. Derived from `accesses` by the same cold LRU replay that
+    /// classifies them.
+    next_hit: Vec<bool>,
     /// Dominance-pruned packed vectors for the fast Eq. 3 maximum;
     /// `None` when the geometry does not pack (`L > 255`) or the trace
     /// blew the skyline size caps — callers fall back to the exact
@@ -74,19 +80,14 @@ impl UsefulTrace {
     /// simulation's per-set hit/miss/eviction tallies are flushed into
     /// the recorder.
     pub fn from_trace(trace: &Trace, geometry: CacheGeometry) -> Self {
-        let mut cache = CacheSim::new(geometry);
-        let accesses = trace
-            .accesses
-            .iter()
-            .map(|a| {
-                let block = geometry.block_of_addr(a.addr);
-                (block, cache.access_block(block).is_hit())
-            })
-            .collect();
-        cache.flush_set_stats();
-        let mut trace = UsefulTrace { geometry, accesses, skyline: None };
-        trace.skyline = trace.build_skyline();
-        trace
+        let mut accesses = Vec::with_capacity(trace.accesses.len());
+        let next_hit = replay_cold_lru(
+            geometry,
+            trace.accesses.iter().map(|a| geometry.block_of_addr(a.addr)),
+            |_pos, block, hit| accesses.push((block, hit)),
+        );
+        record_set_tallies(geometry, &accesses);
+        UsefulTrace::build(geometry, accesses, next_hit)
     }
 
     /// Rebuilds a trace from an already-classified access sequence, as
@@ -97,9 +98,36 @@ impl UsefulTrace {
     /// [`AnalyzedProgram::from_parts`](crate::AnalyzedProgram::from_parts)),
     /// which perfbench's traced `cold_paper` op rebuilds.
     ///
+    /// # Panics
+    ///
+    /// Precondition: the hit flags must be exactly the ones a cold-cache
+    /// LRU simulation of the blocks under `geometry` yields (as
+    /// [`from_trace`] records them). Every derived quantity — the sweep,
+    /// the footprint built from misses, the skyline — relies on it, so
+    /// the replay that derives the next-hit flags checks it and panics
+    /// on the first access whose flag differs.
+    ///
     /// [`from_trace`]: UsefulTrace::from_trace
     pub fn from_accesses(geometry: CacheGeometry, accesses: Vec<(MemoryBlock, bool)>) -> Self {
-        let mut trace = UsefulTrace { geometry, accesses, skyline: None };
+        let next_hit =
+            replay_cold_lru(geometry, accesses.iter().map(|(b, _)| *b), |pos, block, hit| {
+                assert!(
+                    hit == accesses[pos].1,
+                    "access {pos} (block {block:?}) is flagged {}, but a cold LRU run under \
+                     {geometry:?} makes it a {}",
+                    if accesses[pos].1 { "hit" } else { "miss" },
+                    if hit { "hit" } else { "miss" },
+                );
+            });
+        UsefulTrace::build(geometry, accesses, next_hit)
+    }
+
+    fn build(
+        geometry: CacheGeometry,
+        accesses: Vec<(MemoryBlock, bool)>,
+        next_hit: Vec<bool>,
+    ) -> Self {
+        let mut trace = UsefulTrace { geometry, accesses, next_hit, skyline: None };
         trace.skyline = trace.build_skyline();
         trace
     }
@@ -139,16 +167,16 @@ impl UsefulTrace {
             if *candidates > MAX_SKYLINE_CANDIDATES {
                 return false;
             }
-            let dominated = points.iter().zip(&sums).any(|(p, s)| {
-                *s >= sum && p.counts().iter().zip(current).all(|(have, new)| have >= new)
-            });
+            let dominated = points
+                .iter()
+                .zip(&sums)
+                .any(|(p, s)| *s >= sum && counts_dominate(p.counts(), current));
             if dominated {
                 return true;
             }
             let mut i = 0;
             while i < points.len() {
-                let beaten = sums[i] <= sum
-                    && points[i].counts().iter().zip(current).all(|(have, new)| have <= new);
+                let beaten = sums[i] <= sum && counts_dominate(current, points[i].counts());
                 if beaten {
                     points.swap_remove(i);
                     sums.swap_remove(i);
@@ -213,8 +241,14 @@ impl UsefulTrace {
     }
 
     /// The distinct memory blocks of the whole trace (the task's `M`).
+    ///
+    /// Built from the misses alone: in a cold cache every block's first
+    /// access misses, so the misses already name every block.
     pub fn all_blocks(&self) -> Ciip {
-        Ciip::from_blocks(self.geometry, self.accesses.iter().map(|(b, _)| *b))
+        Ciip::from_blocks(
+            self.geometry,
+            self.accesses.iter().filter(|(_, hit)| !hit).map(|(b, _)| *b),
+        )
     }
 
     /// Runs the backward sweep, reporting `(position, set, old, new)`
@@ -222,29 +256,26 @@ impl UsefulTrace {
     /// each access position's update, at which point the maintained counts
     /// describe `useful(position)` (the state just before that access
     /// executes).
+    ///
+    /// A block is useful just before `pos` exactly when its next access
+    /// at or after `pos` hits. Stepping back over access `pos` therefore
+    /// changes its set's count only when the access's own flag differs
+    /// from `next_hit[pos]`, the flag it replaces.
     fn sweep(&self, mut visit: impl FnMut(usize, SetIndex, usize, usize)) {
-        // BTreeMaps, not HashMaps: everything observable about the sweep
-        // must be a pure function of the trace so that repeated analyses of
-        // one program produce byte-identical artifacts (the server memoizes
-        // and compares them across requests).
-        let mut status: BTreeMap<MemoryBlock, bool> = BTreeMap::new();
-        let mut counts: BTreeMap<SetIndex, usize> = BTreeMap::new();
-        for (pos, (block, hit)) in self.accesses.iter().enumerate().rev() {
+        let mut counts = vec![0usize; self.geometry.sets() as usize];
+        for (pos, ((block, hit), was)) in self.accesses.iter().zip(&self.next_hit).enumerate().rev()
+        {
             let set = self.geometry.index_of_block(*block);
-            let was = status.insert(*block, *hit).unwrap_or(false);
-            if was != *hit {
-                let count = counts.entry(set).or_insert(0);
-                let old = *count;
+            let count = &mut counts[set.as_usize()];
+            let old = *count;
+            if was != hit {
                 if *hit {
                     *count += 1;
                 } else {
                     *count -= 1;
                 }
-                visit(pos, set, old, *count);
-            } else {
-                let current = counts.get(&set).copied().unwrap_or(0);
-                visit(pos, set, current, current);
             }
+            visit(pos, set, old, *count);
         }
     }
 
@@ -374,6 +405,87 @@ impl UsefulTrace {
         }
         let (_, pos) = self.max_line_bound();
         self.useful_at(pos)
+    }
+}
+
+impl fmt::Debug for UsefulTrace {
+    /// Renders the trace's identity — geometry, classified accesses and
+    /// skyline. `next_hit` is left out: it is a function of the first
+    /// two, and artifact renderings (pinned by the artifact digest test)
+    /// carry only what identifies the trace.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("UsefulTrace")
+            .field("geometry", &self.geometry)
+            .field("accesses", &self.accesses)
+            .field("skyline", &self.skyline)
+            .finish()
+    }
+}
+
+/// Replays `blocks` through a cold LRU cache of `geometry`, reporting
+/// `(position, block, hit)` per access to `on_access`, and returns the
+/// next-hit flags: `next_hit[p]` is `true` when the access after `p` to
+/// the same block hits.
+///
+/// A hit at `q` means the block has sat in one line since its previous
+/// access `p`, and that line's entry still carries `p`. So each set is
+/// kept as an `L`-deep LRU stack of `(block, last access position)`
+/// entries, most recent first, and a hit marks the entry's position.
+fn replay_cold_lru(
+    geometry: CacheGeometry,
+    blocks: impl Iterator<Item = MemoryBlock>,
+    mut on_access: impl FnMut(usize, MemoryBlock, bool),
+) -> Vec<bool> {
+    let ways = geometry.ways() as usize;
+    let mut stacks: Vec<(MemoryBlock, usize)> =
+        vec![(MemoryBlock::new(0), 0); geometry.sets() as usize * ways];
+    let mut filled = vec![0usize; geometry.sets() as usize];
+    let mut next_hit = Vec::with_capacity(blocks.size_hint().0);
+    for (pos, block) in blocks.enumerate() {
+        let set = geometry.index_of_block(block).as_usize();
+        let stack = &mut stacks[set * ways..(set + 1) * ways];
+        let resident = &mut stack[..filled[set]];
+        let hit = match resident.iter().position(|(b, _)| *b == block) {
+            Some(way) => {
+                next_hit[resident[way].1] = true;
+                resident[..=way].rotate_right(1);
+                true
+            }
+            None => {
+                // Fill an empty way, or push the LRU entry off the end.
+                filled[set] = (filled[set] + 1).min(ways);
+                stack[..filled[set]].rotate_right(1);
+                false
+            }
+        };
+        stack[0] = (block, pos);
+        next_hit.push(false);
+        on_access(pos, block, hit);
+    }
+    next_hit
+}
+
+/// Flushes a cold simulation's per-set hit/miss/eviction tallies into
+/// the installed `rtobs` recorder, if any. In a cold cache the first `L`
+/// misses of a set fill empty ways and every later miss evicts.
+fn record_set_tallies(geometry: CacheGeometry, accesses: &[(MemoryBlock, bool)]) {
+    if !rtobs::enabled() {
+        return;
+    }
+    let mut tallies = vec![(0u64, 0u64); geometry.sets() as usize];
+    for (block, hit) in accesses {
+        let (hits, misses) = &mut tallies[geometry.index_of_block(*block).as_usize()];
+        if *hit {
+            *hits += 1;
+        } else {
+            *misses += 1;
+        }
+    }
+    let ways = u64::from(geometry.ways());
+    for (set, (hits, misses)) in tallies.into_iter().enumerate() {
+        if hits + misses > 0 {
+            rtobs::record_cache_set(set as u32, hits, misses, misses.saturating_sub(ways));
+        }
     }
 }
 
@@ -717,6 +829,32 @@ mod tests {
         assert_eq!(t.all_blocks().block_count(), 3);
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn set_tallies_match_the_cache_simulator() {
+        // The per-set hit/miss/eviction tallies recorded for the replay
+        // are the outcomes of a `CacheSim` pass over the same trace.
+        let g = geom(4, 2);
+        let blocks: Vec<u64> = (0..200).map(|i| (i * 7 + i / 5) % 19).collect();
+        let session = rtobs::begin();
+        UsefulTrace::from_trace(&trace_of(&blocks, g), g);
+        let replayed = session.recorder().counters().cache_sets;
+        let mut simulated: BTreeMap<u32, rtobs::SetTally> = BTreeMap::new();
+        let mut cache = rtcache::CacheSim::new(g);
+        for b in &blocks {
+            let block = MemoryBlock::new(*b);
+            let tally = simulated.entry(g.index_of_block(block).as_u32()).or_default();
+            match cache.access_block(block) {
+                rtcache::AccessOutcome::Hit => tally.hits += 1,
+                rtcache::AccessOutcome::Miss { evicted } => {
+                    tally.misses += 1;
+                    tally.evictions += u64::from(evicted.is_some());
+                }
+            }
+        }
+        assert!(simulated.values().any(|t| t.evictions > 0), "the trace must evict");
+        assert_eq!(replayed, simulated);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property-based tests for the CRPD analysis: invariants of the exact
-//! useful-block sweep, ordering laws among the four approaches, and
-//! monotonicity of the WCRT recurrence.
+//! useful-block sweep and its equality with a tree-map reference,
+//! ordering laws among the four approaches, and monotonicity of the WCRT
+//! recurrence.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use crpd::{reload_lines, AnalyzedTask, CrpdApproach, TaskParams, UsefulTrace};
-use rtcache::{CacheGeometry, Ciip, MemoryBlock};
+use rtcache::{CacheGeometry, CacheSim, Ciip, MemoryBlock, PackedFootprint, SetIndex};
 use rtprogram::sim::{AccessKind, MemoryAccess, Trace};
 use rtwcet::TimingModel;
 use rtworkloads::synthetic::{synthetic_task, SyntheticSpec};
@@ -132,6 +135,174 @@ proptest! {
         let t = UsefulTrace::from_trace(&trace_of(&blocks, geom), geom);
         prop_assert_eq!(t.max_line_bound().0, distinct.len());
     }
+}
+
+/// The analysis's useful-block sweep as it was written with tree maps:
+/// a `BTreeMap` of per-block "next access hits" status and one of per-set
+/// counts, updated per access. Kept here only as the reference the dense
+/// next-hit sweep must reproduce call for call.
+fn reference_sweep(
+    geometry: CacheGeometry,
+    accesses: &[(MemoryBlock, bool)],
+    mut visit: impl FnMut(usize, SetIndex, usize, usize),
+) {
+    let mut status: BTreeMap<MemoryBlock, bool> = BTreeMap::new();
+    let mut counts: BTreeMap<SetIndex, usize> = BTreeMap::new();
+    for (pos, (block, hit)) in accesses.iter().enumerate().rev() {
+        let set = geometry.index_of_block(*block);
+        let was = status.insert(*block, *hit).unwrap_or(false);
+        if was != *hit {
+            let count = counts.entry(set).or_insert(0);
+            let old = *count;
+            if *hit {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+            visit(pos, set, old, *count);
+        } else {
+            let current = counts.get(&set).copied().unwrap_or(0);
+            visit(pos, set, current, current);
+        }
+    }
+}
+
+/// `(max Σ_r min(|useful_r|, limit_r), position)` over the reference
+/// sweep, with the per-set limit supplied by `limit`.
+fn reference_max(
+    geometry: CacheGeometry,
+    accesses: &[(MemoryBlock, bool)],
+    limit: impl Fn(SetIndex) -> usize,
+) -> (usize, usize) {
+    let mut total = 0usize;
+    let mut best = (0usize, 0usize);
+    reference_sweep(geometry, accesses, |pos, set, old, new| {
+        let cap = limit(set);
+        total = total - old.min(cap) + new.min(cap);
+        if total > best.0 {
+            best = (total, pos);
+        }
+    });
+    best
+}
+
+/// The skyline build over the reference sweep with element-wise scalar
+/// dominance checks: `(kept saturated vectors, candidates examined)`.
+/// Traces here stay far below the analysis's size caps.
+fn reference_skyline(
+    geometry: CacheGeometry,
+    accesses: &[(MemoryBlock, bool)],
+) -> (Vec<Vec<u8>>, usize) {
+    let ways = geometry.ways() as usize;
+    let mut current = vec![0u8; geometry.sets() as usize];
+    let mut sum = 0usize;
+    let mut dirty = false;
+    let mut candidates = 0usize;
+    let mut points: Vec<(Vec<u8>, usize)> = Vec::new();
+    let mut emit = |current: &[u8], sum: usize| {
+        candidates += 1;
+        let dominated = points
+            .iter()
+            .any(|(p, s)| *s >= sum && p.iter().zip(current).all(|(have, new)| have >= new));
+        if !dominated {
+            points.retain(|(p, s)| !(*s <= sum && p.iter().zip(current).all(|(h, n)| h <= n)));
+            points.push((current.to_vec(), sum));
+        }
+    };
+    reference_sweep(geometry, accesses, |_pos, set, old, new| {
+        let (sold, snew) = (old.min(ways), new.min(ways));
+        if snew == sold {
+            return;
+        }
+        if snew > sold {
+            dirty = true;
+        } else if dirty {
+            emit(&current, sum);
+            dirty = false;
+        }
+        current[set.as_usize()] = snew as u8;
+        sum = sum + snew - sold;
+    });
+    if dirty {
+        emit(&current, sum);
+    }
+    (points.into_iter().map(|(p, _)| p).collect(), candidates)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The replay's hit flags are the cache simulator's, and the dense
+    /// next-hit sweep, the footprint built from misses and the chunked
+    /// dominance kernel reproduce the tree-map reference exactly: line bound and overlap bound (value and position), the footprint,
+    /// and the skyline's kept count, candidate count and Eq. 3 maximum,
+    /// over 1-8 ways and 1-64 sets.
+    #[test]
+    fn dense_sweep_matches_the_tree_map_reference(set_log in 0u32..=6, ways in 1u32..=8,
+                                                  raw in prop::collection::vec(0u64..4096, 0..400),
+                                                  spread in 1u64..4,
+                                                  mb in prop::collection::vec(0u64..4096, 0..120)) {
+        let geom = CacheGeometry::new(1 << set_log, ways, 16).expect("valid geometry");
+        // Blocks drawn from a few times the cache's capacity, so traces
+        // mix reuse hits with capacity and conflict misses.
+        let span = geom.total_lines() * spread + 1;
+        let blocks: Vec<u64> = raw.iter().map(|b| b % span).collect();
+        let t = UsefulTrace::from_trace(&trace_of(&blocks, geom), geom);
+        let accesses = t.accesses();
+        let mut cache = CacheSim::new(geom);
+        for (pos, (block, hit)) in accesses.iter().enumerate() {
+            prop_assert_eq!(cache.access_block(*block).is_hit(), *hit, "access {}", pos);
+        }
+
+        prop_assert_eq!(t.max_line_bound(), reference_max(geom, accesses, |_| ways as usize));
+        let mb = Ciip::from_blocks(geom, mb.iter().map(|b| MemoryBlock::new(b % span)));
+        prop_assert_eq!(
+            t.max_overlap_bound(&mb),
+            reference_max(geom, accesses, |set| mb.subset_len(set).min(ways as usize))
+        );
+        prop_assert_eq!(
+            t.all_blocks(),
+            Ciip::from_blocks(geom, accesses.iter().map(|(b, _)| *b))
+        );
+
+        let (kept, candidates) = reference_skyline(geom, accesses);
+        prop_assert_eq!(t.skyline_kept(), Some(kept.len()));
+        prop_assert_eq!(t.skyline_candidates(), Some(candidates));
+        let packed = PackedFootprint::from_ciip(&mb).expect("ways <= 8 packs");
+        let reference_overlap = kept
+            .iter()
+            .map(|p| p.iter().zip(packed.counts()).map(|(a, b)| usize::from(*a.min(b))).sum())
+            .max()
+            .unwrap_or(0);
+        prop_assert_eq!(t.max_packed_overlap(&packed), reference_overlap);
+    }
+
+    /// `from_accesses` accepts exactly the hit flags a cold LRU run
+    /// yields: the recorded flags rebuild an equal trace, and flipping
+    /// any one of them is rejected.
+    #[test]
+    fn from_accesses_rejects_flags_no_cold_lru_run_produces(
+        set_log in 0u32..=3, ways in 1u32..=4,
+        blocks in prop::collection::vec(0u64..48, 1..120),
+        at in 0usize..1000,
+    ) {
+        let geom = CacheGeometry::new(1 << set_log, ways, 16).expect("valid geometry");
+        let t = UsefulTrace::from_trace(&trace_of(&blocks, geom), geom);
+        let rebuilt = UsefulTrace::from_accesses(geom, t.accesses().to_vec());
+        prop_assert_eq!(&rebuilt, &t);
+        let mut flipped = t.accesses().to_vec();
+        let at = at % flipped.len();
+        flipped[at].1 = !flipped[at].1;
+        let rejected = std::panic::catch_unwind(move || UsefulTrace::from_accesses(geom, flipped));
+        prop_assert!(rejected.is_err(), "flipped flag at {} accepted", at);
+    }
+}
+
+#[test]
+#[should_panic(expected = "cold LRU run")]
+fn from_accesses_rejects_a_hit_on_a_cold_cache() {
+    let geom = CacheGeometry::new(4, 2, 16).expect("valid geometry");
+    let _ = UsefulTrace::from_accesses(geom, vec![(MemoryBlock::new(3), true)]);
 }
 
 proptest! {

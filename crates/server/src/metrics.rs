@@ -296,15 +296,15 @@ impl Metrics {
             "Work items stolen by background pool workers.",
             pool.items_stolen,
         );
-        let skyline = rtobs::skyline_totals();
+        let skyline = flight.skyline_totals();
         counter(
             "rtserver_skyline_points_kept_total",
-            "Pareto-maximal useful-footprint points kept by skyline pruning.",
+            "Pareto-maximal useful-footprint points kept by skyline pruning in this server's requests.",
             skyline.kept,
         );
         counter(
             "rtserver_skyline_points_pruned_total",
-            "Dominated useful-footprint points discarded by skyline pruning.",
+            "Dominated useful-footprint points discarded by skyline pruning in this server's requests.",
             skyline.pruned,
         );
         counter(

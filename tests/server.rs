@@ -267,13 +267,29 @@ fn metrics_prom_returns_consistent_prometheus_text() {
         "wcrt _sum line present"
     );
 
-    // Skyline totals are process-wide and fed by every cold analysis,
-    // with or without a tracing session.
+    // Skyline totals count this server's requests only: the first request
+    // analyzes both tasks cold, the second reuses the stored artifacts,
+    // so the kept total is exactly what those two artifacts kept.
+    let geometry = rtcache::CacheGeometry::new(64, 2, 16).expect("the spec's geometry");
+    let expected_kept: usize = [("hi", TASK_HI), ("lo", TASK_LO)]
+        .into_iter()
+        .map(|(name, source)| {
+            let program = rtprogram::asm::assemble(name, source).expect("task assembles");
+            let artifact = crpd::AnalyzedProgram::analyze(
+                &program,
+                geometry,
+                rtwcet::TimingModel::with_miss_penalty(20),
+            )
+            .expect("task analyzes");
+            artifact.paths().iter().map(|p| p.trace.skyline_kept().expect("packs")).sum::<usize>()
+        })
+        .sum();
     let kept_line = text
         .lines()
         .find(|l| l.starts_with("rtserver_skyline_points_kept_total "))
         .expect("skyline kept line");
-    assert!(bucket_value(kept_line) > 0, "cold analyses built skylines: {kept_line}");
+    assert!(expected_kept > 0, "the tasks' traces have useful blocks");
+    assert_eq!(bucket_value(kept_line), expected_kept as u64, "{kept_line}");
 
     assert_eq!(replies[3].get("ok").and_then(Json::as_bool), Some(true));
     handle.join().expect("clean exit");
