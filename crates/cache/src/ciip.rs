@@ -125,8 +125,8 @@ impl Ciip {
     /// be displaced when `other`'s blocks are loaded (and vice versa — the
     /// bound is symmetric).
     ///
-    /// When an `rtobs` recorder is installed, every non-zero per-set term
-    /// is recorded together with the `min` argument that produced it.
+    /// The analysis runs the packed kernel ([`crate::PackedFootprint`]);
+    /// this tree walk is its reference.
     ///
     /// # Panics
     ///
@@ -137,14 +137,6 @@ impl Ciip {
             self.geometry, other.geometry,
             "CIIPs from different cache geometries cannot be compared"
         );
-        if rtobs::enabled() {
-            let mut total = 0;
-            self.for_each_overlap_term(other, |c| {
-                rtobs::record_overlap_set(c.set.as_u32(), c.lines as u64, c.cap);
-                total += c.lines;
-            });
-            return total;
-        }
         let ways = self.geometry.ways() as usize;
         // Iterate the smaller map for efficiency; the bound is symmetric.
         let (small, large) =
@@ -152,11 +144,22 @@ impl Ciip {
         small.parts.iter().map(|(idx, s)| s.len().min(large.subset_len(*idx)).min(ways)).sum()
     }
 
-    /// Visits every non-zero per-set term of the bound in set-index order
-    /// without allocating; the shared core of [`Ciip::overlap_bound`]'s
-    /// recording path and [`Ciip::overlap_contributions`].
-    fn for_each_overlap_term(&self, other: &Ciip, mut visit: impl FnMut(OverlapContribution)) {
+    /// The per-set terms of [`Ciip::overlap_bound`], in set-index order,
+    /// each annotated with the binding argument of
+    /// `min(|m̂a,r|, |m̂b,r|, L)`. `self` plays the preempted side (`a`),
+    /// `other` the preempting side (`b`); the total equals the bound.
+    /// Zero terms are omitted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometries differ.
+    pub fn overlap_contributions(&self, other: &Ciip) -> Vec<OverlapContribution> {
+        assert_eq!(
+            self.geometry, other.geometry,
+            "CIIPs from different cache geometries cannot be compared"
+        );
         let ways = self.geometry.ways() as usize;
+        let mut contributions = Vec::new();
         for (idx, subset) in &self.parts {
             let a = subset.len();
             let b = other.subset_len(*idx);
@@ -174,26 +177,8 @@ impl Ciip {
             } else {
                 rtobs::OverlapCap::Preempting
             };
-            visit(OverlapContribution { set: *idx, lines, cap });
+            contributions.push(OverlapContribution { set: *idx, lines, cap });
         }
-    }
-
-    /// The per-set terms of [`Ciip::overlap_bound`], in set-index order,
-    /// each annotated with the binding argument of
-    /// `min(|m̂a,r|, |m̂b,r|, L)`. `self` plays the preempted side (`a`),
-    /// `other` the preempting side (`b`); the total equals the bound.
-    /// Zero terms are omitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometries differ.
-    pub fn overlap_contributions(&self, other: &Ciip) -> Vec<OverlapContribution> {
-        assert_eq!(
-            self.geometry, other.geometry,
-            "CIIPs from different cache geometries cannot be compared"
-        );
-        let mut contributions = Vec::new();
-        self.for_each_overlap_term(other, |c| contributions.push(c));
         contributions
     }
 
@@ -233,19 +218,6 @@ impl Ciip {
     /// way count).
     pub fn max_set_pressure(&self) -> usize {
         self.parts.values().map(BTreeSet::len).max().unwrap_or(0)
-    }
-
-    /// Block-wise intersection of two partitions (blocks present in both).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometries differ.
-    pub fn intersection(&self, other: &Ciip) -> Ciip {
-        assert_eq!(
-            self.geometry, other.geometry,
-            "CIIPs from different cache geometries cannot be intersected"
-        );
-        Ciip::from_blocks(self.geometry, self.blocks().filter(|b| other.contains(*b)))
     }
 
     /// Block-wise union of two partitions.
@@ -354,19 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_bound_is_unchanged_by_an_installed_recorder() {
-        let m1 = example3();
-        let m2 = Ciip::from_addrs(geom(), [0x200u64, 0x310, 0x410, 0x510]);
-        let plain = m1.overlap_bound(&m2);
-        let session = rtobs::begin();
-        assert_eq!(m1.overlap_bound(&m2), plain);
-        let counters = session.recorder().counters();
-        drop(session);
-        let recorded: u64 = counters.overlap_sets.values().map(|t| t.contributed).sum();
-        assert_eq!(recorded, plain as u64);
-    }
-
-    #[test]
     fn overlap_bound_caps_at_ways() {
         // Direct-mapped: L = 1 caps every set's contribution at 1.
         let g = CacheGeometry::new(16, 1, 16).unwrap();
@@ -380,7 +339,6 @@ mod tests {
         let a = Ciip::from_addrs(geom(), [0x000u64, 0x100]);
         let b = Ciip::from_addrs(geom(), [0x010u64, 0x110]);
         assert_eq!(a.overlap_bound(&b), 0);
-        assert!(a.intersection(&b).is_empty());
     }
 
     #[test]
@@ -395,15 +353,13 @@ mod tests {
     }
 
     #[test]
-    fn intersection_and_union() {
+    fn union_merges_blocks() {
         let a = Ciip::from_addrs(geom(), [0x000u64, 0x010, 0x020]);
         let b = Ciip::from_addrs(geom(), [0x010u64, 0x020, 0x030]);
-        let i = a.intersection(&b);
-        assert_eq!(i.block_count(), 2);
         let u = a.union(&b);
         assert_eq!(u.block_count(), 4);
-        for blk in i.blocks() {
-            assert!(a.contains(blk) && b.contains(blk));
+        for blk in a.blocks().chain(b.blocks()) {
+            assert!(u.contains(blk));
         }
     }
 

@@ -88,8 +88,14 @@ pub enum GeometryError {
     /// The number of sets must be a non-zero power of two so the index can
     /// be carved out of the address bits.
     SetsNotPowerOfTwo(u32),
+    /// More sets than [`CacheGeometry::MAX_SETS`]: per-set tables are
+    /// dense, so the set count bounds the memory one analysis takes.
+    TooManySets(u32),
     /// At least one way is required.
     ZeroWays,
+    /// More ways than [`CacheGeometry::MAX_WAYS`], the widest count a
+    /// packed footprint's one-byte lane holds.
+    TooManyWays(u32),
     /// The line size must be a power of two of at least 4 bytes (one
     /// instruction word).
     BadLineBytes(u32),
@@ -101,7 +107,17 @@ impl fmt::Display for GeometryError {
             GeometryError::SetsNotPowerOfTwo(n) => {
                 write!(f, "number of cache sets must be a power of two, got {n}")
             }
+            GeometryError::TooManySets(n) => {
+                write!(
+                    f,
+                    "number of cache sets must be at most {}, got {n}",
+                    CacheGeometry::MAX_SETS
+                )
+            }
             GeometryError::ZeroWays => write!(f, "cache must have at least one way"),
+            GeometryError::TooManyWays(n) => {
+                write!(f, "number of ways must be at most {}, got {n}", CacheGeometry::MAX_WAYS)
+            }
             GeometryError::BadLineBytes(n) => {
                 write!(f, "line size must be a power of two >= 4 bytes, got {n}")
             }
@@ -139,19 +155,39 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
+    /// The most sets a geometry may have (2^16). Every per-set table the
+    /// analysis keeps is dense, so this bounds the memory one untrusted
+    /// spec can ask for.
+    pub const MAX_SETS: u32 = 1 << 16;
+
+    /// The most ways a geometry may have: a packed footprint stores each
+    /// set's saturated count `min(|m̂_r|, L)` in one byte.
+    pub const MAX_WAYS: u32 = u8::MAX as u32;
+
     /// Creates a geometry with `sets` cache sets, `ways` lines per set and
     /// `line_bytes` bytes per line.
     ///
+    /// This is the one place that decides which caches the tool analyses:
+    /// every accepted geometry packs (see [`crate::PackedFootprint`]).
+    ///
     /// # Errors
     ///
-    /// Returns [`GeometryError`] if `sets` is not a power of two, `ways` is
-    /// zero, or `line_bytes` is not a power of two of at least 4.
+    /// Returns [`GeometryError`] if `sets` is not a power of two or exceeds
+    /// [`MAX_SETS`](Self::MAX_SETS), `ways` is zero or exceeds
+    /// [`MAX_WAYS`](Self::MAX_WAYS), or `line_bytes` is not a power of two
+    /// of at least 4.
     pub fn new(sets: u32, ways: u32, line_bytes: u32) -> Result<Self, GeometryError> {
         if sets == 0 || !sets.is_power_of_two() {
             return Err(GeometryError::SetsNotPowerOfTwo(sets));
         }
+        if sets > Self::MAX_SETS {
+            return Err(GeometryError::TooManySets(sets));
+        }
         if ways == 0 {
             return Err(GeometryError::ZeroWays);
+        }
+        if ways > Self::MAX_WAYS {
+            return Err(GeometryError::TooManyWays(ways));
         }
         if line_bytes < 4 || !line_bytes.is_power_of_two() {
             return Err(GeometryError::BadLineBytes(line_bytes));
@@ -236,11 +272,6 @@ impl CacheGeometry {
     pub const fn tag_of_block(&self, block: MemoryBlock) -> u64 {
         block.0 >> self.index_bits
     }
-
-    /// Iterates over all set indices `0 .. sets`.
-    pub fn set_indices(&self) -> impl Iterator<Item = SetIndex> {
-        (0..self.sets).map(SetIndex)
-    }
 }
 
 impl fmt::Display for CacheGeometry {
@@ -306,8 +337,23 @@ mod tests {
         assert_eq!(CacheGeometry::new(3, 4, 16).unwrap_err(), GeometryError::SetsNotPowerOfTwo(3));
         assert_eq!(CacheGeometry::new(0, 4, 16).unwrap_err(), GeometryError::SetsNotPowerOfTwo(0));
         assert_eq!(CacheGeometry::new(16, 0, 16).unwrap_err(), GeometryError::ZeroWays);
+        assert_eq!(CacheGeometry::new(16, 256, 16).unwrap_err(), GeometryError::TooManyWays(256));
+        assert_eq!(
+            CacheGeometry::new(1 << 17, 4, 16).unwrap_err(),
+            GeometryError::TooManySets(1 << 17)
+        );
+        assert_eq!(
+            CacheGeometry::new(1 << 31, 1, 16).unwrap_err(),
+            GeometryError::TooManySets(1 << 31)
+        );
         assert_eq!(CacheGeometry::new(16, 4, 12).unwrap_err(), GeometryError::BadLineBytes(12));
         assert_eq!(CacheGeometry::new(16, 4, 2).unwrap_err(), GeometryError::BadLineBytes(2));
+    }
+
+    #[test]
+    fn accepts_the_widest_and_largest_geometry() {
+        let g = CacheGeometry::new(CacheGeometry::MAX_SETS, CacheGeometry::MAX_WAYS, 16).unwrap();
+        assert_eq!((g.sets(), g.ways()), (65_536, 255));
     }
 
     #[test]
@@ -341,6 +387,14 @@ mod tests {
         let e = GeometryError::SetsNotPowerOfTwo(5);
         assert!(e.to_string().contains("power of two"));
         assert!(GeometryError::ZeroWays.to_string().contains("one way"));
+        assert_eq!(
+            GeometryError::TooManyWays(300).to_string(),
+            "number of ways must be at most 255, got 300"
+        );
+        assert_eq!(
+            GeometryError::TooManySets(1 << 20).to_string(),
+            "number of cache sets must be at most 65536, got 1048576"
+        );
         assert!(GeometryError::BadLineBytes(3).to_string().contains("line size"));
     }
 }

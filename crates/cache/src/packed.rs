@@ -1,13 +1,15 @@
 //! Dense, pre-saturated footprint vectors for the Eq. 2 / Eq. 3 kernel.
 //!
-//! [`Ciip::overlap_bound`] walks two `BTreeMap`s and pays a tree lookup
-//! per non-empty set. Inside the Approach 4 quadruple loop (preempting
-//! path × preempted path × trace point × cache set) that walk dominates a
-//! cold analysis. A [`PackedFootprint`] flattens the partition into one
-//! byte per cache set holding `min(|m̂_r|, L)` — the only quantity the
-//! bound ever reads — so the overlap bound becomes a branchless min-sum
-//! over two byte slices (2 KB each for the paper's 32 KiB / 4-way
-//! geometry) that the compiler autovectorizes.
+//! A [`PackedFootprint`] flattens a [`Ciip`] into one byte per cache set
+//! holding `min(|m̂_r|, L)` — the only quantity the bound ever reads — so
+//! the overlap bound becomes a branchless min-sum over two byte slices
+//! (2 KB each for the paper's 32 KiB / 4-way geometry) that the compiler
+//! autovectorizes. It is the one Eq. 2/3 kernel every approach runs;
+//! [`Ciip::overlap_bound`]'s tree walk stays as its reference.
+//!
+//! Every geometry [`CacheGeometry::new`] accepts packs: it caps the way
+//! count at [`CacheGeometry::MAX_WAYS`] (255), so a saturated count always
+//! fits its byte.
 //!
 //! Saturating at `L` during construction is lossless for every consumer:
 //! the per-set term is `min(|m̂a,r|, |m̂b,r|, L) = min(sat_a[r], sat_b[r])`
@@ -22,11 +24,6 @@ use crate::{CacheGeometry, Ciip, SetIndex};
 /// holding the saturated count `min(|m̂_r|, L)`, plus the precomputed
 /// line bound `Σ_r min(|m̂_r|, L)`.
 ///
-/// Construction fails (returns `None`) only when the geometry's way count
-/// does not fit a byte (`L > 255`) — the saturated counts would alias and
-/// the bound could under-count. Callers fall back to the exact
-/// [`Ciip`] path in that (purely theoretical) case.
-///
 /// ```
 /// use rtcache::{CacheGeometry, Ciip, PackedFootprint};
 ///
@@ -34,8 +31,8 @@ use crate::{CacheGeometry, Ciip, SetIndex};
 /// let geom = CacheGeometry::example2();
 /// let m1 = Ciip::from_addrs(geom, [0x000u64, 0x100, 0x010, 0x110, 0x210]);
 /// let m2 = Ciip::from_addrs(geom, [0x200u64, 0x310, 0x410, 0x510]);
-/// let p1 = PackedFootprint::from_ciip(&m1).unwrap();
-/// let p2 = PackedFootprint::from_ciip(&m2).unwrap();
+/// let p1 = PackedFootprint::from_ciip(&m1);
+/// let p2 = PackedFootprint::from_ciip(&m2);
 /// assert_eq!(p1.overlap_bound(&p2), m1.overlap_bound(&m2));
 /// assert_eq!(p1.line_bound(), m1.line_bound());
 /// ```
@@ -50,22 +47,17 @@ pub struct PackedFootprint {
 
 impl PackedFootprint {
     /// Packs a [`Ciip`] into its dense saturated-count vector.
-    ///
-    /// Returns `None` when `geometry.ways() > 255` (the saturated count
-    /// would not fit a byte; use the exact [`Ciip`] bound instead).
-    pub fn from_ciip(ciip: &Ciip) -> Option<Self> {
+    pub fn from_ciip(ciip: &Ciip) -> Self {
         Self::from_counts(ciip.geometry(), ciip.iter().map(|(idx, subset)| (idx, subset.len())))
     }
 
     /// Packs explicit per-set block counts (absent sets count zero),
     /// saturating each at the way count.
-    ///
-    /// Returns `None` when `geometry.ways() > 255`.
-    pub fn from_counts<I>(geometry: CacheGeometry, counts: I) -> Option<Self>
+    pub fn from_counts<I>(geometry: CacheGeometry, counts: I) -> Self
     where
         I: IntoIterator<Item = (SetIndex, usize)>,
     {
-        let ways = u8::try_from(geometry.ways()).ok()?;
+        let ways = u8::try_from(geometry.ways()).expect("CacheGeometry::new caps ways at 255");
         let mut packed = vec![0u8; geometry.sets() as usize];
         let mut line_bound = 0usize;
         for (idx, count) in counts {
@@ -74,7 +66,7 @@ impl PackedFootprint {
             line_bound = line_bound - *slot as usize + sat as usize;
             *slot = sat;
         }
-        Some(PackedFootprint { geometry, counts: packed, line_bound })
+        PackedFootprint { geometry, counts: packed, line_bound }
     }
 
     /// The geometry the footprint was packed for.
@@ -207,8 +199,8 @@ mod tests {
     fn example4_matches_tree_bound() {
         let m1 = example3();
         let m2 = Ciip::from_addrs(geom(), [0x200u64, 0x310, 0x410, 0x510]);
-        let p1 = PackedFootprint::from_ciip(&m1).unwrap();
-        let p2 = PackedFootprint::from_ciip(&m2).unwrap();
+        let p1 = PackedFootprint::from_ciip(&m1);
+        let p2 = PackedFootprint::from_ciip(&m2);
         assert_eq!(p1.overlap_bound(&p2), 4);
         assert_eq!(p2.overlap_bound(&p1), 4, "bound is symmetric");
         assert_eq!(p1.line_bound(), m1.line_bound());
@@ -220,7 +212,7 @@ mod tests {
         let g = CacheGeometry::new(4, 2, 16).unwrap();
         // Five blocks in set 0 saturate at 2 ways.
         let m = Ciip::from_blocks(g, (0..5u64).map(|i| crate::MemoryBlock::new(i * 4)));
-        let p = PackedFootprint::from_ciip(&m).unwrap();
+        let p = PackedFootprint::from_ciip(&m);
         assert_eq!(p.count(SetIndex::new(0)), 2);
         assert_eq!(p.count(SetIndex::new(1)), 0);
         assert_eq!(p.line_bound(), 2);
@@ -234,20 +226,11 @@ mod tests {
             let g = CacheGeometry::new(sets, 4, 16).unwrap();
             let a = Ciip::from_blocks(g, (0..600u64).map(crate::MemoryBlock::new));
             let b = Ciip::from_blocks(g, (300..700u64).map(|i| crate::MemoryBlock::new(i * 3)));
-            let pa = PackedFootprint::from_ciip(&a).unwrap();
-            let pb = PackedFootprint::from_ciip(&b).unwrap();
+            let pa = PackedFootprint::from_ciip(&a);
+            let pb = PackedFootprint::from_ciip(&b);
             assert_eq!(pa.overlap_bound(&pb), a.overlap_bound(&b), "{sets} sets");
             assert_eq!(pa.line_bound(), a.line_bound());
         }
-    }
-
-    #[test]
-    fn wide_geometry_is_rejected() {
-        let g = CacheGeometry::new(4, 300, 16).unwrap();
-        assert!(PackedFootprint::from_ciip(&Ciip::empty(g)).is_none());
-        // 255 ways still packs.
-        let g = CacheGeometry::new(4, 255, 16).unwrap();
-        assert!(PackedFootprint::from_ciip(&Ciip::empty(g)).is_some());
     }
 
     #[test]
@@ -257,8 +240,8 @@ mod tests {
         let g = CacheGeometry::new(1, 4, 16).unwrap();
         let a = Ciip::from_blocks(g, (0..7u64).map(crate::MemoryBlock::new));
         let b = Ciip::from_blocks(g, (5..8u64).map(crate::MemoryBlock::new));
-        let pa = PackedFootprint::from_ciip(&a).unwrap();
-        let pb = PackedFootprint::from_ciip(&b).unwrap();
+        let pa = PackedFootprint::from_ciip(&a);
+        let pb = PackedFootprint::from_ciip(&b);
         assert_eq!(pa.count(SetIndex::new(0)), 4, "7 blocks saturate at 4 ways");
         assert_eq!(pa.overlap_bound(&pb), a.overlap_bound(&b));
         assert_eq!(pa.overlap_bound(&pb), 3, "min(4, 3, L=4)");
@@ -271,22 +254,18 @@ mod tests {
         let g = CacheGeometry::new(2, 255, 16).unwrap();
         let a = Ciip::from_blocks(g, (0..300u64).map(crate::MemoryBlock::new));
         let b = Ciip::from_blocks(g, (100..500u64).map(crate::MemoryBlock::new));
-        let pa = PackedFootprint::from_ciip(&a).unwrap();
-        let pb = PackedFootprint::from_ciip(&b).unwrap();
+        let pa = PackedFootprint::from_ciip(&a);
+        let pb = PackedFootprint::from_ciip(&b);
         assert_eq!(pa.overlap_bound(&pb), a.overlap_bound(&b));
-        // 256 ways no longer fits a u8 lane: packing declines, the tree
-        // walk remains the only kernel.
-        let g = CacheGeometry::new(2, 256, 16).unwrap();
-        let wide = Ciip::from_blocks(g, (0..300u64).map(crate::MemoryBlock::new));
-        assert!(PackedFootprint::from_ciip(&wide).is_none());
-        assert!(wide.overlap_bound(&wide) > 0, "the tree bound still works at 256 ways");
+        // 256 ways do not fit a u8 lane, so `CacheGeometry::new` refuses them.
+        assert_eq!(CacheGeometry::new(2, 256, 16), Err(crate::GeometryError::TooManyWays(256)));
     }
 
     #[test]
     fn zero_footprint_overlaps_nothing_both_ways() {
         let g = geom();
-        let empty = PackedFootprint::from_ciip(&Ciip::empty(g)).unwrap();
-        let full = PackedFootprint::from_ciip(&example3()).unwrap();
+        let empty = PackedFootprint::from_ciip(&Ciip::empty(g));
+        let full = PackedFootprint::from_ciip(&example3());
         assert_eq!(empty.overlap_bound(&full), 0);
         assert_eq!(full.overlap_bound(&empty), 0);
         assert_eq!(empty.overlap_bound(&empty), 0);
@@ -297,18 +276,17 @@ mod tests {
     #[test]
     fn dominance_is_elementwise() {
         let g = geom();
-        let small = PackedFootprint::from_ciip(&Ciip::from_addrs(g, [0x000u64, 0x010])).unwrap();
+        let small = PackedFootprint::from_ciip(&Ciip::from_addrs(g, [0x000u64, 0x010]));
         let big = PackedFootprint::from_ciip(&Ciip::from_addrs(
             g,
             [0x000u64, 0x100, 0x010, 0x110, 0x020],
-        ))
-        .unwrap();
+        ));
         assert!(big.dominates(&small));
         assert!(!small.dominates(&big));
         assert!(big.dominates(&big), "dominance is reflexive");
         // Incomparable vectors: each has a set the other lacks.
-        let left = PackedFootprint::from_ciip(&Ciip::from_addrs(g, [0x000u64])).unwrap();
-        let right = PackedFootprint::from_ciip(&Ciip::from_addrs(g, [0x010u64])).unwrap();
+        let left = PackedFootprint::from_ciip(&Ciip::from_addrs(g, [0x000u64]));
+        let right = PackedFootprint::from_ciip(&Ciip::from_addrs(g, [0x010u64]));
         assert!(!left.dominates(&right) && !right.dominates(&left));
     }
 
@@ -342,18 +320,16 @@ mod tests {
     #[test]
     fn dominated_point_never_beats_dominator_on_any_preemptor() {
         let g = geom();
-        let small = PackedFootprint::from_ciip(&Ciip::from_addrs(g, [0x000u64, 0x010])).unwrap();
+        let small = PackedFootprint::from_ciip(&Ciip::from_addrs(g, [0x000u64, 0x010]));
         let big = PackedFootprint::from_ciip(&Ciip::from_addrs(
             g,
             [0x000u64, 0x100, 0x010, 0x110, 0x020],
-        ))
-        .unwrap();
+        ));
         for seed in 0..16u64 {
             let mb = PackedFootprint::from_ciip(&Ciip::from_blocks(
                 g,
                 (0..20).map(|i| crate::MemoryBlock::new(i * seed + i)),
-            ))
-            .unwrap();
+            ));
             assert!(small.overlap_bound(&mb) <= big.overlap_bound(&mb));
         }
     }
@@ -364,8 +340,7 @@ mod tests {
         let p = PackedFootprint::from_counts(
             g,
             [(SetIndex::new(1), 7), (SetIndex::new(1), 1), (SetIndex::new(2), 3)],
-        )
-        .unwrap();
+        );
         assert_eq!(p.count(SetIndex::new(1)), 1);
         assert_eq!(p.count(SetIndex::new(2)), 3);
         assert_eq!(p.line_bound(), 4);
@@ -374,15 +349,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "different cache geometries")]
     fn geometry_mismatch_panics() {
-        let a = PackedFootprint::from_ciip(&Ciip::empty(geom())).unwrap();
-        let b = PackedFootprint::from_ciip(&Ciip::empty(CacheGeometry::new(32, 4, 16).unwrap()))
-            .unwrap();
+        let a = PackedFootprint::from_ciip(&Ciip::empty(geom()));
+        let b = PackedFootprint::from_ciip(&Ciip::empty(CacheGeometry::new(32, 4, 16).unwrap()));
         let _ = a.overlap_bound(&b);
     }
 
     #[test]
     fn display_summarizes() {
-        let p = PackedFootprint::from_ciip(&example3()).unwrap();
+        let p = PackedFootprint::from_ciip(&example3());
         assert_eq!(p.to_string(), "PackedFootprint(5 lines over 2 sets)");
     }
 }

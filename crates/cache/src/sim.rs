@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::{CacheGeometry, MemoryBlock, ReplacementPolicy, SetIndex};
+use crate::{CacheGeometry, MemoryBlock, ReplacementPolicy};
 
 /// Outcome of a single cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,7 +214,8 @@ impl CacheSim {
     }
 
     /// Invalidates every line (cold cache) and clears recency state.
-    pub fn invalidate_all(&mut self) {
+    #[cfg(test)]
+    fn invalidate_all(&mut self) {
         for set in &mut self.sets {
             *set = SetState::new(self.geometry.ways());
         }
@@ -295,7 +296,8 @@ impl CacheSim {
     }
 
     /// The blocks currently resident in one set, most-recently-used first.
-    pub fn set_contents(&self, index: SetIndex) -> Vec<MemoryBlock> {
+    #[cfg(test)]
+    fn set_contents(&self, index: crate::SetIndex) -> Vec<MemoryBlock> {
         let set = &self.sets[index.as_usize()];
         let mut occupied: Vec<(u64, MemoryBlock)> = set
             .lines
@@ -345,7 +347,8 @@ impl CacheSnapshot {
     }
 
     /// Number of valid lines.
-    pub fn resident_count(&self) -> usize {
+    #[cfg(test)]
+    fn resident_count(&self) -> usize {
         self.sets.iter().map(BTreeSet::len).sum()
     }
 
@@ -371,6 +374,7 @@ impl CacheSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SetIndex;
 
     fn small() -> CacheGeometry {
         CacheGeometry::new(2, 2, 16).unwrap()

@@ -2,7 +2,7 @@
 //! CIIP partition laws, and the Eq. 2 bound against simulated evictions.
 
 use proptest::prelude::*;
-use rtcache::{CacheGeometry, CacheSim, Ciip, MemoryBlock, ReplacementPolicy};
+use rtcache::{CacheGeometry, CacheSim, Ciip, MemoryBlock, ReplacementPolicy, SetIndex};
 use std::collections::BTreeSet;
 
 fn arb_geometry() -> impl Strategy<Value = CacheGeometry> {
@@ -28,7 +28,7 @@ proptest! {
             prop_assert!(cache.is_resident(block));
         }
         let snap = cache.snapshot();
-        for idx in geom.set_indices() {
+        for idx in (0..geom.sets()).map(SetIndex::new) {
             let in_set: Vec<_> = snap.blocks()
                 .filter(|b| geom.index_of_block(*b) == idx)
                 .collect();
@@ -60,7 +60,7 @@ proptest! {
     #[test]
     fn fitting_working_set_all_hits(geom in arb_geometry(), refs in arb_blocks(100)) {
         let distinct: BTreeSet<_> = refs.iter().map(|r| MemoryBlock::new(*r)).collect();
-        let fits = geom.set_indices().all(|idx| {
+        let fits = (0..geom.sets()).map(SetIndex::new).all(|idx| {
             distinct.iter().filter(|b| geom.index_of_block(**b) == idx).count()
                 <= geom.ways() as usize
         });
@@ -131,8 +131,8 @@ proptest! {
         };
         let (ca, cb) = (count_per_set(&a), count_per_set(&b));
         let ways = geom.ways() as usize;
-        let expected: usize = geom
-            .set_indices()
+        let expected: usize = (0..geom.sets())
+            .map(SetIndex::new)
             .map(|r| {
                 ca.get(&r).copied().unwrap_or(0).min(cb.get(&r).copied().unwrap_or(0)).min(ways)
             })
@@ -190,7 +190,7 @@ proptest! {
     fn ciip_algebra(geom in arb_geometry(), a in arb_blocks(60), b in arb_blocks(60)) {
         let ma = Ciip::from_blocks(geom, a.iter().map(|r| MemoryBlock::new(*r)));
         let mb = Ciip::from_blocks(geom, b.iter().map(|r| MemoryBlock::new(*r)));
-        let i = ma.intersection(&mb);
+        let i = Ciip::from_blocks(geom, ma.blocks().filter(|b| mb.contains(*b)));
         let u = ma.union(&mb);
         prop_assert_eq!(i.block_count() + u.block_count(), ma.block_count() + mb.block_count());
         for blk in i.blocks() {
@@ -225,8 +225,8 @@ mod packed_props {
                                           a in arb_blocks(120), b in arb_blocks(120)) {
             let ma = Ciip::from_blocks(geom, a.iter().map(|r| MemoryBlock::new(*r)));
             let mb = Ciip::from_blocks(geom, b.iter().map(|r| MemoryBlock::new(*r)));
-            let pa = PackedFootprint::from_ciip(&ma).expect("ways <= 8 packs");
-            let pb = PackedFootprint::from_ciip(&mb).expect("ways <= 8 packs");
+            let pa = PackedFootprint::from_ciip(&ma);
+            let pb = PackedFootprint::from_ciip(&mb);
             prop_assert_eq!(pa.overlap_bound(&pb), ma.overlap_bound(&mb));
             prop_assert_eq!(pb.overlap_bound(&pa), mb.overlap_bound(&ma));
             prop_assert_eq!(pa.line_bound(), ma.line_bound());
@@ -241,12 +241,12 @@ mod packed_props {
                                                    probe in arb_blocks(80)) {
             let small = Ciip::from_blocks(geom, a.iter().map(|r| MemoryBlock::new(*r)));
             let big = small.union(&Ciip::from_blocks(geom, grow.iter().map(|r| MemoryBlock::new(*r))));
-            let p_small = PackedFootprint::from_ciip(&small).expect("packs");
-            let p_big = PackedFootprint::from_ciip(&big).expect("packs");
+            let p_small = PackedFootprint::from_ciip(&small);
+            let p_big = PackedFootprint::from_ciip(&big);
             prop_assert!(p_big.dominates(&p_small), "a superset footprint dominates");
             let mb = PackedFootprint::from_ciip(
                 &Ciip::from_blocks(geom, probe.iter().map(|r| MemoryBlock::new(*r)))
-            ).expect("packs");
+            );
             prop_assert!(p_big.overlap_bound(&mb) >= p_small.overlap_bound(&mb));
         }
     }

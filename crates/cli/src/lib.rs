@@ -34,6 +34,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod dispatch;
 pub mod options;
@@ -125,6 +126,7 @@ pub fn cmd_run(name: &str, source: &str, variant: Option<&str>) -> Result<String
         trace.instructions,
         trace.accesses.len()
     );
+    #[allow(clippy::cast_possible_truncation, reason = "the ISA has 16 registers")]
     for r in 0..Reg::COUNT as u8 {
         let reg = Reg::new(r);
         let _ = write!(out, "r{r:<2}={:<12}", sim.reg(reg));

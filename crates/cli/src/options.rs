@@ -53,8 +53,6 @@ impl CacheOptions {
         let mut remaining = Vec::with_capacity(args.len());
         let mut it = args.drain(..);
         while let Some(arg) = it.next() {
-            let target: Option<&mut dyn FnMut(u64)> = None;
-            let _ = target;
             match arg.as_str() {
                 "--sets" | "--ways" | "--line" | "--cmiss" => {
                     let value = it
@@ -63,10 +61,18 @@ impl CacheOptions {
                     let parsed: u64 = value
                         .parse()
                         .map_err(|_| CliError::Options(format!("bad value for {arg}: {value}")))?;
+                    let dimension = || {
+                        u32::try_from(parsed).map_err(|_| {
+                            CliError::Options(format!(
+                                "{arg} must be at most {}, got {value}",
+                                u32::MAX
+                            ))
+                        })
+                    };
                     match arg.as_str() {
-                        "--sets" => self.sets = parsed as u32,
-                        "--ways" => self.ways = parsed as u32,
-                        "--line" => self.line = parsed as u32,
+                        "--sets" => self.sets = dimension()?,
+                        "--ways" => self.ways = dimension()?,
+                        "--line" => self.line = dimension()?,
                         _ => self.cmiss = parsed,
                     }
                 }
@@ -365,6 +371,22 @@ mod tests {
         assert!(matches!(o.parse_from(&mut args), Err(CliError::Options(_))));
         let mut args: Vec<String> = vec!["--sets".to_string()];
         assert!(matches!(o.parse_from(&mut args), Err(CliError::Options(_))));
+    }
+
+    #[test]
+    fn cache_dimensions_past_u32_are_rejected_not_truncated() {
+        for flag in ["--sets", "--ways", "--line"] {
+            let mut o = CacheOptions::default();
+            let mut args = vec![flag.to_string(), "4294967360".to_string()];
+            let err = o.parse_from(&mut args).unwrap_err();
+            let CliError::Options(msg) = &err else { panic!("{flag}: {err:?}") };
+            assert_eq!(msg, &format!("{flag} must be at most 4294967295, got 4294967360"));
+            assert_eq!(o, CacheOptions::default(), "{flag}: nothing is stored");
+        }
+        // `--cmiss` is a u64 cycle count and takes the full range.
+        let mut o = CacheOptions::default();
+        o.parse_from(&mut vec!["--cmiss".to_string(), "4294967360".to_string()]).unwrap();
+        assert_eq!(o.cmiss, 4_294_967_360);
     }
 
     #[test]

@@ -66,14 +66,18 @@ impl SystemSpec {
             let parse_u64 = |s: &str, what: &str| -> Result<u64, CliError> {
                 s.parse().map_err(|_| bad(&format!("bad {what} `{s}`")))
             };
+            let parse_u32 = |s: &str, what: &str| -> Result<u32, CliError> {
+                u32::try_from(parse_u64(s, what)?)
+                    .map_err(|_| bad(&format!("{what} `{s}` exceeds {}", u32::MAX)))
+            };
             match fields[0] {
                 "cache" => {
                     let [_, sets, ways, line_bytes] = fields.as_slice() else {
                         return Err(bad("expected `cache SETS WAYS LINE`"));
                     };
-                    spec.cache.sets = parse_u64(sets, "sets")? as u32;
-                    spec.cache.ways = parse_u64(ways, "ways")? as u32;
-                    spec.cache.line = parse_u64(line_bytes, "line size")? as u32;
+                    spec.cache.sets = parse_u32(sets, "sets")?;
+                    spec.cache.ways = parse_u32(ways, "ways")?;
+                    spec.cache.line = parse_u32(line_bytes, "line size")?;
                 }
                 "cmiss" => {
                     let [_, v] = fields.as_slice() else {
@@ -95,7 +99,7 @@ impl SystemSpec {
                         name: (*name).to_string(),
                         source: base_dir.join(source),
                         period: parse_u64(period, "period")?,
-                        priority: parse_u64(priority, "priority")? as u32,
+                        priority: parse_u32(priority, "priority")?,
                     });
                 }
                 other => return Err(bad(&format!("unknown directive `{other}`"))),
@@ -218,6 +222,44 @@ task b b.s 100000 2
         ] {
             let err = SystemSpec::parse(bad, Path::new(".")).unwrap_err();
             assert!(matches!(err, CliError::Spec(_)), "{bad}");
+        }
+    }
+
+    #[test]
+    fn numbers_past_u32_are_rejected_not_truncated() {
+        // 4294967360 = 2^32 + 64: an `as u32` cast would read it as 64 sets.
+        for (text, what) in [
+            ("cache 4294967360 2 16\ntask a a.s 1 1\n", "sets `4294967360` exceeds 4294967295"),
+            ("cache 64 4294967298 16\ntask a a.s 1 1\n", "ways `4294967298` exceeds"),
+            ("cache 64 2 4294967312\ntask a a.s 1 1\n", "line size `4294967312` exceeds"),
+            ("task a a.s 1 4294967297\n", "priority `4294967297` exceeds"),
+        ] {
+            let err = SystemSpec::parse(text, Path::new(".")).unwrap_err();
+            let CliError::Spec(msg) = &err else {
+                panic!("expected CliError::Spec for {text:?}, got {err:?}");
+            };
+            assert!(msg.contains(what) && msg.starts_with("line "), "{msg}");
+        }
+        // u32::MAX itself parses; the geometry check rejects it later.
+        let s =
+            SystemSpec::parse("cache 64 4294967295 16\ntask a a.s 1 1\n", Path::new(".")).unwrap();
+        assert_eq!(s.cache.ways, u32::MAX);
+    }
+
+    #[test]
+    fn geometries_past_the_analysable_range_are_typed_errors() {
+        for (cache, what) in [
+            ("cache 64 256 16", "number of ways must be at most 255, got 256"),
+            ("cache 1073741824 1 16", "number of cache sets must be at most 65536"),
+            ("cache 131072 1 16", "got 131072"),
+        ] {
+            let s =
+                SystemSpec::parse(&format!("{cache}\ntask a a.s 1 1\n"), Path::new(".")).unwrap();
+            let err = s.analyzed_tasks().unwrap_err();
+            let CliError::Options(msg) = &err else {
+                panic!("expected CliError::Options for {cache}, got {err:?}");
+            };
+            assert!(msg.contains(what), "{cache}: {msg}");
         }
     }
 

@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::task::AnalyzedTask;
-use crate::UsefulMethod;
 
 /// How the number of cache lines reloaded after a preemption is bounded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,6 +58,10 @@ impl fmt::Display for CrpdApproach {
 /// after one preemption by `preempting` (one cell of the paper's
 /// Table II).
 ///
+/// Every approach runs on the packed footprints built at analysis time:
+/// Approach 1 reads the stored line bound, Approach 2 is one dense
+/// min-sum, and Approaches 3 and 4 search each path's skyline.
+///
 /// # Panics
 ///
 /// Panics if the two tasks were analyzed under different cache geometries.
@@ -67,58 +70,23 @@ pub fn reload_lines(
     preempted: &AnalyzedTask,
     preempting: &AnalyzedTask,
 ) -> usize {
-    reload_lines_with(approach, preempted, preempting, UsefulMethod::TraceExact)
-}
-
-/// [`reload_lines`] with an explicit useful-block method (the RMB/LMB
-/// dataflow variant is looser; exposed for the tightness ablation).
-///
-/// # Panics
-///
-/// Panics if the two tasks were analyzed under different cache geometries,
-/// or if the dataflow method is requested but fails to analyze the task's
-/// program (it re-runs on stored traces, so this does not happen for
-/// tasks produced by [`AnalyzedTask::analyze`]).
-pub fn reload_lines_with(
-    approach: CrpdApproach,
-    preempted: &AnalyzedTask,
-    preempting: &AnalyzedTask,
-    method: UsefulMethod,
-) -> usize {
     assert_eq!(
         preempted.geometry(),
         preempting.geometry(),
         "tasks analyzed under different cache geometries"
     );
     match approach {
-        CrpdApproach::AllPreemptingLines => match preempting.all_blocks_packed() {
-            // The packed artifact carries the line bound as a field.
-            Some(packed) => packed.line_bound(),
-            None => preempting.all_blocks().line_bound(),
-        },
+        CrpdApproach::AllPreemptingLines => preempting.all_blocks_packed().line_bound(),
         CrpdApproach::InterTask => {
-            match (preempted.all_blocks_packed(), preempting.all_blocks_packed()) {
-                // The tree path also records per-set contributions into an
-                // installed recorder; keep it when one is listening so the
-                // overlap counters stay as rich as before.
-                (Some(a), Some(b)) if !rtobs::enabled() => a.overlap_bound(b),
-                _ => preempted.all_blocks().overlap_bound(preempting.all_blocks()),
-            }
+            preempted.all_blocks_packed().overlap_bound(preempting.all_blocks_packed())
         }
-        CrpdApproach::UsefulBlocks => match method {
-            UsefulMethod::TraceExact => preempted.useful_line_bound(),
-            UsefulMethod::Dataflow(df) => df.max_line_bound(),
-        },
-        CrpdApproach::Combined => {
-            let per_path = |p: &crate::task::AnalyzedPath| match method {
-                UsefulMethod::TraceExact => match p.packed.as_ref() {
-                    Some(mb) => preempted.max_useful_overlap_packed(mb),
-                    None => preempted.max_useful_overlap(&p.blocks),
-                },
-                UsefulMethod::Dataflow(df) => df.max_overlap_bound(&p.blocks),
-            };
-            preempting.paths().iter().map(per_path).max().unwrap_or(0)
-        }
+        CrpdApproach::UsefulBlocks => preempted.useful_line_bound(),
+        CrpdApproach::Combined => preempting
+            .paths()
+            .iter()
+            .map(|p| preempted.max_useful_overlap_packed(&p.packed))
+            .max()
+            .unwrap_or(0),
     }
 }
 
@@ -151,10 +119,7 @@ pub fn combined_overlap_breakdown(
         for own in preempted.paths() {
             // Pair selection runs on the packed kernel (same bound values
             // as the sweep); only the winning pair re-runs exactly below.
-            let bound = match preempting_path.packed.as_ref() {
-                Some(mb) => own.trace.max_packed_overlap(mb),
-                None => own.trace.max_overlap_bound(&preempting_path.blocks).0,
-            };
+            let bound = own.trace.max_packed_overlap(&preempting_path.packed);
             // Strict `>` keeps the first maximum in path order, so the
             // result is deterministic.
             if best.is_none_or(|(b, ..)| bound > b) {
@@ -167,8 +132,7 @@ pub fn combined_overlap_breakdown(
         return Vec::new();
     }
     // The skyline discards execution points, so the exact sweep recovers
-    // the maximizing position — for one pair instead of all of them —
-    // keeping the per-set attribution bit-identical to the tree path.
+    // the maximizing position, for the winning pair only.
     let (_, pos) = own.trace.max_overlap_bound(&preempting_path.blocks);
     let mut contributions = own.trace.useful_at(pos).overlap_contributions(&preempting_path.blocks);
     contributions.sort_by_key(|c| (std::cmp::Reverse(c.lines), c.set));
@@ -514,9 +478,8 @@ mod tests {
 
     #[test]
     fn reload_lines_is_unchanged_by_an_installed_recorder() {
-        // The recorder-on path takes the tree kernel (for per-set
-        // counters) while the recorder-off path takes the packed kernel,
-        // so this doubles as a packed/tree differential check.
+        // An installed recorder only adds spans and counters; every
+        // approach takes the same packed kernel with or without one.
         let (ed, mr) = small_pair();
         let plain: Vec<usize> =
             CrpdApproach::ALL.iter().map(|a| reload_lines(*a, &ed, &mr)).collect();
@@ -532,54 +495,6 @@ mod tests {
         assert_eq!(CrpdApproach::AllPreemptingLines.to_string(), "App. 1");
         assert_eq!(CrpdApproach::Combined.label(), "App. 4");
         assert_eq!(CrpdApproach::ALL.len(), 4);
-    }
-
-    #[test]
-    fn unpackable_geometry_falls_back_to_the_tree_walk() {
-        // A 300-way geometry cannot pack (saturated counts exceed a byte),
-        // so `PackedFootprint::from_ciip` declines and every approach must
-        // take the exact tree-structured path. The packed/tree parity
-        // check degenerates gracefully: there is no packed side, and the
-        // tree side still agrees with the reference formulation.
-        use rtworkloads::synthetic::{synthetic_task, SyntheticSpec};
-        let g = CacheGeometry::new(4, 300, 16).unwrap();
-        assert!(g.ways() > 255, "the fallback only triggers for L > 255");
-        let mk = |name: &str, prio: u32, code: u64, data: u64| {
-            let mut s = SyntheticSpec::new(name, code, data);
-            s.data_words = 128;
-            AnalyzedTask::analyze(
-                &synthetic_task(&s),
-                TaskParams { period: 1_000_000 * u64::from(prio), priority: prio },
-                g,
-                TimingModel::default(),
-            )
-            .unwrap()
-        };
-        let lo = mk("wide-lo", 2, 0x0001_0000, 0x0010_0000);
-        let hi = mk("wide-hi", 1, 0x0001_4000, 0x0010_4000);
-        // No artifact packed: union and per-path footprints all fell back.
-        for t in [&lo, &hi] {
-            assert!(t.all_blocks_packed().is_none(), "{}: L > 255 must not pack", t.name());
-            assert!(t.paths().iter().all(|p| p.packed.is_none()));
-            // Without a skyline, Approach 3 runs the exact sweep.
-            assert!(t.paths().iter().all(|p| p.trace.skyline_kept().is_none()));
-            let exact = t.paths().iter().map(|p| p.trace.max_line_bound().0).max().unwrap();
-            assert_eq!(t.program().useful_line_bound(), exact, "{}", t.name());
-            assert_eq!(reload_lines(CrpdApproach::UsefulBlocks, t, t), exact, "{}", t.name());
-        }
-        for approach in CrpdApproach::ALL {
-            let bound = reload_lines(approach, &lo, &hi);
-            assert_eq!(
-                bound,
-                tree_reload_lines(approach, &lo, &hi),
-                "{approach}: tree fallback must match the reference formulation"
-            );
-            assert_eq!(bound, reload_lines(approach, &lo, &hi), "fallback is deterministic");
-        }
-        // The tightest bound ordering holds on the fallback path too.
-        let a4 = reload_lines(CrpdApproach::Combined, &lo, &hi);
-        assert!(a4 <= reload_lines(CrpdApproach::InterTask, &lo, &hi));
-        assert!(a4 <= reload_lines(CrpdApproach::UsefulBlocks, &lo, &hi));
     }
 
     #[test]

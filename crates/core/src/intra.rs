@@ -14,13 +14,18 @@
 //!   whole interval, and a next-access miss means the block would have
 //!   been evicted regardless). One forward cache simulation plus one
 //!   backward sweep yields `useful(t)` incrementally for every instruction
-//!   boundary.
+//!   boundary. Each trace also keeps a dominance-pruned skyline of its
+//!   per-point packed vectors, which Approaches 3 and 4 search instead of
+//!   the sweep. Every accepted geometry packs, so the sweep runs only where
+//!   a position is needed (`--explain`, MUMBS) or when a pathological trace
+//!   trips the skyline's size caps.
 //! * [`dataflow_useful`] — the RMB/LMB abstract-interpretation formulation
 //!   of Lee's paper: reaching memory blocks (forward may-analysis of LRU
 //!   ages) intersected with living memory blocks (backward may-analysis of
 //!   first-`L`-distinct future references), evaluated at basic-block
-//!   entries. It over-approximates the exact sweep and is kept for
-//!   fidelity to \[21\] and for tightness ablations.
+//!   entries. It over-approximates the exact sweep. No approach reads it;
+//!   it is kept for fidelity to \[21\] and for `repro`'s tightness
+//!   ablation.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -68,9 +73,9 @@ pub struct UsefulTrace {
     /// classifies them.
     next_hit: Vec<bool>,
     /// Dominance-pruned packed vectors for the fast Eq. 3 maximum;
-    /// `None` when the geometry does not pack (`L > 255`) or the trace
-    /// blew the skyline size caps — callers fall back to the exact
-    /// sweep. A deterministic function of `(geometry, accesses)`.
+    /// `None` when the trace blew the skyline size caps — callers fall
+    /// back to the exact sweep. A deterministic function of `(geometry,
+    /// accesses)`.
     skyline: Option<Skyline>,
 }
 
@@ -151,7 +156,7 @@ impl UsefulTrace {
     /// points are evicted in turn.
     fn build_skyline(&self) -> Option<Skyline> {
         let _span = rtobs::span("ciip_pack");
-        let ways = usize::try_from(self.geometry.ways()).ok().filter(|w| *w <= 255)?;
+        let ways = self.geometry.ways() as usize;
         let mut current = vec![0u8; self.geometry.sets() as usize];
         let mut sum = 0usize;
         // `true` while `current` has grown since the last emitted peak.
@@ -186,10 +191,7 @@ impl UsefulTrace {
             }
             let indexed =
                 current.iter().enumerate().map(|(r, c)| (SetIndex::new(r as u32), *c as usize));
-            points.push(
-                PackedFootprint::from_counts(self.geometry, indexed)
-                    .expect("ways checked to fit u8 above"),
-            );
+            points.push(PackedFootprint::from_counts(self.geometry, indexed));
             sums.push(sum);
             points.len() <= MAX_SKYLINE_POINTS
         };
@@ -791,7 +793,7 @@ mod tests {
         assert!(t.skyline_kept().is_some(), "small geometry must pack");
         for seed in 0..16u64 {
             let mb = Ciip::from_blocks(g, (0..10).map(|i| MemoryBlock::new((i * seed + i) % 32)));
-            let packed = PackedFootprint::from_ciip(&mb).unwrap();
+            let packed = PackedFootprint::from_ciip(&mb);
             assert_eq!(t.max_packed_overlap(&packed), t.max_overlap_bound(&mb).0, "seed {seed}");
         }
     }
@@ -805,7 +807,7 @@ mod tests {
         assert_eq!(t.skyline_kept(), Some(1));
         assert!(t.skyline_candidates().unwrap() >= 1);
         let ciip = Ciip::from_blocks(g, [MemoryBlock::new(7)]);
-        let mb = PackedFootprint::from_ciip(&ciip).unwrap();
+        let mb = PackedFootprint::from_ciip(&ciip);
         assert_eq!(t.max_packed_overlap(&mb), t.max_overlap_bound(&ciip).0);
     }
 
@@ -814,12 +816,31 @@ mod tests {
         let g = geom(4, 2);
         let empty = UsefulTrace::from_trace(&trace_of(&[], g), g);
         assert_eq!(empty.skyline_kept(), Some(0));
-        let mb = PackedFootprint::from_ciip(&Ciip::from_blocks(g, [MemoryBlock::new(0)])).unwrap();
+        let mb = PackedFootprint::from_ciip(&Ciip::from_blocks(g, [MemoryBlock::new(0)]));
         assert_eq!(empty.max_packed_overlap(&mb), 0);
         // All-miss thrashing: nothing useful, no peaks.
         let thrash = UsefulTrace::from_trace(&trace_of(&[0, 4, 8, 0, 4, 8], g), g);
         assert_eq!(thrash.skyline_kept(), Some(0));
         assert_eq!(thrash.max_packed_overlap(&mb), 0);
+    }
+
+    #[test]
+    fn skyline_size_cap_falls_back_to_the_exact_sweep() {
+        // A long trace with interleaved reuse loses a line so often that
+        // its peaks outnumber `MAX_SKYLINE_CANDIDATES`: the build gives
+        // up, and both skyline readers must run the exact sweep instead.
+        let g = geom(4, 2);
+        let blocks: Vec<u64> = (0..340_000).map(|i| (i * 7 + i / 5) % 19).collect();
+        let t = UsefulTrace::from_trace(&trace_of(&blocks, g), g);
+        assert_eq!(t.skyline_kept(), None, "the candidate cap must trip");
+        assert_eq!(t.skyline_candidates(), None);
+        assert!(t.peak_line_bound() > 0);
+        assert_eq!(t.peak_line_bound(), t.max_line_bound().0);
+        for seed in 0..8u64 {
+            let mb = Ciip::from_blocks(g, (0..=seed).map(|i| MemoryBlock::new(i * 5 + seed)));
+            let packed = PackedFootprint::from_ciip(&mb);
+            assert_eq!(t.max_packed_overlap(&packed), t.max_overlap_bound(&mb).0, "seed {seed}");
+        }
     }
 
     #[test]

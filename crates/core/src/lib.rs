@@ -76,16 +76,6 @@ pub use wcrt::{
     WcrtBreakdown, WcrtParams, WcrtResult,
 };
 
-/// Which useful-block formulation Approaches 3 and 4 use.
-#[derive(Debug, Clone, Copy)]
-pub enum UsefulMethod<'a> {
-    /// The exact per-execution-point trace sweep (default).
-    TraceExact,
-    /// Lee's RMB/LMB dataflow over the preempted task's CFG (looser;
-    /// for fidelity comparisons and ablations).
-    Dataflow(&'a DataflowUseful),
-}
-
 /// Errors from the CRPD analysis pipeline.
 #[derive(Debug)]
 pub enum AnalysisError {

@@ -4,8 +4,8 @@
 //! parameters never invalidate cache-state work:
 //!
 //! * [`AnalyzedProgram`] — the params-free artifact: per-variant
-//!   [`UsefulTrace`]s, per-path and union [`Ciip`] footprints, and the
-//!   WCET. It depends only on `(program content, geometry, model)` and
+//!   [`UsefulTrace`]s, per-path and union [`Ciip`] footprints with their
+//!   [`PackedFootprint`]s (every accepted geometry packs), and the WCET. It depends only on `(program content, geometry, model)` and
 //!   carries a 128-bit content [`AnalyzedProgram::fingerprint`] over
 //!   exactly those inputs, so it can be content-addressed in artifact
 //!   stores and reused across parameter sweeps.
@@ -110,9 +110,8 @@ pub struct AnalyzedProgram {
     paths: Vec<AnalyzedPath>,
     /// Union footprint over all paths (`Ma`).
     all_blocks: Ciip,
-    /// `all_blocks` packed for the dense Eq. 2 kernel; `None` only when
-    /// the geometry does not pack (`L > 255`).
-    all_packed: Option<PackedFootprint>,
+    /// `all_blocks` packed for the dense Eq. 2 kernel.
+    all_packed: PackedFootprint,
 }
 
 /// One feasible path's artifacts.
@@ -124,9 +123,8 @@ pub struct AnalyzedPath {
     pub trace: UsefulTrace,
     /// The path's footprint (`M^k` in §VI).
     pub blocks: Ciip,
-    /// `blocks` packed for the dense Eq. 3 kernel; `None` only when the
-    /// geometry does not pack (`L > 255`).
-    pub packed: Option<PackedFootprint>,
+    /// `blocks` packed for the dense Eq. 3 kernel.
+    pub packed: PackedFootprint,
 }
 
 impl AnalyzedProgram {
@@ -270,10 +268,10 @@ impl AnalyzedProgram {
         &self.all_blocks
     }
 
-    /// The union footprint packed for the dense Eq. 2 kernel, when the
-    /// geometry packs (`L <= 255`). Built once at analysis time.
-    pub fn all_blocks_packed(&self) -> Option<&PackedFootprint> {
-        self.all_packed.as_ref()
+    /// The union footprint packed for the dense Eq. 2 kernel. Built once
+    /// at analysis time.
+    pub fn all_blocks_packed(&self) -> &PackedFootprint {
+        &self.all_packed
     }
 
     /// Approach 3's per-task reload count: the maximum over feasible paths
@@ -301,16 +299,9 @@ impl AnalyzedProgram {
     /// `S(useful(t), mb)`.
     ///
     /// Packs `mb` once and searches each path's dominance-pruned skyline
-    /// when available; traces without a skyline fall back to the exact
-    /// backward sweep. The result is identical either way.
+    /// (see [`AnalyzedProgram::max_useful_overlap_packed`]).
     pub fn max_useful_overlap(&self, mb: &Ciip) -> usize {
-        match PackedFootprint::from_ciip(mb) {
-            Some(packed) => self.max_useful_overlap_packed(&packed),
-            None => {
-                let _span = rtobs::span_labeled("mumbs", || format!("{}: overlap", self.name));
-                self.paths.iter().map(|p| p.trace.max_overlap_bound(mb).0).max().unwrap_or(0)
-            }
-        }
+        self.max_useful_overlap_packed(&PackedFootprint::from_ciip(mb))
     }
 
     /// [`AnalyzedProgram::max_useful_overlap`] against an already-packed
@@ -427,9 +418,8 @@ impl AnalyzedTask {
         self.program.all_blocks()
     }
 
-    /// The union footprint packed for the dense Eq. 2 kernel, when the
-    /// geometry packs (`L <= 255`).
-    pub fn all_blocks_packed(&self) -> Option<&PackedFootprint> {
+    /// The union footprint packed for the dense Eq. 2 kernel.
+    pub fn all_blocks_packed(&self) -> &PackedFootprint {
         self.program.all_blocks_packed()
     }
 

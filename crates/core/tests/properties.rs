@@ -86,7 +86,7 @@ proptest! {
         prop_assert!(t.skyline_kept().is_some(), "small geometries always build a skyline");
         prop_assert!(t.skyline_kept() <= t.skyline_candidates());
         let ciip = Ciip::from_blocks(geom, mb.iter().map(|b| MemoryBlock::new(*b)));
-        let packed = rtcache::PackedFootprint::from_ciip(&ciip).expect("ways <= 4 packs");
+        let packed = rtcache::PackedFootprint::from_ciip(&ciip);
         prop_assert_eq!(t.max_packed_overlap(&packed), t.max_overlap_bound(&ciip).0);
     }
 
@@ -268,7 +268,7 @@ proptest! {
         let (kept, candidates) = reference_skyline(geom, accesses);
         prop_assert_eq!(t.skyline_kept(), Some(kept.len()));
         prop_assert_eq!(t.skyline_candidates(), Some(candidates));
-        let packed = PackedFootprint::from_ciip(&mb).expect("ways <= 8 packs");
+        let packed = PackedFootprint::from_ciip(&mb);
         let reference_overlap = kept
             .iter()
             .map(|p| p.iter().zip(packed.counts()).map(|(a, b)| usize::from(*a.min(b))).sum())

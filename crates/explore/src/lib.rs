@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::cast_possible_truncation)]
 
 mod engine;
 mod front;

@@ -106,7 +106,13 @@ impl Plan {
                 axis.to_vec()
             }
         };
-        let n = base_params.len() as u32;
+        let n = u32::try_from(base_params.len()).map_err(|_| {
+            CliError::Spec(format!(
+                "{} tasks exceed the {} a sweep can rotate",
+                base_params.len(),
+                u32::MAX
+            ))
+        })?;
         let plan = Plan {
             approach: if grid.approach.is_empty() {
                 vec![CrpdApproach::Combined]
@@ -235,6 +241,10 @@ impl Plan {
         let n = self.base_params.len();
         (0..n)
             .map(|i| TaskParams {
+                #[allow(
+                    clippy::cast_possible_truncation,
+                    reason = "the scaled period is finite and positive, and `as` saturates"
+                )]
                 period: ((self.base_params[i].period as f64 * config.period_scale).round() as u64)
                     .max(1),
                 priority: self.base_params[(i + config.priority_rot as usize) % n].priority,

@@ -405,40 +405,28 @@ fn check_inner(spec: &FuzzSpec, injection: Option<&Injection>) -> CheckOutcome {
             counts.kernel_pairs += 1;
             let (a, b) = (&built.analyzed[i], &built.analyzed[j]);
             let tree = a.all_blocks().overlap_bound(b.all_blocks());
-            match (a.all_blocks_packed(), b.all_blocks_packed()) {
-                (Some(pa), Some(pb)) => {
-                    let packed = pa.overlap_bound(pb);
-                    if packed != tree {
-                        return fail(
-                            counts,
-                            ViolationKind::KernelMismatch,
-                            format!("union overlap {i}<-{j}: packed {packed} != tree {tree}"),
-                        );
-                    }
-                }
-                _ => {
+            let packed = a.all_blocks_packed().overlap_bound(b.all_blocks_packed());
+            if packed != tree {
+                return fail(
+                    counts,
+                    ViolationKind::KernelMismatch,
+                    format!("union overlap {i}<-{j}: packed {packed} != tree {tree}"),
+                );
+            }
+            let mb = b.mumbs();
+            let pmb = PackedFootprint::from_ciip(&mb);
+            for path in a.paths() {
+                let tree = path.trace.max_overlap_bound(&mb).0;
+                let packed = path.trace.max_packed_overlap(&pmb);
+                if packed != tree {
                     return fail(
                         counts,
                         ViolationKind::KernelMismatch,
-                        format!("pair {i}<-{j}: packed footprint missing at {} ways", spec.ways),
-                    )
-                }
-            }
-            let mb = b.mumbs();
-            if let Some(pmb) = PackedFootprint::from_ciip(&mb) {
-                for path in a.paths() {
-                    let tree = path.trace.max_overlap_bound(&mb).0;
-                    let packed = path.trace.max_packed_overlap(&pmb);
-                    if packed != tree {
-                        return fail(
-                            counts,
-                            ViolationKind::KernelMismatch,
-                            format!(
-                                "useful overlap {i}<-{j} path `{}`: packed {packed} != tree {tree}",
-                                path.name
-                            ),
-                        );
-                    }
+                        format!(
+                            "useful overlap {i}<-{j} path `{}`: packed {packed} != tree {tree}",
+                            path.name
+                        ),
+                    );
                 }
             }
         }

@@ -6,10 +6,9 @@
 //!   from span nesting (a `/`-joined path of enclosing stage names plus an
 //!   occurrence index), emitted as Chrome `trace_event` JSON.
 //! * **Typed counters** — recorded at the source by the analysis crates:
-//!   per-set cache hits/misses/evictions, per-set CIIP overlap
-//!   contributions (and which term of `min(|m̂a,r|, |m̂b,r|, L)` saturated),
-//!   RMB/LMB dataflow fixpoint rounds, per-(i,j) CRPD matrix cell costs and
-//!   per-iteration `R_i^k` values of the Eq. 7 recurrence.
+//!   per-set cache hits/misses/evictions, RMB/LMB dataflow fixpoint
+//!   rounds, per-(i,j) CRPD matrix cell costs and per-iteration `R_i^k`
+//!   values of the Eq. 7 recurrence.
 //! * **A determinism contract** — timestamps and counters are *attached* to
 //!   a run, never consumed by it. Analysis code may write into the
 //!   recorder but must never read it back, so enabling collection cannot
@@ -189,19 +188,6 @@ impl OverlapCap {
     }
 }
 
-/// Aggregated CIIP overlap contributions for one cache set.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverlapTally {
-    /// Total lines this set contributed across all overlap evaluations.
-    pub contributed: u64,
-    /// Evaluations where the preempted side was the binding term.
-    pub capped_by_preempted: u64,
-    /// Evaluations where the preempting side was the binding term.
-    pub capped_by_preempting: u64,
-    /// Evaluations where associativity saturated the bound.
-    pub capped_by_ways: u64,
-}
-
 /// Tally of useful-trace skyline pruning: how many candidate Pareto
 /// points the packed-footprint builds saw, and how many survived
 /// dominance pruning.
@@ -237,8 +223,6 @@ pub struct StageLookupTally {
 pub struct Counters {
     /// Cache-sim tallies keyed by set index.
     pub cache_sets: BTreeMap<u32, SetTally>,
-    /// CIIP overlap contributions keyed by set index.
-    pub overlap_sets: BTreeMap<u32, OverlapTally>,
     /// Number of RMB/LMB dataflow analyses recorded.
     pub dataflow_runs: u64,
     /// Total RMB (reaching memory blocks) fixpoint rounds.
@@ -369,21 +353,6 @@ fn write_counters_json(out: &mut String, counters: &Counters) {
             out,
             "{{\"set\":{set},\"hits\":{},\"misses\":{},\"evictions\":{}}}",
             tally.hits, tally.misses, tally.evictions
-        );
-    }
-    out.push_str("],\"overlapSets\":[");
-    for (n, (set, tally)) in counters.overlap_sets.iter().enumerate() {
-        if n > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"set\":{set},\"contributed\":{},\"cappedByPreempted\":{},\
-             \"cappedByPreempting\":{},\"cappedByWays\":{}}}",
-            tally.contributed,
-            tally.capped_by_preempted,
-            tally.capped_by_preempting,
-            tally.capped_by_ways
         );
     }
     let _ = write!(
@@ -543,20 +512,6 @@ pub fn record_cache_set(set: u32, hits: u64, misses: u64, evictions: u64) {
     tally.evictions += evictions;
 }
 
-/// Adds one per-set CIIP overlap contribution and notes which term of
-/// the Def. 3 `min` bound it was capped by.
-pub fn record_overlap_set(set: u32, contribution: u64, cap: OverlapCap) {
-    let Some(recorder) = active() else { return };
-    let mut inner = recorder.lock();
-    let tally = inner.counters.overlap_sets.entry(set).or_default();
-    tally.contributed += contribution;
-    match cap {
-        OverlapCap::Preempted => tally.capped_by_preempted += 1,
-        OverlapCap::Preempting => tally.capped_by_preempting += 1,
-        OverlapCap::Ways => tally.capped_by_ways += 1,
-    }
-}
-
 /// Records the fixpoint round counts of one RMB/LMB dataflow analysis.
 pub fn record_dataflow_rounds(rmb_rounds: u64, lmb_rounds: u64) {
     let Some(recorder) = active() else { return };
@@ -709,12 +664,9 @@ mod tests {
     #[test]
     fn counters_render_into_trace_metadata() {
         let session = begin();
-        record_overlap_set(3, 2, OverlapCap::Ways);
         record_crpd_cell("App. 4", 1, 0, 24);
         record_wcrt_iterations("App. 4", 1, &[100, 250, 250]);
         let json = session.recorder().chrome_trace_json();
-        assert!(json.contains("\"overlapSets\":[{\"set\":3,\"contributed\":2"), "{json}");
-        assert!(json.contains("\"cappedByWays\":1"), "{json}");
         assert!(
             json.contains(
                 "{\"approach\":\"App. 4\",\"preempted\":1,\"preempting\":0,\"lines\":24}"

@@ -136,12 +136,6 @@ impl ProgramBuilder {
         self.labels[label.0] = Some(self.here());
     }
 
-    /// Records the current code address under a symbol name.
-    pub fn symbol_here(&mut self, name: impl Into<String>) {
-        let here = self.here();
-        self.symbols.insert(name.into(), here);
-    }
-
     /// Declares the iteration bound of a hand-rolled loop whose header is
     /// at `label`. [`ProgramBuilder::counted_loop`] records its own bound;
     /// use this for loops with data-dependent trip counts (the bound is

@@ -107,7 +107,8 @@ impl Memory {
     }
 
     /// Total mapped words.
-    pub fn word_count(&self) -> usize {
+    #[cfg(test)]
+    fn word_count(&self) -> usize {
         self.segments.iter().map(|(_, w)| w.len()).sum()
     }
 }

@@ -192,7 +192,8 @@ impl<'p> Simulator<'p> {
     }
 
     /// `true` once `halt` has executed.
-    pub fn is_halted(&self) -> bool {
+    #[cfg(test)]
+    fn is_halted(&self) -> bool {
         self.halted
     }
 
@@ -214,11 +215,6 @@ impl<'p> Simulator<'p> {
     /// The data memory.
     pub fn memory(&self) -> &Memory {
         &self.memory
-    }
-
-    /// Mutable access to data memory (for harness-driven inputs).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.memory
     }
 
     /// Executes one instruction and returns its memory accesses, or `None`

@@ -386,6 +386,47 @@ fn error_paths_leave_the_server_serving() {
     handle.join().expect("server exits cleanly after the error traffic");
 }
 
+/// Cache geometries from the wire are untrusted: too many ways, too many
+/// sets, or a count past `u32` each get a typed error naming the bound —
+/// never a truncated geometry or an allocation that aborts the daemon —
+/// and the same connection is served afterwards.
+#[test]
+fn untrusted_geometries_get_typed_errors_and_the_server_keeps_serving() {
+    let opts = rtcli::ServeOptions {
+        host: "127.0.0.1".to_string(),
+        port: 0,
+        threads: 2,
+        ..rtcli::ServeOptions::default()
+    };
+    let handle = Server::spawn(&opts).expect("bind ephemeral port");
+    let addr = handle.addr();
+    let cases = [
+        ("cache 64 256 16", "number of ways must be at most 255, got 256"),
+        ("cache 1073741824 1 16", "number of cache sets must be at most 65536, got 1073741824"),
+        ("cache 4294967360 2 16", "sets `4294967360` exceeds 4294967295"),
+    ];
+    for (id, (cache, expected)) in (1u64..).zip(cases) {
+        let spec = SPEC.replace("cache 64 2 16", cache);
+        let request = Json::obj([
+            ("id", Json::from(id)),
+            ("cmd", Json::from("wcrt")),
+            ("spec", Json::from(spec.as_str())),
+            ("sources", Json::obj([("hi.s", Json::from(TASK_HI)), ("lo.s", Json::from(TASK_LO))])),
+        ])
+        .encode();
+        let replies = roundtrip(addr, &[request, r#"{"id":99,"cmd":"ping"}"#.to_string()]);
+        assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(false), "{cache}");
+        let error = replies[0].get("error").and_then(Json::as_str).expect("typed error");
+        assert!(error.contains(expected), "{cache}: {error}");
+        assert_eq!(replies[1].get("output").and_then(Json::as_str), Some("pong"), "{cache}");
+    }
+    let replies = roundtrip(addr, &[request_line(7)]);
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[0]);
+    let replies = roundtrip(addr, &[r#"{"cmd":"shutdown"}"#.to_string()]);
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true));
+    handle.join().expect("server exits cleanly after the bad geometries");
+}
+
 /// The wire spec format is the on-disk spec format: a spec that parses
 /// from disk must be accepted verbatim over the wire (with sources
 /// resolved from the server's filesystem as the fallback).
