@@ -147,7 +147,7 @@ fn workloads() -> Vec<Workload> {
                 let params = WcrtParams {
                     miss_penalty: REFERENCE_CMISS,
                     ctx_switch: 120,
-                    max_iterations: 10_000,
+                    ..WcrtParams::default()
                 };
                 let results = crpd::analyze_all(&tasks, &matrix, &params);
                 assert_eq!(results.len(), tasks.len());

@@ -412,7 +412,7 @@ fn ablation(geometry: CacheGeometry) {
     println!("\nAblation D: shared cache + combined analysis vs way-partitioning (Experiment I)");
     println!("  (partitioning zeroes the CRPD but shrinks each task's cache share)");
     {
-        use crpd::{even_way_partition, partitioned_analyze_all, TaskParams};
+        use crpd::{even_way_partition, partitioned_analyze_all, TaskParams, WcrtParams};
         let e = Experiment::build(&experiment1_spec(), geometry);
         let params: Vec<TaskParams> = e
             .periods
@@ -421,10 +421,13 @@ fn ablation(geometry: CacheGeometry) {
             .map(|(period, prio)| TaskParams { period: *period, priority: *prio })
             .collect();
         let ways = even_way_partition(geometry, e.programs.len()).expect("4 ways, 3 tasks");
-        let ccs = e.ctx_switch_cost(model);
-        let parted =
-            partitioned_analyze_all(&e.programs, &params, geometry, model, &ways, ccs, 10_000)
-                .expect("analyzes");
+        let wcrt = WcrtParams {
+            miss_penalty: model.miss_penalty,
+            ctx_switch: e.ctx_switch_cost(model),
+            ..WcrtParams::default()
+        };
+        let parted = partitioned_analyze_all(&e.programs, &params, geometry, model, &ways, &wcrt)
+            .expect("analyzes");
         let shared = e.wcrt(CrpdApproach::Combined, REFERENCE_CMISS);
         println!(
             "  {:>6} {:>5} {:>20} {:>20}",

@@ -181,7 +181,7 @@ impl Experiment {
         let params = WcrtParams {
             miss_penalty,
             ctx_switch: self.ctx_switch_cost(model),
-            max_iterations: 10_000,
+            ..WcrtParams::default()
         };
         crpd::analyze_all(&tasks, &matrix, &params)
     }

@@ -348,6 +348,54 @@ mod tests {
     }
 
     #[test]
+    fn wcrt_reports_bad_eq7_inputs_as_typed_errors() {
+        // The `trisc` binary prints each `Err` and exits 2.
+        let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/specs");
+        let spec = |cmiss: &str, ccs: &str, hi: &str, lo: &str| {
+            format!(
+                "cache 64 2 16\ncmiss {cmiss}\nccs {ccs}\ntask hi {examples}/hi.s {hi}\n\
+                 task lo {examples}/lo.s {lo}\n"
+            )
+        };
+        let max = u64::MAX.to_string();
+        for (name, text, expected) in [
+            (
+                "zero-period.spec",
+                spec("20", "50", "0 1", "50000 2"),
+                "bad system spec: line 4: period must be at least 1 cycle",
+            ),
+            (
+                "repeated-priority.spec",
+                spec("20", "50", "5000 1", "50000 1"),
+                "bad system spec: line 5: priority 1 is already task `hi`'s",
+            ),
+            (
+                "cmiss-overflow.spec",
+                spec(&max, "50", "5000 1", "50000 2"),
+                "analysis failed: estimating WCET of task `hi`: variant `default`: cycle count \
+                 overflows 64 bits",
+            ),
+        ] {
+            let path = temp_file(name, &text);
+            let err = dispatch(argv(&["wcrt", path.to_str().unwrap()])).unwrap_err();
+            assert!(err.to_string().contains(expected), "{name}: {err}");
+        }
+        // An overflowing preemption cost misses the deadline; the task
+        // nothing preempts keeps its WCRT of 79 cycles.
+        let path = temp_file("ccs-overflow.spec", &spec("20", &max, "5000 1", "50000 2"));
+        let out = dispatch(argv(&["wcrt", path.to_str().unwrap()])).unwrap();
+        let row = |c: [&str; 6]| {
+            format!(
+                "  {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+                c[0], c[1], c[2], c[3], c[4], c[5]
+            )
+        };
+        let late = format!("{max}*");
+        assert!(out.contains(&row(["hi", "79", "79", "79", "79", "5000"])), "{out}");
+        assert!(out.contains(&row(["lo", &late, &late, &late, &late, "50000"])), "{out}");
+    }
+
+    #[test]
     fn parse_recognizes_serve() {
         match parse(argv(&["serve", "--port", "0", "--threads", "2"])).unwrap() {
             Invocation::Serve(opts) => {

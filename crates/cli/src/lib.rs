@@ -42,7 +42,7 @@ pub mod spec;
 pub mod store;
 
 use std::borrow::Borrow;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crpd::{
     analyze_all, reload_lines, AnalyzedTask, CrpdApproach, CrpdCellCache, CrpdMatrix, TaskParams,
@@ -315,7 +315,7 @@ pub fn cmd_wcrt_cached<T: Borrow<AnalyzedTask> + Sync>(
     let params = WcrtParams {
         miss_penalty: model.miss_penalty,
         ctx_switch: spec.ctx_switch,
-        max_iterations: 10_000,
+        ..WcrtParams::default()
     };
     let mut out = String::new();
     let _ = writeln!(out, "WCRT under {geometry}, {} (Ccs={}):", model, spec.ctx_switch);
@@ -386,7 +386,7 @@ pub fn cmd_wcrt_explain<T: Borrow<AnalyzedTask> + Sync>(
     let params = WcrtParams {
         miss_penalty: model.miss_penalty,
         ctx_switch: spec.ctx_switch,
-        max_iterations: 10_000,
+        ..WcrtParams::default()
     };
     let matrices: Vec<CrpdMatrix> =
         rtpar::par_map(&CrpdApproach::ALL, |a| CrpdMatrix::compute_with(*a, tasks, &cells));
@@ -400,44 +400,61 @@ pub fn cmd_wcrt_explain<T: Borrow<AnalyzedTask> + Sync>(
             t.params().period,
             t.params().priority
         );
-        for matrix in &matrices {
-            let b = crpd::explain_response_time(tasks, matrix, i, &params);
-            let _ = writeln!(
-                out,
-                "    {}: R={} = {} + {} + {} + {} ({} preemptions, {})",
-                matrix.approach,
-                b.result.cycles,
-                b.wcet,
-                b.interference,
-                b.crpd,
-                b.ctx_switch,
-                b.preemptions,
-                b.result.stop
-            );
-        }
-        for hp in tasks.iter().map(Borrow::borrow) {
-            if hp.params().priority >= t.params().priority {
-                continue;
-            }
-            let contributions = crpd::combined_overlap_breakdown(t, hp);
-            if contributions.is_empty() {
-                continue;
-            }
-            let shown: Vec<String> = contributions
-                .iter()
-                .take(EXPLAIN_TOP_SETS)
-                .map(|c| format!("set {}: {} (min: {})", c.set.as_usize(), c.lines, c.cap.label()))
-                .collect();
-            let _ = writeln!(
-                out,
-                "    top sets vs `{}` (of {} overlapping): {}",
-                hp.name(),
-                contributions.len(),
-                shown.join(", ")
-            );
-        }
+        let breakdowns = matrices
+            .iter()
+            .map(|m| (m.approach, crpd::explain_response_time(tasks, m, i, &params)));
+        write_explanation(&mut out, breakdowns, tasks, i, EXPLAIN_TOP_SETS);
     }
     Ok(out)
+}
+
+/// Writes the body of one task's Eq. 7 explanation, shared by `trisc
+/// wcrt --explain` and the `trisc explore` front: a `{label}: R=… = wcet
+/// + interference + crpd + ctx (… preemptions, stop)` line per labelled
+/// breakdown, then, per higher-priority task, the `top` cache sets that
+/// contribute most to task `i`'s combined (App. 4) overlap bound.
+pub fn write_explanation<L: fmt::Display, T: Borrow<AnalyzedTask>>(
+    out: &mut String,
+    breakdowns: impl IntoIterator<Item = (L, crpd::WcrtBreakdown)>,
+    tasks: &[T],
+    i: usize,
+    top: usize,
+) {
+    for (label, b) in breakdowns {
+        let _ = writeln!(
+            out,
+            "    {label}: R={} = {} + {} + {} + {} ({} preemptions, {})",
+            b.result.cycles,
+            b.wcet,
+            b.interference,
+            b.crpd,
+            b.ctx_switch,
+            b.preemptions,
+            b.result.stop
+        );
+    }
+    let t = tasks[i].borrow();
+    for hp in tasks.iter().map(Borrow::borrow) {
+        if hp.params().priority >= t.params().priority {
+            continue;
+        }
+        let contributions = crpd::combined_overlap_breakdown(t, hp);
+        if contributions.is_empty() {
+            continue;
+        }
+        let shown: Vec<String> = contributions
+            .iter()
+            .take(top)
+            .map(|c| format!("set {}: {} (min: {})", c.set.as_usize(), c.lines, c.cap.label()))
+            .collect();
+        let _ = writeln!(
+            out,
+            "    top sets vs `{}` (of {} overlapping): {}",
+            hp.name(),
+            contributions.len(),
+            shown.join(", ")
+        );
+    }
 }
 
 /// `trisc sim`: run the co-simulation over `horizon` cycles (default:

@@ -48,10 +48,13 @@ pub struct SystemSpec {
 impl SystemSpec {
     /// Parses spec text; `base_dir` anchors relative source paths.
     ///
+    /// This is where Eq. 7's inputs are checked: every period is at least
+    /// 1 and the priorities are pairwise distinct.
+    ///
     /// # Errors
     ///
     /// Returns [`CliError::Spec`] with the offending line for malformed
-    /// input.
+    /// input, a zero period or a repeated priority.
     pub fn parse(text: &str, base_dir: &Path) -> Result<SystemSpec, CliError> {
         let mut spec =
             SystemSpec { cache: CacheOptions::default(), ctx_switch: 0, tasks: Vec::new() };
@@ -95,11 +98,23 @@ impl SystemSpec {
                     let [_, name, source, period, priority] = fields.as_slice() else {
                         return Err(bad("expected `task NAME FILE PERIOD PRIORITY`"));
                     };
+                    let period = parse_u64(period, "period")?;
+                    if period == 0 {
+                        return Err(bad("period must be at least 1 cycle"));
+                    }
+                    let priority = parse_u32(priority, "priority")?;
+                    if let Some(other) = spec.tasks.iter().find(|t| t.priority == priority) {
+                        return Err(bad(&format!(
+                            "priority {priority} is already task `{}`'s; fixed-priority \
+                             analysis needs distinct priorities",
+                            other.name
+                        )));
+                    }
                     spec.tasks.push(SpecTask {
                         name: (*name).to_string(),
                         source: base_dir.join(source),
-                        period: parse_u64(period, "period")?,
-                        priority: parse_u32(priority, "priority")?,
+                        period,
+                        priority,
                     });
                 }
                 other => return Err(bad(&format!("unknown directive `{other}`"))),
@@ -260,6 +275,23 @@ task b b.s 100000 2
                 panic!("expected CliError::Options for {cache}, got {err:?}");
             };
             assert!(msg.contains(what), "{cache}: {msg}");
+        }
+    }
+
+    #[test]
+    fn zero_periods_and_repeated_priorities_are_rejected() {
+        for (text, what) in [
+            ("task a a.s 0 1\n", "line 1: period must be at least 1 cycle"),
+            (
+                "cache 64 2 16\ntask a a.s 1000 1\ntask b b.s 2000 1\n",
+                "line 3: priority 1 is already task `a`'s",
+            ),
+        ] {
+            let err = SystemSpec::parse(text, Path::new(".")).unwrap_err();
+            let CliError::Spec(msg) = &err else {
+                panic!("expected CliError::Spec for {text:?}, got {err:?}");
+            };
+            assert!(msg.contains(what), "{msg}");
         }
     }
 

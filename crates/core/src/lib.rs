@@ -72,8 +72,8 @@ pub use task::{
     content_hash128, program_fingerprint, AnalyzedPath, AnalyzedProgram, AnalyzedTask, TaskParams,
 };
 pub use wcrt::{
-    analyze_all, explain_response_time, response_time, response_time_generic, StopReason,
-    WcrtBreakdown, WcrtParams, WcrtResult,
+    analyze_all, explain_response_time, fixpoint, response_time, StopReason, WcrtBreakdown,
+    WcrtParams, WcrtResult,
 };
 
 /// Errors from the CRPD analysis pipeline.

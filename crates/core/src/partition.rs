@@ -13,7 +13,7 @@ use rtprogram::Program;
 use rtwcet::{estimate_wcet, TimingModel};
 
 use crate::task::TaskParams;
-use crate::wcrt::{response_time_generic, WcrtResult};
+use crate::wcrt::{fixpoint, WcrtParams, WcrtResult};
 use crate::AnalysisError;
 
 /// Errors from partition construction.
@@ -88,7 +88,9 @@ pub struct PartitionedTask {
 
 /// Analyzes a task system under way-partitioning: each task gets
 /// `ways[i]` ways of the cache's sets, its WCET is re-estimated against
-/// that private geometry, and response times are computed with zero CRPD.
+/// that private geometry, and response times are computed by the Eq. 7
+/// [`fixpoint`] with zero reload lines (`wcrt.ctx_switch` is still
+/// charged twice per preemption; `wcrt.miss_penalty` prices nothing).
 ///
 /// # Errors
 ///
@@ -97,15 +99,14 @@ pub struct PartitionedTask {
 /// # Panics
 ///
 /// Panics if the input lengths disagree, a partition has zero ways, or
-/// priorities are not distinct.
+/// as [`fixpoint`].
 pub fn partitioned_analyze_all(
     programs: &[Program],
     params: &[TaskParams],
     geometry: CacheGeometry,
     model: TimingModel,
     ways: &[u32],
-    ctx_switch: u64,
-    max_iterations: u32,
+    wcrt: &WcrtParams,
 ) -> Result<Vec<PartitionedTask>, AnalysisError> {
     assert_eq!(programs.len(), params.len(), "one parameter set per program");
     assert_eq!(programs.len(), ways.len(), "one partition per program");
@@ -118,22 +119,12 @@ pub fn partitioned_analyze_all(
             .map_err(|source| AnalysisError::Wcet { task: program.name().to_string(), source })?;
         wcets.push(est.cycles);
     }
-    let periods: Vec<u64> = params.iter().map(|p| p.period).collect();
-    let priorities: Vec<u32> = params.iter().map(|p| p.priority).collect();
-    let cpre = |_i: usize, _j: usize| 2 * ctx_switch;
     Ok((0..programs.len())
         .map(|i| PartitionedTask {
             name: programs[i].name().to_string(),
             ways: ways[i],
             wcet: wcets[i],
-            response: response_time_generic(
-                &wcets,
-                &periods,
-                &priorities,
-                &cpre,
-                i,
-                max_iterations,
-            ),
+            response: fixpoint(&wcets, params, |_, _| 0, i, wcrt, Some("generic")).result,
         })
         .collect())
 }
@@ -143,7 +134,6 @@ mod tests {
     use super::*;
     use crate::approaches::{CrpdApproach, CrpdMatrix};
     use crate::task::AnalyzedTask;
-    use crate::wcrt::WcrtParams;
 
     #[test]
     fn even_partition_distributes_remainder() {
@@ -168,9 +158,9 @@ mod tests {
             TaskParams { period: 3_000_000, priority: 3 },
         ];
         let ways = even_way_partition(geometry, 2).unwrap();
+        let wcrt = WcrtParams { miss_penalty: 20, ctx_switch: 300, ..WcrtParams::default() };
         let parted =
-            partitioned_analyze_all(&programs, &params, geometry, model, &ways, 300, 10_000)
-                .unwrap();
+            partitioned_analyze_all(&programs, &params, geometry, model, &ways, &wcrt).unwrap();
         // Shared-cache WCETs for comparison.
         for (p, pt) in programs.iter().zip(&parted) {
             let shared = estimate_wcet(p, geometry, model).unwrap().cycles;
@@ -185,11 +175,7 @@ mod tests {
             .map(|(p, prm)| AnalyzedTask::analyze(p, prm.clone(), geometry, model).unwrap())
             .collect();
         let matrix = CrpdMatrix::compute(CrpdApproach::Combined, &tasks);
-        let shared = crate::analyze_all(
-            &tasks,
-            &matrix,
-            &WcrtParams { miss_penalty: 20, ctx_switch: 300, max_iterations: 10_000 },
-        );
+        let shared = crate::analyze_all(&tasks, &matrix, &wcrt);
         // Both are valid analyses; neither dominates universally — just
         // check both produce sensible, schedulable results here.
         assert!(shared.iter().all(|r| r.schedulable));

@@ -4,7 +4,7 @@ use std::borrow::Borrow;
 use std::fmt;
 
 use crate::approaches::CrpdMatrix;
-use crate::task::AnalyzedTask;
+use crate::task::{AnalyzedTask, TaskParams};
 
 /// Cost parameters of the WCRT recurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,29 +84,155 @@ impl fmt::Display for WcrtResult {
     }
 }
 
-/// Per-preemption cost imposed on task `i` by one preemption of task `j`:
-/// `Cpre(Ti, Tj) + 2·Ccs` (Eq. 5 and Eq. 7).
-fn preemption_cost(matrix: &CrpdMatrix, i: usize, j: usize, params: &WcrtParams) -> u64 {
-    matrix.reload(i, j) as u64 * params.miss_penalty + 2 * params.ctx_switch
+/// The outcome of the Eq. 7 loop for one task: the [`WcrtResult`] plus
+/// the cost terms of the iterate that produced `result.cycles`, so that
+///
+/// ```text
+/// result.cycles == wcet + interference + crpd + ctx_switch
+/// ```
+///
+/// holds *exactly* — converged or not — unless the iterate overflowed:
+/// then `result.cycles` is `u64::MAX` and each term is capped there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WcrtBreakdown {
+    /// The iteration outcome.
+    pub result: WcrtResult,
+    /// `C_i`: the task's own WCET.
+    pub wcet: u64,
+    /// `Σ_j ⌈R/P_j⌉ · C_j`: higher-priority execution demand.
+    pub interference: u64,
+    /// `Σ_j ⌈R/P_j⌉ · Cpre(T_i, T_j)`: cache reload delay.
+    pub crpd: u64,
+    /// `Σ_j ⌈R/P_j⌉ · 2·Ccs`: context-switch overhead.
+    pub ctx_switch: u64,
+    /// `Σ_j ⌈R/P_j⌉`: worst-case preemption (activation) count.
+    pub preemptions: u64,
 }
 
-/// Runs the Eq. 7 recurrence for task `i` of `tasks`:
+/// The Eq. 7 loop — the one place the recurrence is written:
 ///
 /// ```text
 /// R_i^{k+1} = C_i + Σ_{j ∈ hp(i)} ⌈R_i^k / P_j⌉ · (C_j + Cpre(T_i, T_j) + 2·Ccs)
 /// ```
 ///
-/// iterating from `R_i^0 = C_i` until the value converges or exceeds the
-/// deadline (= period). Setting every matrix cell to zero and
-/// `ctx_switch = 0` recovers the classic cache-oblivious Eq. 6.
+/// for task `i` of a system given as its WCETs and scheduling
+/// parameters (deadline = period). `reload_lines(i, j)` is the number of
+/// lines `T_i` reloads after one preemption by `T_j`; the loop prices
+/// them at `params.miss_penalty` (Eq. 5) and charges `2·params.ctx_switch`
+/// per preemption. Zero reload lines and `ctx_switch = 0` recover the
+/// classic cache-oblivious Eq. 6.
+///
+/// Iterates from `R_i^0 = C_i` until the value converges, exceeds the
+/// deadline or has run `params.max_iterations` times. The arithmetic
+/// saturates: an iterate that reaches `u64::MAX` is past every deadline
+/// and stops as [`StopReason::DeadlineExceeded`].
+///
+/// With `trail = Some(label)` and an `rtobs` recorder installed, the
+/// `R_i^k` iterates are recorded under `(label, i)`. Recording is
+/// write-only, so it cannot change the result.
+///
+/// # Panics
+///
+/// Panics if `wcets` and `tasks` differ in length, `i` is out of range,
+/// two tasks share a priority level (fixed-priority analysis requires a
+/// total order) or a higher-priority period is zero.
+pub fn fixpoint(
+    wcets: &[u64],
+    tasks: &[TaskParams],
+    reload_lines: impl Fn(usize, usize) -> u64,
+    i: usize,
+    params: &WcrtParams,
+    trail: Option<&str>,
+) -> WcrtBreakdown {
+    assert_eq!(wcets.len(), tasks.len(), "one WCET per task");
+    let priority = tasks[i].priority;
+    assert!(
+        tasks.iter().enumerate().all(|(j, t)| j == i || t.priority != priority),
+        "duplicate priorities are not supported"
+    );
+    // Each higher-priority task as `(P_j, C_j, Cpre(T_i, T_j))`.
+    let hp: Vec<(u64, u64, u64)> = (0..tasks.len())
+        .filter(|&j| tasks[j].priority < priority)
+        .map(|j| {
+            (tasks[j].period, wcets[j], reload_lines(i, j).saturating_mul(params.miss_penalty))
+        })
+        .collect();
+    let ctx_per_preemption = params.ctx_switch.saturating_mul(2);
+    // Keep the trail only when a recorder is installed to receive it.
+    let trail = trail.filter(|_| rtobs::enabled());
+    let mut iterates: Vec<u64> = Vec::new();
+    let deadline = tasks[i].period;
+    let mut r = wcets[i];
+    if trail.is_some() {
+        iterates.push(r); // R_i^0 = C_i
+    }
+    let mut iterations = 0;
+    let breakdown = loop {
+        iterations += 1;
+        let (mut interference, mut crpd, mut preemptions) = (0u64, 0u64, 0u64);
+        for &(period, wcet, cpre) in &hp {
+            let activations = r.div_ceil(period);
+            preemptions = preemptions.saturating_add(activations);
+            interference = interference.saturating_add(activations.saturating_mul(wcet));
+            crpd = crpd.saturating_add(activations.saturating_mul(cpre));
+        }
+        let ctx_switch = preemptions.saturating_mul(ctx_per_preemption);
+        let next =
+            wcets[i].saturating_add(interference).saturating_add(crpd).saturating_add(ctx_switch);
+        if trail.is_some() && next != r {
+            iterates.push(next);
+        }
+        let saturated = next == u64::MAX;
+        let stop = if next == r && !saturated {
+            StopReason::Converged
+        } else if next > deadline || saturated {
+            StopReason::DeadlineExceeded
+        } else if iterations >= params.max_iterations {
+            StopReason::IterationCap
+        } else {
+            r = next;
+            continue;
+        };
+        let schedulable = stop == StopReason::Converged && next <= deadline;
+        break WcrtBreakdown {
+            result: WcrtResult { cycles: next, schedulable, iterations, stop },
+            wcet: wcets[i],
+            interference,
+            crpd,
+            ctx_switch,
+            preemptions,
+        };
+    };
+    if let Some(label) = trail {
+        rtobs::record_wcrt_iterations(label, i, &iterates);
+    }
+    breakdown
+}
+
+/// [`fixpoint`] for task `i` of analyzed `tasks`, reloading the lines
+/// `matrix` bounds.
+fn matrix_fixpoint<T: Borrow<AnalyzedTask>>(
+    tasks: &[T],
+    matrix: &CrpdMatrix,
+    i: usize,
+    params: &WcrtParams,
+    trail: Option<&str>,
+) -> WcrtBreakdown {
+    let wcets: Vec<u64> = tasks.iter().map(|t| t.borrow().wcet()).collect();
+    let task_params: Vec<TaskParams> = tasks.iter().map(|t| t.borrow().params().clone()).collect();
+    fixpoint(&wcets, &task_params, |i, j| matrix.reload(i, j) as u64, i, params, trail)
+}
+
+/// Runs the Eq. 7 recurrence ([`fixpoint`]) for task `i` of `tasks`
+/// with the preemption costs `matrix` bounds, recording the iterates
+/// under the approach label.
 ///
 /// Like [`CrpdMatrix::compute`], `tasks` may be any slice of task-like
 /// values (`&[AnalyzedTask]`, `&[Arc<AnalyzedTask>]`, …).
 ///
 /// # Panics
 ///
-/// Panics if `i` is out of range or two tasks share a priority level
-/// (fixed-priority analysis requires a total order).
+/// As [`fixpoint`].
 pub fn response_time<T: Borrow<AnalyzedTask>>(
     tasks: &[T],
     matrix: &CrpdMatrix,
@@ -114,100 +240,7 @@ pub fn response_time<T: Borrow<AnalyzedTask>>(
     params: &WcrtParams,
 ) -> WcrtResult {
     let _span = rtobs::span_labeled("wcrt", || format!("{} task{i}", matrix.approach));
-    let wcets: Vec<u64> = tasks.iter().map(|t| t.borrow().wcet()).collect();
-    let periods: Vec<u64> = tasks.iter().map(|t| t.borrow().params().period).collect();
-    let priorities: Vec<u32> = tasks.iter().map(|t| t.borrow().params().priority).collect();
-    run_recurrence(
-        &wcets,
-        &periods,
-        &priorities,
-        &|i, j| preemption_cost(matrix, i, j, params),
-        i,
-        params.max_iterations,
-        matrix.approach.label(),
-    )
-}
-
-/// The raw Eq. 7 recurrence over explicit task vectors: `wcets`,
-/// `periods` (deadlines equal periods) and `priorities`, with an
-/// arbitrary per-preemption cost function `cpre(i, j)` in cycles (which
-/// should include context-switch charges). Exposed so analyses with
-/// their own cost function — way-partitioning in
-/// [`crate::partition::partitioned_analyze_all`] and the fuzz farm's
-/// reference fixpoint — reuse the exact iteration semantics.
-///
-/// # Panics
-///
-/// Panics if the vectors disagree in length, `i` is out of range, or two
-/// tasks share a priority level.
-pub fn response_time_generic(
-    wcets: &[u64],
-    periods: &[u64],
-    priorities: &[u32],
-    cpre: &dyn Fn(usize, usize) -> u64,
-    i: usize,
-    max_iterations: u32,
-) -> WcrtResult {
-    run_recurrence(wcets, periods, priorities, cpre, i, max_iterations, "generic")
-}
-
-/// The shared Eq. 7 loop. `context` labels the per-iteration `R_i^k`
-/// trail recorded into an installed `rtobs` recorder (recording is
-/// write-only: the iterates are never read back, so an installed
-/// recorder cannot change the result).
-fn run_recurrence(
-    wcets: &[u64],
-    periods: &[u64],
-    priorities: &[u32],
-    cpre: &dyn Fn(usize, usize) -> u64,
-    i: usize,
-    max_iterations: u32,
-    context: &str,
-) -> WcrtResult {
-    assert_eq!(wcets.len(), periods.len());
-    assert_eq!(wcets.len(), priorities.len());
-    let hp: Vec<usize> = (0..wcets.len()).filter(|j| priorities[*j] < priorities[i]).collect();
-    for j in 0..wcets.len() {
-        assert!(j == i || priorities[j] != priorities[i], "duplicate priorities are not supported");
-    }
-    let recording = rtobs::enabled();
-    let mut iterates: Vec<u64> = Vec::new();
-    let deadline = periods[i];
-    let mut r = wcets[i];
-    if recording {
-        iterates.push(r); // R_i^0 = C_i
-    }
-    let mut iterations = 0;
-    let result = loop {
-        iterations += 1;
-        let interference: u64 =
-            hp.iter().map(|&j| r.div_ceil(periods[j]) * (wcets[j] + cpre(i, j))).sum();
-        let next = wcets[i] + interference;
-        if recording && next != r {
-            iterates.push(next);
-        }
-        if next == r {
-            break WcrtResult {
-                cycles: r,
-                schedulable: r <= deadline,
-                iterations,
-                stop: StopReason::Converged,
-            };
-        }
-        if next > deadline || iterations >= max_iterations {
-            let stop = if next > deadline {
-                StopReason::DeadlineExceeded
-            } else {
-                StopReason::IterationCap
-            };
-            break WcrtResult { cycles: next, schedulable: false, iterations, stop };
-        }
-        r = next;
-    };
-    if recording {
-        rtobs::record_wcrt_iterations(context, i, &iterates);
-    }
-    result
+    matrix_fixpoint(tasks, matrix, i, params, Some(matrix.approach.label())).result
 }
 
 /// Response times for every task (the highest-priority task's WCRT is its
@@ -224,93 +257,22 @@ pub fn analyze_all<T: Borrow<AnalyzedTask> + Sync>(
     rtpar::par_map_range(tasks.len(), |i| response_time(tasks, matrix, i, params))
 }
 
-/// The reported `R_i` of one task split into the Eq. 7 cost terms, all
-/// evaluated at the iterate that produced `result.cycles`, so that
-///
-/// ```text
-/// result.cycles == wcet + interference + crpd + ctx_switch
-/// ```
-///
-/// holds *exactly* — converged or not. Produced by
-/// [`explain_response_time`] for the `--explain` report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WcrtBreakdown {
-    /// The plain iteration outcome (identical to [`response_time`]).
-    pub result: WcrtResult,
-    /// `C_i`: the task's own WCET.
-    pub wcet: u64,
-    /// `Σ_j ⌈R/P_j⌉ · C_j`: higher-priority execution demand.
-    pub interference: u64,
-    /// `Σ_j ⌈R/P_j⌉ · Cpre(T_i, T_j)`: cache reload delay.
-    pub crpd: u64,
-    /// `Σ_j ⌈R/P_j⌉ · 2·Ccs`: context-switch overhead.
-    pub ctx_switch: u64,
-    /// `Σ_j ⌈R/P_j⌉`: worst-case preemption (activation) count.
-    pub preemptions: u64,
-}
-
-/// Runs the same Eq. 7 recurrence as [`response_time`] but keeps the
-/// final iterate's cost terms separated. The `result` field is always
-/// identical to what [`response_time`] returns for the same inputs; the
-/// component sums are a deterministic recomputation, not recorder state,
-/// so `--explain` output is byte-stable with tracing on or off.
+/// [`response_time`] with the reported iterate's cost terms kept, for
+/// the `--explain` report. Its `result` is always identical to what
+/// [`response_time`] returns for the same inputs. It opens no span and
+/// records no iterates, so explaining leaves a recorder as the analysis
+/// left it.
 ///
 /// # Panics
 ///
-/// As [`response_time`].
+/// As [`fixpoint`].
 pub fn explain_response_time<T: Borrow<AnalyzedTask>>(
     tasks: &[T],
     matrix: &CrpdMatrix,
     i: usize,
     params: &WcrtParams,
 ) -> WcrtBreakdown {
-    let wcets: Vec<u64> = tasks.iter().map(|t| t.borrow().wcet()).collect();
-    let periods: Vec<u64> = tasks.iter().map(|t| t.borrow().params().period).collect();
-    let priorities: Vec<u32> = tasks.iter().map(|t| t.borrow().params().priority).collect();
-    let hp: Vec<usize> = (0..wcets.len()).filter(|j| priorities[*j] < priorities[i]).collect();
-    for j in 0..wcets.len() {
-        assert!(j == i || priorities[j] != priorities[i], "duplicate priorities are not supported");
-    }
-    let deadline = periods[i];
-    let mut r = wcets[i];
-    let mut iterations = 0;
-    loop {
-        iterations += 1;
-        let mut interference = 0u64;
-        let mut crpd = 0u64;
-        let mut ctx_switch = 0u64;
-        let mut preemptions = 0u64;
-        for &j in &hp {
-            let activations = r.div_ceil(periods[j]);
-            preemptions += activations;
-            interference += activations * wcets[j];
-            crpd += activations * (matrix.reload(i, j) as u64 * params.miss_penalty);
-            ctx_switch += activations * 2 * params.ctx_switch;
-        }
-        let next = wcets[i] + interference + crpd + ctx_switch;
-        // Mirror `run_recurrence` exactly: on convergence `next == r`, on
-        // overrun/cap `next` is the reported value — either way the
-        // components above were computed for the value we return.
-        let stop = if next == r {
-            StopReason::Converged
-        } else if next > deadline {
-            StopReason::DeadlineExceeded
-        } else if iterations >= params.max_iterations {
-            StopReason::IterationCap
-        } else {
-            r = next;
-            continue;
-        };
-        let schedulable = stop == StopReason::Converged && next <= deadline;
-        return WcrtBreakdown {
-            result: WcrtResult { cycles: next, schedulable, iterations, stop },
-            wcet: wcets[i],
-            interference,
-            crpd,
-            ctx_switch,
-            preemptions,
-        };
-    }
+    matrix_fixpoint(tasks, matrix, i, params, None)
 }
 
 #[cfg(test)]

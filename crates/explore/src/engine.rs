@@ -25,9 +25,6 @@ pub type AnalyzeProvider<'a> = &'a (dyn Fn(usize, CacheGeometry, TimingModel) ->
 /// fan-out, small enough that results stream while the sweep runs.
 pub const BATCH_POINTS: usize = 128;
 
-/// Maximum WCRT fixpoint iterations per point (matches `trisc wcrt`).
-const MAX_ITERATIONS: u32 = 10_000;
-
 /// Final tallies of one sweep.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
@@ -143,11 +140,8 @@ fn bind_point(
         .collect::<Result<_, _>>()?;
     let tasks = AnalyzedTask::bind_all(&programs, &plan.params_for(config));
     let matrix = CrpdMatrix::compute_with(config.approach, &tasks, cells);
-    let params = WcrtParams {
-        miss_penalty: config.cmiss,
-        ctx_switch: config.ccs,
-        max_iterations: MAX_ITERATIONS,
-    };
+    let params =
+        WcrtParams { miss_penalty: config.cmiss, ctx_switch: config.ccs, ..WcrtParams::default() };
     Ok((tasks, matrix, params))
 }
 
@@ -199,40 +193,8 @@ pub fn explain_front(
             .map(|(i, _)| i)
             .unwrap_or(0);
         let b = crpd::explain_response_time(&tasks, &matrix, binding, &params);
-        let t = &tasks[binding];
-        let _ = writeln!(
-            out,
-            "    binding task `{}`: R={} = {} + {} + {} + {} ({} preemptions, {})",
-            t.name(),
-            b.result.cycles,
-            b.wcet,
-            b.interference,
-            b.crpd,
-            b.ctx_switch,
-            b.preemptions,
-            b.result.stop
-        );
-        for hp in &tasks {
-            if hp.params().priority >= t.params().priority {
-                continue;
-            }
-            let contributions = crpd::combined_overlap_breakdown(t, hp);
-            if contributions.is_empty() {
-                continue;
-            }
-            let shown: Vec<String> = contributions
-                .iter()
-                .take(EXPLAIN_TOP_SETS)
-                .map(|c| format!("set {}: {} (min: {})", c.set.as_usize(), c.lines, c.cap.label()))
-                .collect();
-            let _ = writeln!(
-                out,
-                "    top sets vs `{}` (of {} overlapping): {}",
-                hp.name(),
-                contributions.len(),
-                shown.join(", ")
-            );
-        }
+        let label = format!("binding task `{}`", tasks[binding].name());
+        rtcli::write_explanation(&mut out, [(label, b)], &tasks, binding, EXPLAIN_TOP_SETS);
     }
     Ok(out)
 }

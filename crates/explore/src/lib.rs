@@ -74,9 +74,8 @@ pub fn cmd_explore(grid_path: &Path) -> Result<String, CliError> {
     cmd_explore_with(&spec, sources, &grid)
 }
 
-/// The in-process half of [`cmd_explore`], over already-resolved task
-/// sources — the entry point the invariance tests and the bench drive
-/// directly.
+/// The in-process half of [`cmd_explore`], over already-resolved
+/// `(task name, assembly source)` pairs in spec order.
 ///
 /// # Errors
 ///

@@ -81,24 +81,15 @@ impl Plan {
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::Spec`] for duplicate base priorities or an
-    /// oversized grid, and [`CliError::Options`] for an invalid swept
-    /// cache shape.
+    /// Returns [`CliError::Spec`] for an oversized grid and
+    /// [`CliError::Options`] for an invalid swept cache shape. The base
+    /// spec's periods and priorities were checked when it was parsed.
     pub fn new(spec: &SystemSpec, grid: &Grid) -> Result<Plan, CliError> {
         let base_params: Vec<TaskParams> = spec
             .tasks
             .iter()
             .map(|t| TaskParams { period: t.period, priority: t.priority })
             .collect();
-        for (i, a) in base_params.iter().enumerate() {
-            if base_params[..i].iter().any(|b| b.priority == a.priority) {
-                return Err(CliError::Spec(format!(
-                    "duplicate priority {} in the base spec; fixed-priority analysis \
-                     needs a total order",
-                    a.priority
-                )));
-            }
-        }
         let or = |axis: &[u32], base: u32| {
             if axis.is_empty() {
                 vec![base]
@@ -341,14 +332,9 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_shapes_duplicate_priorities_and_oversized_grids() {
+    fn rejects_bad_shapes_and_oversized_grids() {
         let bad_shape = Grid::parse("sets 3\n").unwrap();
         assert!(matches!(Plan::new(&spec(), &bad_shape), Err(CliError::Options(_))));
-
-        let dup =
-            SystemSpec::parse("task a a.s 1000 1\ntask b b.s 2000 1\n", Path::new("")).unwrap();
-        let err = Plan::new(&dup, &Grid::default()).unwrap_err();
-        assert!(err.to_string().contains("duplicate priority"), "{err}");
 
         let huge = Grid {
             cmiss: (0..2_000u64).collect(),

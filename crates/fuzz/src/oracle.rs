@@ -263,7 +263,7 @@ fn check_inner(spec: &FuzzSpec, injection: Option<&Injection>) -> CheckOutcome {
     let params = WcrtParams {
         miss_penalty: built.model.miss_penalty,
         ctx_switch: spec.ctx_switch,
-        max_iterations: 10_000,
+        ..WcrtParams::default()
     };
     let results = analyze_all(&built.analyzed, &matrix, &params);
     let config = SchedConfig {
@@ -331,7 +331,7 @@ fn check_inner(spec: &FuzzSpec, injection: Option<&Injection>) -> CheckOutcome {
     let slack = built.model.cpi + 2 * built.model.miss_penalty + 2 * spec.ctx_switch;
     let n = built.analyzed.len();
     let wcets: Vec<u64> = built.analyzed.iter().map(|t| t.wcet()).collect();
-    let priorities: Vec<u32> = (0..n).map(|i| i as u32 + 1).collect();
+    let task_params: Vec<TaskParams> = built.analyzed.iter().map(|t| t.params().clone()).collect();
     let useful: Vec<Ciip> = built.analyzed.iter().map(|t| t.mumbs()).collect();
     let sound_lines: Vec<Vec<usize>> = (0..n)
         .map(|k| {
@@ -347,20 +347,14 @@ fn check_inner(spec: &FuzzSpec, injection: Option<&Injection>) -> CheckOutcome {
                 .collect()
         })
         .collect();
-    let cpre = |i: usize, j: usize| -> u64 {
-        let lines = (j + 1..=i).map(|k| sound_lines[k][j]).max().unwrap_or(0);
-        lines as u64 * params.miss_penalty + 2 * params.ctx_switch
-    };
+    // Each release of `Tj` reloads as much as its worst victim among
+    // `T_{j+1}..=Ti` (the intermediate-victim maximum).
+    let reload_lines =
+        |i: usize, j: usize| (j + 1..=i).map(|k| sound_lines[k][j]).max().unwrap_or(0) as u64;
     let paper_is_tight = n == 2 && spec.ways == 1;
     for (i, r) in results.iter().enumerate() {
-        let reference = crpd::response_time_generic(
-            &wcets,
-            &built.periods,
-            &priorities,
-            &cpre,
-            i,
-            params.max_iterations,
-        );
+        let reference =
+            crpd::fixpoint(&wcets, &task_params, reload_lines, i, &params, Some("generic")).result;
         if !reference.schedulable {
             continue;
         }

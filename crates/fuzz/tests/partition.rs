@@ -26,14 +26,18 @@ fn partitioned_wcrt_covers_private_cache_co_simulation() {
         let ways = crpd::even_way_partition(built.geometry, spec.tasks.len()).expect("ways >= n");
         let params: Vec<crpd::TaskParams> =
             built.analyzed.iter().map(|t| t.params().clone()).collect();
+        let wcrt = crpd::WcrtParams {
+            miss_penalty: built.model.miss_penalty,
+            ctx_switch: spec.ctx_switch,
+            ..crpd::WcrtParams::default()
+        };
         let parted = crpd::partitioned_analyze_all(
             &built.programs,
             &params,
             built.geometry,
             built.model,
             &ways,
-            spec.ctx_switch,
-            10_000,
+            &wcrt,
         )
         .expect("partitioned analysis");
 

@@ -8,8 +8,6 @@
 //! * [`isa`] — a tiny load/store instruction set (4-byte instructions,
 //!   16 registers, word data accesses).
 //! * [`asm`] — a two-pass assembler (and a round-tripping disassembler).
-//! * [`encoding`] — a 32-bit binary machine-code format with pc-relative
-//!   targets.
 //! * [`builder`] — a structured program builder with loops that record
 //!   their own iteration bounds (used by the benchmark workloads).
 //! * [`sim`] — a resumable instruction-set simulator that emits exact
@@ -50,7 +48,6 @@
 pub mod asm;
 pub mod builder;
 pub mod cfg;
-pub mod encoding;
 pub mod isa;
 pub mod mem;
 pub mod paths;

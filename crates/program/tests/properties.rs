@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use rtprogram::asm::{assemble, disassemble};
 use rtprogram::builder::ProgramBuilder;
 use rtprogram::cfg::Cfg;
-use rtprogram::encoding::{decode_program, encode_program};
 use rtprogram::isa::regs::*;
 use rtprogram::isa::Cond;
 use rtprogram::paths::{enumerate_paths, immediate_dominators, natural_loops};
@@ -116,36 +115,6 @@ proptest! {
         let tq = sq.run_to_halt_with_limit(2_000_000).expect("halts");
         prop_assert_eq!(tp.accesses.len(), tq.accesses.len());
         prop_assert_eq!(tp.instructions, tq.instructions);
-    }
-
-    /// Binary encoding round-trips: decoding the encoded image yields a
-    /// program with identical behaviour (wide `li`s leave pad nops, so
-    /// compare execution outcomes rather than instruction streams).
-    #[test]
-    fn binary_encoding_round_trips(stmts in arb_stmts(3)) {
-        let p = build(&stmts);
-        let words = encode_program(&p);
-        let decoded = decode_program(&words, p.code_base()).expect("decodes");
-        prop_assert!(decoded.len() >= p.len());
-        let q = Program::new(
-            "decoded",
-            p.code_base(),
-            decoded,
-            p.data_segments().to_vec(),
-            p.entry(),
-            Default::default(),
-            Default::default(),
-            vec![],
-        )
-        .expect("decoded image is valid");
-        let mut sp = Simulator::new(&p);
-        sp.run_to_halt_with_limit(2_000_000).expect("halts");
-        let mut sq = Simulator::new(&q);
-        sq.run_to_halt_with_limit(2_000_000).expect("halts");
-        for r in 0..16u8 {
-            let reg = rtprogram::Reg::new(r);
-            prop_assert_eq!(sp.reg(reg), sq.reg(reg), "r{} differs", r);
-        }
     }
 
     /// Every access of a trace is attributed to exactly one node

@@ -110,6 +110,11 @@ pub enum WcetError {
     },
     /// Structural analysis failed (irreducible CFG).
     Paths(PathEnumError),
+    /// A path's `instructions × cpi + misses × Cmiss` exceeds `u64`.
+    Overflow {
+        /// The variant whose cycle count overflowed.
+        variant: String,
+    },
 }
 
 impl fmt::Display for WcetError {
@@ -119,6 +124,9 @@ impl fmt::Display for WcetError {
                 write!(f, "simulating variant `{variant}`: {source}")
             }
             WcetError::Paths(e) => write!(f, "structural analysis: {e}"),
+            WcetError::Overflow { variant } => {
+                write!(f, "variant `{variant}`: cycle count overflows 64 bits")
+            }
         }
     }
 }
@@ -128,6 +136,7 @@ impl std::error::Error for WcetError {
         match self {
             WcetError::Exec { source, .. } => Some(source),
             WcetError::Paths(e) => Some(e),
+            WcetError::Overflow { .. } => None,
         }
     }
 }
@@ -142,7 +151,8 @@ impl From<PathEnumError> for WcetError {
 ///
 /// # Errors
 ///
-/// Returns [`WcetError::Exec`] if the simulation faults.
+/// Returns [`WcetError::Exec`] if the simulation faults and
+/// [`WcetError::Overflow`] if the cycle count exceeds `u64`.
 pub fn time_variant(
     program: &Program,
     variant_index: usize,
@@ -159,9 +169,15 @@ pub fn time_variant(
     })
     .map_err(wrap)?;
     let stats = cache.stats();
+    let cycles = sim
+        .steps()
+        .checked_mul(model.cpi)
+        .zip(stats.misses.checked_mul(model.miss_penalty))
+        .and_then(|(execute, stalls)| execute.checked_add(stalls))
+        .ok_or_else(|| WcetError::Overflow { variant: variant.name.clone() })?;
     Ok(VariantTiming {
         name: variant.name.clone(),
-        cycles: sim.steps() * model.cpi + stats.misses * model.miss_penalty,
+        cycles,
         instructions: sim.steps(),
         misses: stats.misses,
     })
@@ -172,7 +188,8 @@ pub fn time_variant(
 ///
 /// # Errors
 ///
-/// Returns [`WcetError::Exec`] if any variant's simulation faults.
+/// Returns [`WcetError::Exec`] if any variant's simulation faults and
+/// [`WcetError::Overflow`] if a variant's cycle count exceeds `u64`.
 pub fn estimate_wcet(
     program: &Program,
     geometry: CacheGeometry,
@@ -314,6 +331,23 @@ mod tests {
         let e40 = estimate_wcet(&p, g, TimingModel::with_miss_penalty(40)).unwrap();
         assert_eq!(e10.instructions, e40.instructions);
         assert_eq!(e40.cycles - e10.cycles, 30 * e10.misses);
+    }
+
+    #[test]
+    fn cycle_count_overflow_is_a_typed_error() {
+        let p = assemble("t", ".text 0x1000\nnop\nnop\nhalt\n").unwrap();
+        for model in [
+            TimingModel::with_miss_penalty(u64::MAX),
+            TimingModel { cpi: u64::MAX, miss_penalty: 0 },
+            TimingModel { cpi: u64::MAX / 3, miss_penalty: 1 },
+        ] {
+            let err = estimate_wcet(&p, small_geom(), model).unwrap_err();
+            assert_eq!(err, WcetError::Overflow { variant: p.variants()[0].name.clone() });
+            assert!(err.to_string().contains("overflows"), "{err}");
+        }
+        // The largest representable count still fits: 3 + 1·(MAX − 3).
+        let edge = TimingModel { cpi: 1, miss_penalty: u64::MAX - 3 };
+        assert_eq!(estimate_wcet(&p, small_geom(), edge).unwrap().cycles, u64::MAX);
     }
 
     #[test]

@@ -427,6 +427,64 @@ fn untrusted_geometries_get_typed_errors_and_the_server_keeps_serving() {
     handle.join().expect("server exits cleanly after the bad geometries");
 }
 
+/// Eq. 7's inputs are checked at the spec boundary and its arithmetic
+/// does not wrap: a zero period, a repeated priority and a `cmiss` whose
+/// WCET overflows each get `"ok":false` with the typed text, the next
+/// `ping` is answered, and a `ccs` whose preemption cost overflows marks
+/// the preempted task unschedulable while the top task keeps its WCRT.
+#[test]
+fn eq7_inputs_and_overflow_get_typed_results_and_the_server_keeps_serving() {
+    let opts = rtcli::ServeOptions {
+        host: "127.0.0.1".to_string(),
+        port: 0,
+        threads: 2,
+        ..rtcli::ServeOptions::default()
+    };
+    let handle = Server::spawn(&opts).expect("bind ephemeral port");
+    let addr = handle.addr();
+    let wcrt = |id: u64, spec: &str| {
+        Json::obj([
+            ("id", Json::from(id)),
+            ("cmd", Json::from("wcrt")),
+            ("spec", Json::from(spec)),
+            ("sources", Json::obj([("hi.s", Json::from(TASK_HI)), ("lo.s", Json::from(TASK_LO))])),
+        ])
+        .encode()
+    };
+    let max = u64::MAX.to_string();
+    let cases = [
+        (SPEC.replace("hi.s 5000", "hi.s 0"), "line 4: period must be at least 1 cycle"),
+        (SPEC.replace("50000 2", "50000 1"), "line 5: priority 1 is already task `hi`'s"),
+        (
+            SPEC.replace("cmiss 20", &format!("cmiss {max}")),
+            "variant `default`: cycle count overflows 64 bits",
+        ),
+    ];
+    for (id, (spec, expected)) in (1u64..).zip(&cases) {
+        let replies = roundtrip(addr, &[wcrt(id, spec), r#"{"id":99,"cmd":"ping"}"#.to_string()]);
+        assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(false), "{spec}");
+        let error = replies[0].get("error").and_then(Json::as_str).expect("typed error");
+        assert!(error.contains(expected), "{spec}: {error}");
+        assert_eq!(replies[1].get("output").and_then(Json::as_str), Some("pong"), "{spec}");
+    }
+    let spec = SPEC.replace("ccs 50", &format!("ccs {max}"));
+    let replies = roundtrip(addr, &[wcrt(7, &spec)]);
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[0]);
+    let output = replies[0].get("output").and_then(Json::as_str).expect("report");
+    let row = |cells: [&str; 6]| {
+        format!(
+            "  {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+            cells[0], cells[1], cells[2], cells[3], cells[4], cells[5]
+        )
+    };
+    let late = format!("{max}*");
+    assert!(output.contains(&row(["hi", "79", "79", "79", "79", "5000"])), "{output}");
+    assert!(output.contains(&row(["lo", &late, &late, &late, &late, "50000"])), "{output}");
+    let replies = roundtrip(addr, &[r#"{"cmd":"shutdown"}"#.to_string()]);
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true));
+    handle.join().expect("server exits cleanly after the bad specs");
+}
+
 /// The wire spec format is the on-disk spec format: a spec that parses
 /// from disk must be accepted verbatim over the wire (with sources
 /// resolved from the server's filesystem as the fallback).
