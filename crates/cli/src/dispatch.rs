@@ -4,11 +4,9 @@
 use std::path::Path;
 
 use crate::options::{CacheOptions, CliError, ServeOptions, StatusOptions};
-use crate::spec::SystemSpec;
-use crate::{
-    cmd_asm, cmd_crpd, cmd_disasm, cmd_footprint, cmd_run, cmd_sim, cmd_wcet, cmd_wcrt,
-    cmd_wcrt_explain,
-};
+use crate::spec::{SpecTask, SystemSpec};
+use crate::store::ArtifactStore;
+use crate::{cmd_asm, cmd_disasm, cmd_run, run_crpd, run_footprint, run_sim, run_wcet, run_wcrt};
 
 /// The usage line printed on bad invocations and `--help`.
 pub const USAGE: &str =
@@ -86,6 +84,22 @@ fn read(path: &str) -> Result<(String, String), CliError> {
     let name =
         Path::new(path).file_stem().and_then(|s| s.to_str()).unwrap_or("program").to_string();
     Ok((name, text))
+}
+
+/// The spec a file-level command (`wcet`, `footprint`, `crpd`) runs:
+/// one task per file, named by its stem, under the command-line cache
+/// options; later files preempt earlier ones. Returns the sources read,
+/// in task order.
+fn file_spec(cache: CacheOptions, files: &[String]) -> Result<(SystemSpec, Vec<String>), CliError> {
+    let mut tasks = Vec::with_capacity(files.len());
+    let mut sources = Vec::with_capacity(files.len());
+    for (i, file) in files.iter().enumerate() {
+        let priority = u32::try_from(files.len() - i).expect("one or two files");
+        let (name, text) = read(file)?;
+        tasks.push(SpecTask { name, source: file.into(), period: u64::MAX, priority });
+        sources.push(text);
+    }
+    Ok((SystemSpec { cache, ctx_switch: 0, tasks }, sources))
 }
 
 /// Extracts `--flag VALUE` from `args`, removing both tokens.
@@ -173,27 +187,23 @@ pub fn dispatch(mut args: Vec<String>) -> Result<String, CliError> {
             cmd_run(&name, &text, variant.as_deref())
         }
         "wcet" | "footprint" => {
-            let [file] = args.as_slice() else {
+            let [_] = args.as_slice() else {
                 return Err(CliError::Usage(format!("trisc {command} FILE.s [cache options]")));
             };
-            let (name, text) = read(file)?;
-            if command == "wcet" {
-                cmd_wcet(&name, &text, &cache)
-            } else {
-                cmd_footprint(&name, &text, &cache)
-            }
+            let (spec, sources) = file_spec(cache, &args)?;
+            let run = if command == "wcet" { run_wcet } else { run_footprint };
+            run(&ArtifactStore::default(), &spec, &sources)
         }
         "crpd" => {
             let trace_out = take_flag_value(&mut args, "--trace-out")?;
-            let [low, high] = args.as_slice() else {
+            let [_, _] = args.as_slice() else {
                 return Err(CliError::Usage(
                     "trisc crpd LOW.s HIGH.s [cache options] [--trace-out TRACE.json]".into(),
                 ));
             };
-            let (low_name, low_text) = read(low)?;
-            let (high_name, high_text) = read(high)?;
+            let (spec, sources) = file_spec(cache, &args)?;
             with_recorder(trace_out.as_deref(), || {
-                cmd_crpd((&low_name, &low_text), (&high_name, &high_text), &cache)
+                run_crpd(&ArtifactStore::default(), &spec, &sources)
             })
         }
         "wcrt" => {
@@ -205,12 +215,9 @@ pub fn dispatch(mut args: Vec<String>) -> Result<String, CliError> {
                 ));
             };
             let spec = SystemSpec::load(Path::new(file))?;
+            let sources = spec.read_sources()?;
             with_recorder(trace_out.as_deref(), || {
-                if explain {
-                    cmd_wcrt_explain(&spec, &spec.analyzed_tasks()?)
-                } else {
-                    cmd_wcrt(&spec)
-                }
+                run_wcrt(&ArtifactStore::default(), &spec, &sources, explain)
             })
         }
         "sim" => {
@@ -222,7 +229,8 @@ pub fn dispatch(mut args: Vec<String>) -> Result<String, CliError> {
             let [file] = args.as_slice() else {
                 return Err(CliError::Usage("trisc sim SYSTEM.spec [--horizon CYCLES]".into()));
             };
-            cmd_sim(&SystemSpec::load(Path::new(file))?, horizon)
+            let spec = SystemSpec::load(Path::new(file))?;
+            run_sim(&ArtifactStore::default(), &spec, &spec.read_sources()?, horizon)
         }
         "serve" => {
             Err(CliError::Usage("serve is long-running; use `parse` and the rtserver crate".into()))
@@ -393,6 +401,30 @@ mod tests {
         let late = format!("{max}*");
         assert!(out.contains(&row(["hi", "79", "79", "79", "79", "5000"])), "{out}");
         assert!(out.contains(&row(["lo", &late, &late, &late, &late, "50000"])), "{out}");
+    }
+
+    #[test]
+    fn sim_clock_never_wraps() {
+        let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/specs");
+        // A miss penalty that overflows the simulated clock.
+        let clock = temp_file(
+            "clock.spec",
+            &format!(
+                "cache 64 2 16\ncmiss 9223372036854775807\ntask hi {examples}/hi.s 5000 1\n\
+                 task lo {examples}/lo.s 50000 2\n"
+            ),
+        );
+        let err = dispatch(argv(&["sim", clock.to_str().unwrap()])).unwrap_err();
+        assert!(err.to_string().contains("simulated time overflows 64 bits"), "{err}");
+        // 2 x period overflows: the default horizon saturates, so both
+        // releases below u64::MAX are simulated.
+        let long = temp_file(
+            "long.spec",
+            &format!("cache 64 2 16\ntask hi {examples}/hi.s 9223372036854775809 1\n"),
+        );
+        let out = dispatch(argv(&["sim", long.to_str().unwrap()])).unwrap();
+        assert!(out.starts_with("simulated 9223372036854775828 cycles:"), "{out}");
+        assert!(out.contains("hi: 2 jobs"), "{out}");
     }
 
     #[test]

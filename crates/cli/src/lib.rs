@@ -28,9 +28,16 @@
 //! (`serve` itself is implemented by the `rtserver` crate, which also
 //! ships the `trisc` binary; everything else lives here.)
 //!
-//! [`store`] holds the one memoized artifact DAG — single-flight
-//! `assemble`/`analyze` stages plus the CRPD cell cache — shared by the
-//! server's requests and by `trisc explore` sweeps.
+//! Each spec-driven command — [`run_wcet`], [`run_footprint`],
+//! [`run_crpd`], [`run_wcrt`], [`run_sim`] and `rtexplore::explore` — is
+//! one function over an [`ArtifactStore`], a [`SystemSpec`] and the task
+//! sources in spec order. The one-shot CLI reads the sources from disk
+//! and runs against a fresh store; `trisc serve` resolves them from the
+//! request and runs against its shared store. Either way the report
+//! bytes are the same.
+//!
+//! [`store`] holds that memoized artifact DAG — single-flight
+//! `assemble`/`analyze` stages plus the CRPD cell cache.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,9 +52,9 @@ use std::borrow::Borrow;
 use std::fmt::{self, Write as _};
 
 use crpd::{
-    analyze_all, reload_lines, AnalyzedTask, CrpdApproach, CrpdCellCache, CrpdMatrix, TaskParams,
-    WcrtParams,
+    analyze_all, reload_lines, AnalyzedTask, CrpdApproach, CrpdCellCache, CrpdMatrix, WcrtParams,
 };
+use rtcache::CacheGeometry;
 use rtprogram::asm::{assemble, disassemble};
 use rtprogram::isa::Reg;
 use rtprogram::{Program, Simulator};
@@ -57,6 +64,8 @@ use rtwcet::{estimate_wcet, structural_wcet_bound};
 pub use dispatch::{dispatch, parse, with_recorder, Invocation, USAGE};
 pub use options::{CacheOptions, CliError, ServeOptions, StatusOptions};
 pub use spec::SystemSpec;
+pub use store::ArtifactStore;
+use store::TaskSource;
 
 /// `trisc asm`: assemble and summarize a program.
 ///
@@ -137,102 +146,108 @@ pub fn cmd_run(name: &str, source: &str, variant: Option<&str>) -> Result<String
     Ok(out)
 }
 
-/// `trisc wcet`: per-path WCET plus the structural all-miss bound.
+/// `trisc wcet` and NDJSON `wcet`: per-path WCET plus the structural
+/// all-miss bound of every task of `spec`, in spec order. A bound that
+/// cannot be computed (say, one past `u64::MAX` cycles) is reported in
+/// its place.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] on assembly or analysis failure.
-pub fn cmd_wcet(name: &str, source: &str, opts: &CacheOptions) -> Result<String, CliError> {
-    let p = assemble(name, source).map_err(|e| CliError::Asm(e.to_string()))?;
-    let est = estimate_wcet(&p, opts.geometry()?, opts.model())
-        .map_err(|e| CliError::Analysis(e.to_string()))?;
+/// Returns [`CliError`] on an invalid geometry, assembly or analysis
+/// failure.
+pub fn run_wcet(
+    store: &ArtifactStore,
+    spec: &SystemSpec,
+    sources: &[String],
+) -> Result<String, CliError> {
+    let geometry = spec.cache.geometry()?;
+    let model = spec.cache.model();
     let mut out = String::new();
-    let _ = writeln!(out, "WCET of `{name}` under {} ({}):", opts.geometry()?, opts.model());
-    for v in &est.per_variant {
-        let _ = writeln!(
-            out,
-            "  path {:>12}: {:>9} cycles ({} instructions, {} misses)",
-            v.name, v.cycles, v.instructions, v.misses
-        );
-    }
-    let _ = writeln!(out, "  WCET = {} cycles (path `{}`)", est.cycles, est.worst_variant);
-    if let Ok(bound) = structural_wcet_bound(&p, opts.model(), 1) {
-        let _ = writeln!(out, "  structural all-miss bound: {bound} cycles");
+    for task in TaskSource::of_spec(spec, sources) {
+        let p = store.program(task)?;
+        let est =
+            estimate_wcet(&p, geometry, model).map_err(|e| CliError::Analysis(e.to_string()))?;
+        let _ = writeln!(out, "WCET of `{}` under {geometry} ({model}):", task.name());
+        for v in &est.per_variant {
+            let _ = writeln!(
+                out,
+                "  path {:>12}: {:>9} cycles ({} instructions, {} misses)",
+                v.name, v.cycles, v.instructions, v.misses
+            );
+        }
+        let _ = writeln!(out, "  WCET = {} cycles (path `{}`)", est.cycles, est.worst_variant);
+        let _ = match structural_wcet_bound(&p, model, 1) {
+            Ok(bound) => writeln!(out, "  structural all-miss bound: {bound} cycles"),
+            Err(e) => writeln!(out, "  structural all-miss bound: {e}"),
+        };
     }
     Ok(out)
 }
 
-/// `trisc crpd`: the four per-preemption reload bounds for a task pair.
+/// `trisc crpd` and NDJSON `crpd`: the four per-preemption reload bounds
+/// for a two-task spec — the first task preempted, the second
+/// preempting.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] on assembly or analysis failure.
-pub fn cmd_crpd(
-    low: (&str, &str),
-    high: (&str, &str),
-    opts: &CacheOptions,
+/// Returns [`CliError::Spec`] unless the spec has exactly two tasks, and
+/// [`CliError`] on an invalid geometry, assembly or analysis failure.
+pub fn run_crpd(
+    store: &ArtifactStore,
+    spec: &SystemSpec,
+    sources: &[String],
 ) -> Result<String, CliError> {
-    let geometry = opts.geometry()?;
-    let model = opts.model();
-    let analyze = |name: &str, source: &str, priority: u32| -> Result<AnalyzedTask, CliError> {
-        let p = assemble_named(name, source)?;
-        AnalyzedTask::analyze(&p, TaskParams { period: u64::MAX, priority }, geometry, model)
-            .map_err(|e| CliError::Analysis(e.to_string()))
+    let [_, _] = spec.tasks.as_slice() else {
+        return Err(CliError::Spec(
+            "crpd needs exactly two task lines: the preempted task, then the preempting task"
+                .into(),
+        ));
     };
-    let preempted = analyze(low.0, low.1, 2)?;
-    let preempting = analyze(high.0, high.1, 1)?;
-    Ok(cmd_crpd_with(&preempted, &preempting, opts))
-}
-
-/// The rendering half of [`cmd_crpd`], over already-analyzed tasks: used
-/// by the analysis server, which reuses memoized [`AnalyzedTask`]
-/// artifacts instead of re-analyzing per request. Both entry points emit
-/// byte-identical reports for the same inputs.
-pub fn cmd_crpd_with(
-    preempted: &AnalyzedTask,
-    preempting: &AnalyzedTask,
-    opts: &CacheOptions,
-) -> String {
-    let geometry = preempted.geometry();
-    let model = opts.model();
+    let tasks = store.spec_tasks(spec, sources)?;
+    let (preempted, preempting) = (&tasks[0], &tasks[1]);
+    let miss_penalty = spec.cache.cmiss;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "cache lines `{}` must reload after one preemption by `{}` ({geometry}):",
+        "cache lines `{}` must reload after one preemption by `{}` ({}):",
         preempted.name(),
-        preempting.name()
+        preempting.name(),
+        preempted.geometry()
     );
     for approach in CrpdApproach::ALL {
+        let lines = reload_lines(approach, preempted, preempting);
         let _ = writeln!(
             out,
-            "  {approach}: {:>5} lines ({} cycles at Cmiss={})",
-            reload_lines(approach, preempted, preempting),
-            reload_lines(approach, preempted, preempting) as u64 * model.miss_penalty,
-            model.miss_penalty
+            "  {approach}: {lines:>5} lines ({} cycles at Cmiss={miss_penalty})",
+            lines as u64 * miss_penalty,
         );
     }
-    out
+    Ok(out)
 }
 
-/// `trisc footprint`: cache-footprint report for a program — per-path
-/// block counts, line occupancy, useful-block lines, and the per-set
-/// pressure histogram.
+/// `trisc footprint`: cache-footprint report of every task of `spec` —
+/// per-path block counts, line occupancy, useful-block lines, and the
+/// per-set pressure histogram.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] on assembly or analysis failure.
-pub fn cmd_footprint(name: &str, source: &str, opts: &CacheOptions) -> Result<String, CliError> {
-    let geometry = opts.geometry()?;
-    let p = assemble(name, source).map_err(|e| CliError::Asm(e.to_string()))?;
-    let task = AnalyzedTask::analyze(
-        &p,
-        TaskParams { period: u64::MAX, priority: 1 },
-        geometry,
-        opts.model(),
-    )
-    .map_err(|e| CliError::Analysis(e.to_string()))?;
+/// Returns [`CliError`] on an invalid geometry, assembly or analysis
+/// failure.
+pub fn run_footprint(
+    store: &ArtifactStore,
+    spec: &SystemSpec,
+    sources: &[String],
+) -> Result<String, CliError> {
+    let geometry = spec.cache.geometry()?;
     let mut out = String::new();
-    let _ = writeln!(out, "cache footprint of `{name}` under {geometry}:");
+    for task in store.spec_tasks(spec, sources)? {
+        write_footprint(&mut out, &task, geometry);
+    }
+    Ok(out)
+}
+
+fn write_footprint(out: &mut String, task: &AnalyzedTask, geometry: CacheGeometry) {
+    let _ = writeln!(out, "cache footprint of `{}` under {geometry}:", task.name());
     for path in task.paths() {
         let _ = writeln!(
             out,
@@ -266,41 +281,37 @@ pub fn cmd_footprint(name: &str, source: &str, opts: &CacheOptions) -> Result<St
             let _ = writeln!(out, "    k={k}: {count:>5} sets");
         }
     }
+}
+
+/// `trisc wcrt` and NDJSON `wcrt`: the WCRT table of every task of
+/// `spec` under each approach ([`cmd_wcrt_cached`] over the store's
+/// artifacts and cell cache), followed with `explain` by the per-task
+/// Eq. 7 breakdown of `trisc wcrt --explain`.
+///
+/// # Errors
+///
+/// Returns [`CliError`] on an invalid geometry, assembly or analysis
+/// failure.
+pub fn run_wcrt(
+    store: &ArtifactStore,
+    spec: &SystemSpec,
+    sources: &[String],
+    explain: bool,
+) -> Result<String, CliError> {
+    let tasks = store.spec_tasks(spec, sources)?;
+    let mut out = cmd_wcrt_cached(spec, &tasks, store.cells())?;
+    if explain {
+        write_breakdown(&mut out, spec, &tasks, store.cells());
+    }
     Ok(out)
 }
 
-/// `trisc wcrt`: WCRT of every task of a [`SystemSpec`] under each
-/// approach.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on spec, assembly or analysis failure.
-pub fn cmd_wcrt(spec: &SystemSpec) -> Result<String, CliError> {
-    let tasks = spec.analyzed_tasks()?;
-    cmd_wcrt_with(spec, &tasks)
-}
-
-/// The rendering half of [`cmd_wcrt`], over already-analyzed tasks
-/// (`&[AnalyzedTask]`, `&[Arc<AnalyzedTask>]`, …): used by the analysis
-/// server, which reuses memoized artifacts instead of re-analyzing per
-/// request. Both entry points emit byte-identical reports for the same
-/// inputs.
-///
-/// # Errors
-///
-/// Returns [`CliError::Options`] for an invalid cache geometry.
-pub fn cmd_wcrt_with<T: Borrow<AnalyzedTask> + Sync>(
-    spec: &SystemSpec,
-    tasks: &[T],
-) -> Result<String, CliError> {
-    cmd_wcrt_cached(spec, tasks, &CrpdCellCache::default())
-}
-
-/// [`cmd_wcrt_with`] through a shared [`CrpdCellCache`]: pairwise CRPD
-/// bounds whose `(approach, preempted, preempting)` content keys were
+/// The WCRT table over already-analyzed tasks (`&[AnalyzedTask]`,
+/// `&[Arc<AnalyzedTask>]`, …), bounding pairwise CRPD through `cells`:
+/// cells whose `(approach, preempted, preempting)` content keys were
 /// already bounded — by an earlier request against the same cache — are
-/// reused instead of recomputed. The report is byte-identical to the
-/// uncached path; the cache only changes *which* cells run.
+/// reused instead of recomputed. The report is byte-identical whatever
+/// the cache holds; the cache only changes *which* cells run.
 ///
 /// # Errors
 ///
@@ -360,28 +371,23 @@ pub fn cmd_wcrt_cached<T: Borrow<AnalyzedTask> + Sync>(
 /// task: the top contributors to the combined (App. 4) overlap bound.
 const EXPLAIN_TOP_SETS: usize = 4;
 
-/// `trisc wcrt --explain`: the [`cmd_wcrt_with`] table followed by a
-/// per-task breakdown of every approach's WCRT into its Eq. 7 terms —
-/// WCET, higher-priority interference, CRPD reload cycles and context
-/// switches (the four always sum to the reported `R_i`) — plus the cache
-/// sets contributing most to the combined overlap bound per preempting
-/// task.
+/// The `--explain` half of [`run_wcrt`]: a per-task breakdown of every
+/// approach's WCRT into its Eq. 7 terms — WCET, higher-priority
+/// interference, CRPD reload cycles and context switches (the four
+/// always sum to the reported `R_i`) — plus the cache sets contributing
+/// most to the combined overlap bound per preempting task.
 ///
 /// The breakdown is a deterministic recomputation
 /// ([`crpd::explain_response_time`]) rather than recorder state, so the
-/// output is byte-identical whether or not tracing is enabled.
-///
-/// # Errors
-///
-/// Returns [`CliError::Options`] for an invalid cache geometry.
-pub fn cmd_wcrt_explain<T: Borrow<AnalyzedTask> + Sync>(
+/// output is byte-identical whether or not tracing is enabled. The
+/// matrices come from `cells`, which already holds every cell the table
+/// bounded.
+fn write_breakdown(
+    out: &mut String,
     spec: &SystemSpec,
-    tasks: &[T],
-) -> Result<String, CliError> {
-    // One cell cache spans the table and the breakdown, so the matrices
-    // here are served entirely from the cells the table already bounded.
-    let cells = CrpdCellCache::default();
-    let mut out = cmd_wcrt_cached(spec, tasks, &cells)?;
+    tasks: &[AnalyzedTask],
+    cells: &CrpdCellCache,
+) {
     let model = spec.cache.model();
     let params = WcrtParams {
         miss_penalty: model.miss_penalty,
@@ -389,9 +395,9 @@ pub fn cmd_wcrt_explain<T: Borrow<AnalyzedTask> + Sync>(
         ..WcrtParams::default()
     };
     let matrices: Vec<CrpdMatrix> =
-        rtpar::par_map(&CrpdApproach::ALL, |a| CrpdMatrix::compute_with(*a, tasks, &cells));
+        rtpar::par_map(&CrpdApproach::ALL, |a| CrpdMatrix::compute_with(*a, tasks, cells));
     let _ = writeln!(out, "\nWCRT breakdown (cycles; wcet + interference + crpd + ctx = R):");
-    for (i, t) in tasks.iter().map(Borrow::borrow).enumerate() {
+    for (i, t) in tasks.iter().enumerate() {
         let _ = writeln!(
             out,
             "  {} (C={}, period {}, priority {}):",
@@ -403,9 +409,8 @@ pub fn cmd_wcrt_explain<T: Borrow<AnalyzedTask> + Sync>(
         let breakdowns = matrices
             .iter()
             .map(|m| (m.approach, crpd::explain_response_time(tasks, m, i, &params)));
-        write_explanation(&mut out, breakdowns, tasks, i, EXPLAIN_TOP_SETS);
+        write_explanation(out, breakdowns, tasks, i, EXPLAIN_TOP_SETS);
     }
-    Ok(out)
 }
 
 /// Writes the body of one task's Eq. 7 explanation, shared by `trisc
@@ -457,38 +462,31 @@ pub fn write_explanation<L: fmt::Display, T: Borrow<AnalyzedTask>>(
     }
 }
 
-/// `trisc sim`: run the co-simulation over `horizon` cycles (default:
-/// twice the longest period) and report responses plus a timeline.
+/// `trisc sim` and NDJSON `sim`: run the co-simulation over `horizon`
+/// cycles (default: twice the longest period, saturating at `u64::MAX`)
+/// and report responses plus a timeline.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] on spec or simulation failure.
-pub fn cmd_sim(spec: &SystemSpec, horizon: Option<u64>) -> Result<String, CliError> {
-    let programs = spec.programs()?;
-    cmd_sim_with(spec, &programs, horizon)
-}
-
-/// The simulation half of [`cmd_sim`], over already-assembled programs
-/// (one per spec task, in spec order): used by the analysis server, whose
-/// task sources arrive inline over the wire. Both entry points emit
-/// byte-identical reports for the same inputs.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on an invalid geometry or simulation failure.
-pub fn cmd_sim_with(
+/// Returns [`CliError`] on assembly failure, an invalid geometry or a
+/// simulation failure.
+pub fn run_sim(
+    store: &ArtifactStore,
     spec: &SystemSpec,
-    programs: &[Program],
+    sources: &[String],
     horizon: Option<u64>,
 ) -> Result<String, CliError> {
-    let geometry = spec.cache.geometry()?;
-    let sched_tasks: Vec<SchedTask> = programs
-        .iter()
+    let sched_tasks = TaskSource::of_spec(spec, sources)
+        .into_iter()
         .zip(&spec.tasks)
-        .map(|(p, t)| SchedTask::new(p.clone(), t.period, t.priority))
-        .collect();
-    let horizon =
-        horizon.unwrap_or_else(|| spec.tasks.iter().map(|t| t.period).max().unwrap_or(1) * 2);
+        .map(|(task, t)| {
+            Ok(SchedTask::new(Program::clone(&*store.program(task)?), t.period, t.priority))
+        })
+        .collect::<Result<Vec<SchedTask>, CliError>>()?;
+    let geometry = spec.cache.geometry()?;
+    let horizon = horizon.unwrap_or_else(|| {
+        spec.tasks.iter().map(|t| t.period).max().unwrap_or(1).saturating_mul(2)
+    });
     let config = SchedConfig {
         geometry,
         model: spec.cache.model(),
@@ -513,13 +511,6 @@ pub fn cmd_sim_with(
     let periods: Vec<u64> = spec.tasks.iter().map(|t| t.period).collect();
     out.push_str(&render_timeline(&report.slices, &names, &periods, horizon, 80));
     Ok(out)
-}
-
-/// Loads a program from already-read source; helper shared by spec
-/// loading.
-pub(crate) fn assemble_named(name: &str, source: &str) -> Result<Program, CliError> {
-    let _span = rtobs::span_labeled("assemble", || name.to_string());
-    assemble(name, source).map_err(|e| CliError::Asm(e.to_string()))
 }
 
 #[cfg(test)]
@@ -567,41 +558,64 @@ mod tests {
     #[test]
     fn footprint_reports_lines_and_pressure() {
         let src = ".data 0x100000\nbuf: .word 1,2,3,4,5,6,7,8\n.text 0x1000\nstart: li r1, buf\nld r2, 0(r1)\nld r2, 16(r1)\nld r2, 0(r1)\nhalt\n";
-        let out = cmd_footprint("t", src, &CacheOptions::default()).unwrap();
+        let (spec, sources) = inline("", &[("t", src, 1000, 1)]);
+        let out = run_footprint(&ArtifactStore::default(), &spec, &sources).unwrap();
         assert!(out.contains("union:"), "{out}");
         assert!(out.contains("useful"), "{out}");
         assert!(out.contains("k=1"), "{out}");
     }
 
+    const HI: &str = ".data 0x100000\nbuf: .word 1,2,3\n.text 0x1000\nstart: li r1, buf\nld r2, 0(r1)\nld r2, 0(r1)\nhalt\n";
+    const LO: &str = ".data 0x100400\nbuf: .word 7\n.text 0x2000\nstart: li r1, buf\nld r2, 0(r1)\nld r2, 0(r1)\nhalt\n";
+
+    /// A spec over inline sources: `(name, source)` per `task` line.
+    fn inline(head: &str, tasks: &[(&str, &str, u64, u32)]) -> (SystemSpec, Vec<String>) {
+        let mut text = head.to_string();
+        for (name, _, period, priority) in tasks {
+            text.push_str(&format!("task {name} {name}.s {period} {priority}\n"));
+        }
+        let spec = SystemSpec::parse(&text, std::path::Path::new("")).unwrap();
+        (spec, tasks.iter().map(|t| t.1.to_string()).collect())
+    }
+
     #[test]
     fn wcet_prints_paths_and_bound() {
-        let out = cmd_wcet("count", COUNT, &CacheOptions::default()).unwrap();
+        let (spec, sources) = inline("", &[("count", COUNT, 1000, 1)]);
+        let out = run_wcet(&ArtifactStore::default(), &spec, &sources).unwrap();
+        assert!(out.contains("WCET of `count`"), "{out}");
         assert!(out.contains("WCET ="));
         assert!(out.contains("structural all-miss bound"));
     }
 
     #[test]
+    fn a_printed_structural_bound_is_never_below_the_wcet() {
+        // Past ~u64::MAX / 10 the all-miss bound no longer fits; it must
+        // say so rather than print a wrapped number below the WCET.
+        for cmiss in [0u64, 20, 1 << 40, 1_844_674_407_370_955_161, 4_000_000_000_000_000_000] {
+            let (spec, sources) = inline(&format!("cmiss {cmiss}\n"), &[("hi", HI, 1000, 1)]);
+            let out = run_wcet(&ArtifactStore::default(), &spec, &sources).unwrap();
+            let number = |prefix: &str| -> Option<u64> {
+                let line = out.lines().find_map(|l| l.trim().strip_prefix(prefix))?;
+                line.split(' ').next()?.parse().ok()
+            };
+            let wcet = number("WCET = ").expect("WCET line");
+            match number("structural all-miss bound: ") {
+                Some(bound) => assert!(bound >= wcet, "cmiss {cmiss}: {out}"),
+                None => assert!(
+                    out.contains("structural all-miss bound: cycle count overflows 64 bits"),
+                    "cmiss {cmiss}: {out}"
+                ),
+            }
+        }
+    }
+
+    #[test]
     fn explain_components_sum_to_the_reported_wcrt() {
-        let dir = std::env::temp_dir().join(format!("trisc-explain-lib-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("hi.s"),
-            ".data 0x100000\nbuf: .word 1,2,3\n.text 0x1000\nstart: li r1, buf\nld r2, 0(r1)\nld r2, 0(r1)\nhalt\n",
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("lo.s"),
-            ".data 0x100400\nbuf: .word 7\n.text 0x2000\nstart: li r1, buf\nld r2, 0(r1)\nld r2, 0(r1)\nhalt\n",
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("sys.spec"),
-            "cache 64 2 16\ncmiss 20\nccs 50\ntask hi hi.s 5000 1\ntask lo lo.s 50000 2\n",
-        )
-        .unwrap();
-        let spec = SystemSpec::load(&dir.join("sys.spec")).unwrap();
-        let tasks = spec.analyzed_tasks().unwrap();
-        let out = cmd_wcrt_explain(&spec, &tasks).unwrap();
+        let (spec, sources) = inline(
+            "cache 64 2 16\ncmiss 20\nccs 50\n",
+            &[("hi", HI, 5000, 1), ("lo", LO, 50000, 2)],
+        );
+        let out = run_wcrt(&ArtifactStore::default(), &spec, &sources, true).unwrap();
         // Every breakdown line's four terms must sum to its R, exactly.
         let mut parsed = 0;
         for line in out.lines().filter(|l| l.trim_start().starts_with("App. ")) {
@@ -617,23 +631,23 @@ mod tests {
         // breakdown names the contributing sets.
         assert!(out.contains("top sets vs `hi`"), "{out}");
         // The table half is byte-identical to the plain report.
-        let plain = cmd_wcrt_with(&spec, &tasks).unwrap();
+        let plain = run_wcrt(&ArtifactStore::default(), &spec, &sources, false).unwrap();
         assert!(out.starts_with(&plain), "explain must append, not rewrite");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn crpd_prints_all_four_approaches() {
-        let low = "start: li r1, 0x100000\nld r2, 0(r1)\nld r2, 0(r1)\nhalt\n";
-        // No data segment at 0x100000 -> would fault; use self-contained
-        // programs instead.
-        let _ = low;
         let a = ".data 0x100000\nbuf: .word 1,2,3,4\n.text 0x1000\nstart: li r1, buf\nld r2, 0(r1)\nld r2, 4(r1)\nld r2, 0(r1)\nhalt\n";
         let b =
             ".data 0x100040\nbuf: .word 9\n.text 0x2000\nstart: li r1, buf\nld r2, 0(r1)\nhalt\n";
-        let out = cmd_crpd(("low", a), ("high", b), &CacheOptions::default()).unwrap();
+        let (spec, sources) = inline("", &[("low", a, 1000, 2), ("high", b, 1000, 1)]);
+        let out = run_crpd(&ArtifactStore::default(), &spec, &sources).unwrap();
+        assert!(out.starts_with("cache lines `low` must reload after one preemption by `high`"));
         for label in ["App. 1", "App. 2", "App. 3", "App. 4"] {
             assert!(out.contains(label), "{out}");
         }
+        let (one, source) = inline("", &[("low", a, 1000, 1)]);
+        let err = run_crpd(&ArtifactStore::default(), &one, &source).unwrap_err();
+        assert!(err.to_string().contains("exactly two task lines"), "{err}");
     }
 }

@@ -16,9 +16,6 @@
 
 use std::path::{Path, PathBuf};
 
-use crpd::{AnalyzedTask, TaskParams};
-use rtprogram::Program;
-
 use crate::options::{CacheOptions, CliError};
 
 /// One `task` line of the spec.
@@ -141,56 +138,20 @@ impl SystemSpec {
         SystemSpec::parse(&text, base)
     }
 
-    /// Assembles every task's program.
+    /// Reads every task's source file, in spec order: how the one-shot
+    /// CLI resolves a spec's sources before running it.
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::Io`] or [`CliError::Asm`].
-    pub fn programs(&self) -> Result<Vec<Program>, CliError> {
-        self.programs_with(&mut |t| {
-            std::fs::read_to_string(&t.source)
-                .map_err(|e| CliError::Io(format!("{}: {e}", t.source.display())))
-        })
-    }
-
-    /// Assembles every task's program, resolving each task's source text
-    /// through `read_source`. The analysis server uses this to serve specs
-    /// whose sources arrive inline over the wire instead of on disk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `read_source` errors and returns [`CliError::Asm`] on
-    /// assembly failure.
-    pub fn programs_with(
-        &self,
-        read_source: &mut dyn FnMut(&SpecTask) -> Result<String, CliError>,
-    ) -> Result<Vec<Program>, CliError> {
-        self.tasks.iter().map(|t| crate::assemble_named(&t.name, &read_source(t)?)).collect()
-    }
-
-    /// Assembles and analyzes every task. Per-task analyses fan out over
-    /// the current `rtpar` pool; the first error in task order wins, so
-    /// outputs do not depend on the thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CliError`] on assembly or analysis failure.
-    pub fn analyzed_tasks(&self) -> Result<Vec<AnalyzedTask>, CliError> {
-        let geometry = self.cache.geometry()?;
-        let model = self.cache.model();
-        let programs = self.programs()?;
-        rtpar::par_map_range(programs.len(), |i| {
-            let task = &self.tasks[i];
-            AnalyzedTask::analyze(
-                &programs[i],
-                TaskParams { period: task.period, priority: task.priority },
-                geometry,
-                model,
-            )
-            .map_err(|e| CliError::Analysis(e.to_string()))
-        })
-        .into_iter()
-        .collect()
+    /// Returns [`CliError::Io`] naming the first unreadable file.
+    pub fn read_sources(&self) -> Result<Vec<String>, CliError> {
+        self.tasks
+            .iter()
+            .map(|t| {
+                std::fs::read_to_string(&t.source)
+                    .map_err(|e| CliError::Io(format!("{}: {e}", t.source.display())))
+            })
+            .collect()
     }
 }
 
@@ -270,7 +231,8 @@ task b b.s 100000 2
         ] {
             let s =
                 SystemSpec::parse(&format!("{cache}\ntask a a.s 1 1\n"), Path::new(".")).unwrap();
-            let err = s.analyzed_tasks().unwrap_err();
+            let store = crate::ArtifactStore::default();
+            let err = store.spec_tasks(&s, &["start: halt\n".to_string()]).unwrap_err();
             let CliError::Options(msg) = &err else {
                 panic!("expected CliError::Options for {cache}, got {err:?}");
             };
@@ -310,23 +272,6 @@ task b b.s 100000 2
     }
 
     #[test]
-    fn programs_with_resolves_inline_sources() {
-        let spec = SystemSpec::parse("task a a.s 1000 1\n", Path::new("")).unwrap();
-        assert_eq!(spec.tasks[0].source, Path::new("a.s"));
-        let mut programs = spec
-            .programs_with(&mut |t| {
-                assert_eq!(t.source, Path::new("a.s"));
-                Ok("start: li r1, 7\nhalt\n".to_string())
-            })
-            .unwrap();
-        assert_eq!(programs.len(), 1);
-        assert_eq!(programs.remove(0).name(), "a");
-        // Errors from the resolver propagate unchanged.
-        let err = spec.programs_with(&mut |_| Err(CliError::Io("nope".into()))).unwrap_err();
-        assert!(matches!(err, CliError::Io(_)));
-    }
-
-    #[test]
     fn end_to_end_with_real_files() {
         let dir = std::env::temp_dir().join(format!("trisc-spec-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -346,12 +291,16 @@ task b b.s 100000 2
         )
         .unwrap();
         let spec = SystemSpec::load(&dir.join("sys.spec")).unwrap();
-        let wcrt = crate::cmd_wcrt(&spec).unwrap();
+        let sources = spec.read_sources().unwrap();
+        let store = crate::ArtifactStore::default();
+        let wcrt = crate::run_wcrt(&store, &spec, &sources, false).unwrap();
         assert!(wcrt.contains("App. 4"), "{wcrt}");
         assert!(wcrt.contains("hi"));
-        let sim = crate::cmd_sim(&spec, Some(60_000)).unwrap();
+        let sim = crate::run_sim(&store, &spec, &sources, Some(60_000)).unwrap();
         assert!(sim.contains("max response"));
         std::fs::remove_dir_all(&dir).ok();
+        let err = spec.read_sources().unwrap_err();
+        assert!(matches!(&err, CliError::Io(msg) if msg.contains("a.s")), "{err}");
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The content-addressed artifact DAG: the one memo store behind
-//! `trisc explore`, `trisc serve` and the server's `explore` path.
+//! The content-addressed artifact DAG: the one memo store every
+//! spec-driven command runs through — one fresh store per one-shot
+//! `trisc` run, one shared store for the life of `trisc serve`.
 //!
 //! The pipeline is staged — assemble → per-path trace/RMB-LMB → CIIP
 //! footprints → WCET → pairwise CRPD bounds → WCRT recurrence — and each
@@ -30,6 +31,9 @@
 //! Failed stages are *not* cached: the in-flight slot is cleared so a
 //! later request retries — errors are cheap to recompute and callers may
 //! fix the environment (e.g. a missing include path) between requests.
+//! The `assemble` stage is the only place a spec-driven command
+//! assembles, so its errors name the failing task (`{name}: line N: …`)
+//! for every command alike.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -41,7 +45,7 @@ use rtcache::CacheGeometry;
 use rtprogram::Program;
 use rtwcet::TimingModel;
 
-use crate::CliError;
+use crate::{CliError, SystemSpec};
 
 /// 128-bit content hash of a task's name and assembly source — the
 /// `assemble` stage key. Two independent FNV-1a streams over
@@ -254,6 +258,17 @@ impl<'a> TaskSource<'a> {
     pub fn name(&self) -> &'a str {
         self.name
     }
+
+    /// One [`TaskSource`] per task of `spec`, pairing each task's name
+    /// with its resolved source text (`sources`, in spec order).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sources` holds exactly one text per spec task.
+    pub fn of_spec(spec: &'a SystemSpec, sources: &'a [String]) -> Vec<TaskSource<'a>> {
+        assert_eq!(spec.tasks.len(), sources.len(), "one resolved source per spec task");
+        spec.tasks.iter().zip(sources).map(|(t, s)| TaskSource::new(&t.name, s)).collect()
+    }
 }
 
 /// The artifact DAG: per-stage single-flight stores plus the shared CRPD
@@ -276,81 +291,86 @@ impl Default for ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// Returns the task bound to `params` over the memoized
-    /// [`AnalyzedProgram`] for `(name, source, geometry, model)`,
-    /// assembling and analyzing only on first use.
-    ///
-    /// Params are bound *after* the cache: a request differing only in
-    /// period/priority hits both the `assemble` and `analyze` stages and
-    /// re-runs zero pipeline spans.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CliError::Asm`] or [`CliError::Analysis`] from the
-    /// underlying pipeline; errors are never cached.
-    pub fn analyzed(
-        &self,
-        name: &str,
-        source: &str,
-        params: TaskParams,
-        geometry: CacheGeometry,
-        model: TimingModel,
-    ) -> Result<AnalyzedTask, CliError> {
-        let program = self.analyzed_program(TaskSource::new(name, source), geometry, model)?;
-        Ok(AnalyzedTask::bind(program, params))
-    }
-
-    /// The params-free half of [`analyzed`]: the memoized
-    /// [`AnalyzedProgram`] of `task` under `(geometry, model)`. This is
-    /// the provider surface `explore` sweeps bind against — every sweep
-    /// point rebinds these shared artifacts with its own scheduling
-    /// parameters, so the whole grid shares one `assemble`/`analyze` run
-    /// per unique key.
+    /// The memoized [`AnalyzedProgram`] of `task` under `(geometry,
+    /// model)`, assembling and analyzing only on first use. Scheduling
+    /// parameters are bound *after* the cache ([`AnalyzedTask::bind`]), so
+    /// a request differing only in period/priority hits both stages and
+    /// re-runs zero pipeline spans — and every explore sweep point rebinds
+    /// these shared artifacts, one `assemble`/`analyze` run per unique key.
     ///
     /// # Errors
     ///
     /// Returns [`CliError::Asm`] or [`CliError::Analysis`] from the
     /// underlying pipeline; errors are never cached.
-    ///
-    /// [`analyzed`]: ArtifactStore::analyzed
     pub fn analyzed_program(
         &self,
         task: TaskSource<'_>,
         geometry: CacheGeometry,
         model: TimingModel,
     ) -> Result<Arc<AnalyzedProgram>, CliError> {
-        let TaskSource { name, source, hash } = task;
-        let program = self.programs.get_or_compute(hash, || {
-            let _span = rtobs::span_labeled("assemble", || name.to_string());
-            rtprogram::asm::assemble(name, source).map_err(|e| CliError::Asm(e.to_string()))
-        })?;
-        let key = AnalysisKey { program_hash: hash, geometry, model };
+        let program = self.program(task)?;
+        let key = AnalysisKey { program_hash: task.hash, geometry, model };
         self.analyses.get_or_compute(key, || {
             AnalyzedProgram::analyze(&program, geometry, model)
                 .map_err(|e| CliError::Analysis(e.to_string()))
         })
     }
 
-    /// The analysis provider of a `trisc explore` sweep over `sources`
-    /// (`(name, assembly source)` per task, in spec order): task index →
+    /// The memoized `assemble` stage's [`Program`] for `task`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::Asm`] naming the task (`{name}: line N: …`);
+    /// errors are never cached.
+    pub fn program(&self, task: TaskSource<'_>) -> Result<Arc<Program>, CliError> {
+        let TaskSource { name, source, hash } = task;
+        self.programs.get_or_compute(hash, || {
+            let _span = rtobs::span_labeled("assemble", || name.to_string());
+            rtprogram::asm::assemble(name, source)
+                .map_err(|e| CliError::Asm(format!("{name}: {e}")))
+        })
+    }
+
+    /// Every task of `spec` bound to its spec parameters over the
+    /// memoized artifacts, with `sources` (in spec order) as the task
+    /// texts. Tasks fan out over the current `rtpar` pool; results and
+    /// the first error are taken in task order, so the outcome does not
+    /// depend on the pool size.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::Options`] for an invalid geometry, else the
+    /// first task's [`CliError::Asm`] or [`CliError::Analysis`].
+    pub fn spec_tasks(
+        &self,
+        spec: &SystemSpec,
+        sources: &[String],
+    ) -> Result<Vec<AnalyzedTask>, CliError> {
+        let geometry = spec.cache.geometry()?;
+        let model = spec.cache.model();
+        let tasks = TaskSource::of_spec(spec, sources);
+        rtpar::par_map_range(tasks.len(), |i| {
+            let t = &spec.tasks[i];
+            let program = self.analyzed_program(tasks[i], geometry, model)?;
+            Ok(AnalyzedTask::bind(program, TaskParams { period: t.period, priority: t.priority }))
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// The analysis provider of an explore sweep over `spec`'s tasks
+    /// (texts in `sources`, spec order): task index →
     /// [`analyzed_program`], with each task hashed once up front.
-    /// Assembly errors name the failing task (`{name}: line N: ...`),
-    /// since a sweep report has no other place to say which task failed.
     ///
     /// [`analyzed_program`]: ArtifactStore::analyzed_program
     pub fn sweep_provider<'s>(
         &'s self,
-        sources: &'s [(String, String)],
+        spec: &'s SystemSpec,
+        sources: &'s [String],
     ) -> impl Fn(usize, CacheGeometry, TimingModel) -> Result<Arc<AnalyzedProgram>, CliError> + Sync + 's
     {
-        let tasks: Vec<TaskSource> = sources.iter().map(|(n, s)| TaskSource::new(n, s)).collect();
-        move |task, geometry, model| {
-            let task = tasks[task];
-            self.analyzed_program(task, geometry, model).map_err(|e| match e {
-                CliError::Asm(e) => CliError::Asm(format!("{}: {e}", task.name)),
-                e => e,
-            })
-        }
+        let tasks = TaskSource::of_spec(spec, sources);
+        move |task, geometry, model| self.analyzed_program(tasks[task], geometry, model)
     }
 
     /// The memoized `assemble` stage.
@@ -411,6 +431,21 @@ mod tests {
 
     fn params(priority: u32) -> TaskParams {
         TaskParams { period: 10_000, priority }
+    }
+
+    impl ArtifactStore {
+        /// `task` bound to `params` over the memoized artifact.
+        fn analyzed(
+            &self,
+            name: &str,
+            source: &str,
+            params: TaskParams,
+            geometry: CacheGeometry,
+            model: TimingModel,
+        ) -> Result<AnalyzedTask, CliError> {
+            let program = self.analyzed_program(TaskSource::new(name, source), geometry, model)?;
+            Ok(AnalyzedTask::bind(program, params))
+        }
     }
 
     #[test]
@@ -479,13 +514,19 @@ mod tests {
         assert_eq!(store.programs().misses(), 2);
     }
 
+    fn one_task_spec(name: &str) -> SystemSpec {
+        SystemSpec::parse(&format!("task {name} {name}.s 1000 1\n"), std::path::Path::new(""))
+            .unwrap()
+    }
+
     #[test]
     fn sweep_provider_memoizes_per_task_geometry_and_model() {
         const SRC: &str = ".data 0x100000\nbuf: .word 1,2\n.text 0x1000\n\
                            start: li r1, buf\nld r2, 0(r1)\nhalt\n";
         let store = ArtifactStore::default();
-        let sources = [("a".to_string(), SRC.to_string())];
-        let provider = store.sweep_provider(&sources);
+        let spec = one_task_spec("a");
+        let sources = [SRC.to_string()];
+        let provider = store.sweep_provider(&spec, &sources);
         let g64 = CacheGeometry::new(64, 2, 16).unwrap();
         let g32 = CacheGeometry::new(32, 2, 16).unwrap();
         let m20 = TimingModel::with_miss_penalty(20);
@@ -504,8 +545,9 @@ mod tests {
     #[test]
     fn sweep_assembly_errors_name_the_task_and_are_not_cached() {
         let store = ArtifactStore::default();
-        let sources = [("bad".to_string(), "not assembly".to_string())];
-        let provider = store.sweep_provider(&sources);
+        let spec = one_task_spec("bad");
+        let sources = ["not assembly".to_string()];
+        let provider = store.sweep_provider(&spec, &sources);
         let g = CacheGeometry::new(64, 2, 16).unwrap();
         let err = provider(0, g, TimingModel::default()).unwrap_err();
         assert!(matches!(&err, CliError::Asm(msg) if msg.starts_with("bad: line 1: ")), "{err}");
@@ -514,9 +556,16 @@ mod tests {
         assert_eq!(retry.to_string(), err.to_string());
         assert_eq!(store.programs().misses(), 2, "the failed assemble was not cached");
         assert!(store.programs().is_empty() && store.is_empty());
-        // The request path reports the assembler's message unprefixed.
+        // Every path through the `assemble` stage names the task alike.
         let direct = store.analyzed("bad", "not assembly", params(1), g, TimingModel::default());
-        assert!(matches!(direct, Err(CliError::Asm(msg)) if msg.starts_with("line 1: ")));
+        assert!(matches!(direct, Err(CliError::Asm(msg)) if msg == err_msg(&err)));
+        let spec_path = store.spec_tasks(&spec, &sources).unwrap_err();
+        assert_eq!(spec_path.to_string(), err.to_string());
+    }
+
+    fn err_msg(err: &CliError) -> String {
+        let CliError::Asm(msg) = err else { panic!("expected an assembly error, got {err}") };
+        msg.clone()
     }
 
     #[test]

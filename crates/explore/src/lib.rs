@@ -7,9 +7,9 @@
 //!
 //! * **Deduplicated analysis.** Points are batched and each batch's
 //!   unique `(task, geometry, model)` combinations are bound once
-//!   through an analysis provider (the single-flight
-//!   [`rtcli::store::ArtifactStore`], per sweep for `trisc explore` and
-//!   shared across requests in the server); every point then rebinds
+//!   through [`ArtifactStore::sweep_provider`] (a fresh store per
+//!   `trisc explore` run, the shared store in the server — both through
+//!   [`explore`]); every point then rebinds
 //!   the shared [`crpd::AnalyzedProgram`] artifacts in O(1) via
 //!   [`crpd::AnalyzedTask::bind_all`]. A 1000-point sweep re-runs
 //!   assemble/trace/CIIP/WCET once per unique key, not per point.
@@ -45,9 +45,44 @@ pub use front::{dominates, ParetoFront, PointOutcome};
 pub use grid::Grid;
 pub use plan::{Plan, PointConfig, MAX_POINTS};
 
+/// A finished sweep: its plan, tallies and explained front.
+#[derive(Debug)]
+pub struct Explored {
+    /// The swept plan (for the report header).
+    pub plan: Plan,
+    /// Points evaluated and the final Pareto front.
+    pub outcome: SweepOutcome,
+    /// The explained Pareto front ([`explain_front`]).
+    pub front_report: String,
+}
+
+/// The one explore path of `trisc explore` and NDJSON `explore`: plans
+/// `grid` over `spec`, sweeps it through `store` (task texts in
+/// `sources`, spec order) and explains the front. Each evaluated batch
+/// streams into `on_batch`, the caller's sink — report rows for the CLI,
+/// NDJSON frames for the server.
+///
+/// # Errors
+///
+/// Returns [`CliError`] on plan validation or analysis failure.
+pub fn explore(
+    store: &ArtifactStore,
+    spec: &SystemSpec,
+    sources: &[String],
+    grid: &Grid,
+    on_batch: impl FnMut(&[PointOutcome], &ParetoFront),
+) -> Result<Explored, CliError> {
+    let plan = Plan::new(spec, grid)?;
+    let provider = store.sweep_provider(spec, sources);
+    let outcome = run_sweep(&plan, &provider, store.cells(), on_batch)?;
+    let front_report = explain_front(&plan, &provider, store.cells(), &outcome.front)?;
+    Ok(Explored { plan, outcome, front_report })
+}
+
 /// `trisc explore GRID`: loads the grid file, its base spec and task
-/// sources from disk, runs the sweep in-process, and renders the header,
-/// every per-point row and the explained Pareto front as one report.
+/// sources from disk, runs [`explore`] against a fresh store, and renders
+/// the header, every per-point row and the explained Pareto front as one
+/// report.
 ///
 /// # Errors
 ///
@@ -62,42 +97,20 @@ pub fn cmd_explore(grid_path: &Path) -> Result<String, CliError> {
     })?;
     let base_dir = grid_path.parent().unwrap_or_else(|| Path::new("."));
     let spec = SystemSpec::load(&base_dir.join(spec_rel))?;
-    let sources = spec
-        .tasks
-        .iter()
-        .map(|t| {
-            let source = std::fs::read_to_string(&t.source)
-                .map_err(|e| CliError::Io(format!("{}: {e}", t.source.display())))?;
-            Ok((t.name.clone(), source))
-        })
-        .collect::<Result<Vec<_>, CliError>>()?;
-    cmd_explore_with(&spec, sources, &grid)
-}
-
-/// The in-process half of [`cmd_explore`], over already-resolved
-/// `(task name, assembly source)` pairs in spec order.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on plan validation or analysis failure.
-pub fn cmd_explore_with(
-    spec: &SystemSpec,
-    sources: Vec<(String, String)>,
-    grid: &Grid,
-) -> Result<String, CliError> {
-    let plan = Plan::new(spec, grid)?;
-    let store = ArtifactStore::default();
-    let provider = store.sweep_provider(&sources);
-    let mut out = String::new();
-    let _ = writeln!(out, "explore: {} points ({})", plan.len(), plan.describe_axes());
-    let outcome = run_sweep(&plan, &provider, store.cells(), |batch, _front| {
+    let sources = spec.read_sources()?;
+    let mut rows = String::new();
+    let explored = explore(&ArtifactStore::default(), &spec, &sources, &grid, |batch, _front| {
         for point in batch {
-            let _ = writeln!(out, "{}", render_point(point));
+            let _ = writeln!(rows, "{}", render_point(point));
         }
     })?;
-    let _ = writeln!(out);
-    out.push_str(&explain_front(&plan, &provider, store.cells(), &outcome.front)?);
-    Ok(out)
+    let plan = &explored.plan;
+    Ok(format!(
+        "explore: {} points ({})\n{rows}\n{}",
+        plan.len(),
+        plan.describe_axes(),
+        explored.front_report
+    ))
 }
 
 #[cfg(test)]
@@ -116,8 +129,8 @@ mod tests {
         SystemSpec::parse(SPEC, Path::new("")).unwrap()
     }
 
-    fn sources() -> Vec<(String, String)> {
-        vec![("hi".into(), TASK_HI.into()), ("lo".into(), TASK_LO.into())]
+    fn sources() -> Vec<String> {
+        vec![TASK_HI.into(), TASK_LO.into()]
     }
 
     #[test]
@@ -128,7 +141,7 @@ mod tests {
         let plan = Plan::new(&spec, &Grid::default()).unwrap();
         let store = ArtifactStore::default();
         let sources = sources();
-        let provider = store.sweep_provider(&sources);
+        let provider = store.sweep_provider(&spec, &sources);
         let outcome = run_sweep(&plan, &provider, store.cells(), |_, _| {}).unwrap();
         assert_eq!(outcome.points, 1);
         assert_eq!(outcome.front.len(), 1, "a single point is trivially non-dominated");
@@ -136,9 +149,9 @@ mod tests {
         let reference: Vec<crpd::AnalyzedTask> = sources
             .iter()
             .zip(&spec.tasks)
-            .map(|((name, source), t)| {
+            .map(|(source, t)| {
                 crpd::AnalyzedTask::analyze(
-                    &rtprogram::asm::assemble(name, source).unwrap(),
+                    &rtprogram::asm::assemble(&t.name, source).unwrap(),
                     crpd::TaskParams { period: t.period, priority: t.priority },
                     spec.cache.geometry().unwrap(),
                     spec.cache.model(),
@@ -154,8 +167,15 @@ mod tests {
 
     #[test]
     fn sweep_report_streams_points_and_explains_the_front() {
-        let grid = Grid::parse("sets 32 64\nways 1 2\ncmiss 20 40\napproach all\n").unwrap();
-        let report = cmd_explore_with(&spec(), sources(), &grid).unwrap();
+        let dir = std::env::temp_dir().join(format!("rtexplore-report-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("hi.s"), TASK_HI).unwrap();
+        std::fs::write(dir.join("lo.s"), TASK_LO).unwrap();
+        std::fs::write(dir.join("system.spec"), SPEC).unwrap();
+        let grid = "spec system.spec\nsets 32 64\nways 1 2\ncmiss 20 40\napproach all\n";
+        std::fs::write(dir.join("sweep.grid"), grid).unwrap();
+        let report = cmd_explore(&dir.join("sweep.grid")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert!(report.contains("explore: 32 points"), "{report}");
         assert!(report.contains("point 0 [App. 1 32x1x16"), "{report}");
         assert!(report.contains("point 31 [App. 4 64x2x16"), "{report}");
@@ -188,7 +208,7 @@ mod tests {
         assert_eq!(plan.len(), 64);
         let store = ArtifactStore::default();
         let sources = sources();
-        let provider = store.sweep_provider(&sources);
+        let provider = store.sweep_provider(&spec, &sources);
         let session = rtobs::begin();
         let cold = run_sweep(&plan, &provider, store.cells(), |_, _| {}).unwrap();
         let stages = session.recorder().stage_durations();

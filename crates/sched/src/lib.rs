@@ -229,6 +229,11 @@ pub enum SimError {
     },
     /// The L1/L2 pair was ill-formed.
     Hierarchy(rtcache::HierarchyError),
+    /// The simulated clock passed `u64::MAX` cycles.
+    TimeOverflow {
+        /// The task running (or being timed) when the clock overflowed.
+        task: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -241,6 +246,9 @@ impl fmt::Display for SimError {
             }
             SimError::Exec { task, source } => write!(f, "tracing task `{task}`: {source}"),
             SimError::Hierarchy(e) => write!(f, "cache hierarchy: {e}"),
+            SimError::TimeOverflow { task } => {
+                write!(f, "simulated time overflows 64 bits while running task `{task}`")
+            }
         }
     }
 }
@@ -346,15 +354,17 @@ struct TaskRuntime {
     released: u64,
     queue: VecDeque<Job>,
     report: TaskReport,
-    responses_sum: u64,
+    /// Sum of completed responses; `u128` holds any number of `u64`
+    /// responses the simulation can complete.
+    responses_sum: u128,
 }
 
 /// Runs the co-simulation.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for empty/ill-formed task sets or faulting
-/// programs.
+/// Returns [`SimError`] for empty/ill-formed task sets, faulting
+/// programs, or a clock that would pass `u64::MAX` cycles.
 pub fn simulate(tasks: &[SchedTask], config: &SchedConfig) -> Result<SimReport, SimError> {
     if tasks.is_empty() {
         return Err(SimError::NoTasks);
@@ -372,6 +382,7 @@ pub fn simulate(tasks: &[SchedTask], config: &SchedConfig) -> Result<SimReport, 
     // Pre-trace every variant of every task.
     let mut runtimes: Vec<TaskRuntime> = Vec::with_capacity(tasks.len());
     for t in tasks {
+        let overflow = || SimError::TimeOverflow { task: t.program.name().into() };
         let mut traces = Vec::new();
         let mut isolated_hits = Vec::new();
         let mut footprints = Vec::new();
@@ -384,18 +395,18 @@ pub fn simulate(tasks: &[SchedTask], config: &SchedConfig) -> Result<SimReport, 
             // Cold classification: drives Worst selection and the
             // reload-counting reference (L1 hit/miss per access).
             let mut memory = MemorySystem::build(config)?;
-            let mut cycles = trace.instructions * config.model.cpi;
+            let mut cycles = trace.instructions.checked_mul(config.model.cpi);
             let hits: Vec<bool> = trace
                 .accesses
                 .iter()
                 .map(|a| {
                     let (extra, l1_miss) =
                         memory.access_block(config.geometry.block_of_addr(a.addr), config);
-                    cycles += extra;
+                    cycles = cycles.and_then(|c| c.checked_add(extra));
                     !l1_miss
                 })
                 .collect();
-            timings.push(cycles);
+            timings.push(cycles.ok_or_else(overflow)?);
             traces.push(trace.accesses);
             isolated_hits.push(hits);
             footprints.push(blocks);
@@ -442,6 +453,7 @@ pub fn simulate(tasks: &[SchedTask], config: &SchedConfig) -> Result<SimReport, 
         CacheMode::Shared => 0,
         CacheMode::Private => task,
     };
+    let overflow = |task: usize| SimError::TimeOverflow { task: tasks[task].program.name().into() };
     let mut time: u64 = 0;
     let mut current: Option<usize> = None; // task index of the running job
     let mut slice_start: u64 = 0;
@@ -473,7 +485,9 @@ pub fn simulate(tasks: &[SchedTask], config: &SchedConfig) -> Result<SimReport, 
                 });
                 rt.released += 1;
                 rt.report.released += 1;
-                rt.next_release += tasks[ti].period;
+                // A release past `u64::MAX` lies past every horizon, so
+                // saturating stops the releases exactly.
+                rt.next_release = rt.next_release.saturating_add(tasks[ti].period);
             }
         }
 
@@ -522,7 +536,11 @@ pub fn simulate(tasks: &[SchedTask], config: &SchedConfig) -> Result<SimReport, 
                     // Both switches of the preemption (to the preemptor and
                     // back) are charged to the preempted task's response,
                     // matching the 2·Ccs accounting of Eq. 7.
-                    time += 2 * config.ctx_switch;
+                    time = config
+                        .ctx_switch
+                        .checked_mul(2)
+                        .and_then(|switches| time.checked_add(switches))
+                        .ok_or_else(|| overflow(next))?;
                     let cache = &caches[cache_of(next)];
                     let displaced: Vec<MemoryBlock> = state
                         .resident
@@ -556,12 +574,12 @@ pub fn simulate(tasks: &[SchedTask], config: &SchedConfig) -> Result<SimReport, 
         job.started = true;
         let trace = &rt.traces[job.variant];
         debug_assert_eq!(trace[job.pos].kind, AccessKind::Fetch);
-        let mut cycles = config.model.cpi;
+        let mut cycles = Some(config.model.cpi);
         loop {
             let access = &trace[job.pos];
             let block = config.geometry.block_of_addr(access.addr);
             let (extra, l1_miss) = cache.access_block(block, config);
-            cycles += extra;
+            cycles = cycles.and_then(|c| c.checked_add(extra));
             if l1_miss {
                 if let Some(rec_idx) = job.lost.remove(&block) {
                     // Only an access the isolated run would have hit is an
@@ -581,13 +599,13 @@ pub fn simulate(tasks: &[SchedTask], config: &SchedConfig) -> Result<SimReport, 
                 break;
             }
         }
-        time += cycles;
+        time = cycles.and_then(|c| time.checked_add(c)).ok_or_else(|| overflow(next))?;
 
         if job.pos >= trace.len() {
             // Job complete.
             let response = time - job.release;
             rt.report.completed += 1;
-            rt.responses_sum += response;
+            rt.responses_sum += u128::from(response);
             rt.report.max_response = rt.report.max_response.max(response);
             if response > tasks[next].period {
                 rt.report.deadline_misses += 1;
@@ -604,8 +622,11 @@ pub fn simulate(tasks: &[SchedTask], config: &SchedConfig) -> Result<SimReport, 
     let tasks_report = runtimes
         .into_iter()
         .map(|mut rt| {
-            rt.report.mean_response =
-                rt.responses_sum.checked_div(rt.report.completed).unwrap_or(0);
+            // The mean of `u64` responses fits in a `u64`.
+            rt.report.mean_response = u64::try_from(
+                rt.responses_sum.checked_div(u128::from(rt.report.completed)).unwrap_or(0),
+            )
+            .expect("a mean never exceeds the largest response");
             rt.report
         })
         .collect();
@@ -652,6 +673,35 @@ mod tests {
         assert_eq!(report.tasks[0].preemptions, 0);
         assert_eq!(report.tasks[0].deadline_misses, 0);
         assert!(report.tasks[0].max_response > 0);
+    }
+
+    #[test]
+    fn clock_overflow_is_a_typed_error() {
+        let t = busy("a", 0x1000, 0x100000, 2, 2);
+        // The isolated timing run overflows: every miss costs u64::MAX / 2.
+        let mut huge_miss = config(1_000, 0);
+        huge_miss.model = TimingModel::with_miss_penalty(u64::MAX / 2);
+        let err = simulate(&[SchedTask::new(t.clone(), 1_000, 1)], &huge_miss).unwrap_err();
+        assert!(matches!(&err, SimError::TimeOverflow { task } if task == "a"), "{err}");
+        // The preemption's two context switches overflow the clock.
+        let lo = busy("lo", 0x2000, 0x100400, 50, 4);
+        let tasks = [SchedTask::new(t, 100, 1), SchedTask::new(lo, 1_000_000, 2)];
+        let err = simulate(&tasks, &config(1_000, u64::MAX / 2)).unwrap_err();
+        assert!(err.to_string().contains("simulated time overflows 64 bits"), "{err}");
+    }
+
+    #[test]
+    fn releases_past_u64_max_stop_at_the_horizon() {
+        // The second release at 2^63 + 1 fits; the third would not, and
+        // must neither wrap to an early release nor fail the run.
+        let t = busy("a", 0x1000, 0x100000, 2, 2);
+        let period = (1 << 63) + 1;
+        let report = simulate(&[SchedTask::new(t, period, 1)], &config(u64::MAX, 0)).unwrap();
+        assert_eq!(report.tasks[0].released, 2);
+        assert_eq!(report.tasks[0].completed, 2);
+        assert!(report.end_time > period, "{}", report.end_time);
+        let a = &report.tasks[0];
+        assert!(a.mean_response > 0 && a.mean_response <= a.max_response, "{a:?}");
     }
 
     #[test]

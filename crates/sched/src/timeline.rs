@@ -54,7 +54,8 @@ pub fn render_timeline(
         let mut t = 0u64;
         while t < until {
             ruler[cell(t).min(width - 1)] = '|';
-            t += *period;
+            let Some(next) = t.checked_add(*period) else { break };
+            t = next;
         }
         out.push_str(&format!("{:>name_pad$} ", ""));
         out.extend(ruler);
@@ -96,6 +97,12 @@ mod tests {
         let s = render_timeline(&[], &["t"], &[25], 100, 20);
         let ruler = s.lines().nth(1).unwrap();
         assert_eq!(ruler.matches('|').count(), 4, "releases at 0,25,50,75");
+    }
+
+    #[test]
+    fn release_ticks_stop_at_u64_max() {
+        let s = render_timeline(&[], &["t"], &[(1 << 63) + 1], u64::MAX, 20);
+        assert_eq!(s.lines().nth(1).unwrap().matches('|').count(), 2);
     }
 
     #[test]

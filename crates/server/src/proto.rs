@@ -26,8 +26,11 @@
 //! The `spec` payload is exactly the [`SystemSpec`] text format the
 //! one-shot CLI reads from disk (`trisc wcrt system.spec`); `sources`
 //! optionally maps a task's `FILE` field to inline assembly text so a
-//! request can be self-contained. Files not found in `sources` are read
-//! from the server's filesystem as a fallback.
+//! request can be self-contained. A file not found in `sources` is read
+//! from the server's filesystem as a fallback, but only a regular file,
+//! and at most what [`MAX_SPEC_BYTES`] leaves after the spec and the
+//! inline sources ([`SpecPayload::bytes`]); anything else is an error
+//! naming the file.
 //!
 //! The `metrics` payload reports the staged artifact DAG alongside the
 //! endpoint counters: `"stages"` maps each pipeline stage (`assemble`,
@@ -238,6 +241,15 @@ pub struct SpecPayload {
     pub sources: BTreeMap<String, String>,
 }
 
+impl SpecPayload {
+    /// The payload's size as [`MAX_SPEC_BYTES`] counts it: the spec plus
+    /// every `sources` key and text.
+    pub fn bytes(&self) -> usize {
+        self.sources.iter().map(|(file, text)| file.len() + text.len()).sum::<usize>()
+            + self.spec.len()
+    }
+}
+
 impl Request {
     /// Parses one request line.
     ///
@@ -358,7 +370,6 @@ fn spec_payload(doc: &Json) -> Result<SpecPayload, ParseError> {
     let spec =
         doc.get("spec").and_then(Json::as_str).ok_or("missing string field `spec`")?.to_string();
     let mut sources = BTreeMap::new();
-    let mut total = spec.len();
     match doc.get("sources") {
         None | Some(Json::Null) => {}
         Some(Json::Obj(map)) => {
@@ -366,18 +377,19 @@ fn spec_payload(doc: &Json) -> Result<SpecPayload, ParseError> {
                 let text = text.as_str().ok_or_else(|| {
                     ParseError::plain(format!("source `{file}` must be a string"))
                 })?;
-                total += file.len() + text.len();
                 sources.insert(file.clone(), text.to_string());
             }
         }
         Some(_) => return Err("`sources` must be an object of strings".into()),
     }
+    let payload = SpecPayload { spec, sources };
+    let total = payload.bytes();
     if total > MAX_SPEC_BYTES {
         return Err(ParseError::too_large(format!(
             "spec payload of {total} bytes exceeds the {MAX_SPEC_BYTES}-byte limit"
         )));
     }
-    Ok(SpecPayload { spec, sources })
+    Ok(payload)
 }
 
 fn id_json(id: Option<u64>) -> Json {

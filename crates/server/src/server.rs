@@ -24,7 +24,7 @@
 //! returns after the request pool finishes any remaining work.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,11 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crpd::{AnalyzedTask, TaskParams};
-use rtcli::spec::SpecTask;
-use rtcli::{
-    cmd_crpd_with, cmd_sim_with, cmd_wcet, cmd_wcrt_cached, CliError, ServeOptions, SystemSpec,
-};
+use rtcli::{ArtifactStore, CliError, ServeOptions, SystemSpec};
 use rtobs::flight::{FinishedFlight, FlightRecord, FlightRecorder, STAGES};
 
 use crate::json::Json;
@@ -44,8 +40,8 @@ use crate::metrics::{AdmissionSnapshot, Metrics};
 use crate::pool::WorkerPool;
 use crate::proto::{
     err_response, err_response_coded, ok_response, ok_response_with, Command, Request, SpecPayload,
+    MAX_SPEC_BYTES,
 };
-use rtcli::store::{ArtifactStore, TaskSource};
 
 /// State shared by every worker: the artifact cache, the metrics
 /// registry, the analysis pool and the shutdown flag.
@@ -446,10 +442,12 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
             Command::Shutdown => {
                 (ok_response(id, "draining in-flight work, then exiting"), true, true)
             }
-            Command::Wcet(payload) => finish(id, run_wcet(payload)),
-            Command::Crpd(payload) => finish(id, run_crpd(state, payload)),
-            Command::Wcrt(payload) => finish(id, run_wcrt(state, payload)),
-            Command::Sim { payload, horizon } => finish(id, run_sim(payload, *horizon)),
+            Command::Wcet(_) | Command::Crpd(_) | Command::Wcrt(_) | Command::Sim { .. } => {
+                match analyze(state, &request.cmd) {
+                    Ok(output) => (ok_response(id, &output), true, false),
+                    Err(error) => (err_response(id, &error.to_string()), false, false),
+                }
+            }
             // The streaming commands: on success the "response" is
             // several newline-separated frames, written as one block.
             Command::Explore { payload, grid } => match run_explore(state, id, payload, grid) {
@@ -530,16 +528,8 @@ fn flight_json(flight: &FinishedFlight) -> Json {
 /// one newline-joined block; the whole request counts as `ok` only when
 /// every item succeeded.
 fn run_batch(state: &ServerState, id: Option<u64>, items: &[Command]) -> (String, bool) {
-    let results: Vec<Result<String, CliError>> = rtpar::par_map_range(items.len(), |i| {
-        match &items[i] {
-            Command::Wcet(payload) => run_wcet(payload),
-            Command::Crpd(payload) => run_crpd(state, payload),
-            Command::Wcrt(payload) => run_wcrt(state, payload),
-            Command::Sim { payload, horizon } => run_sim(payload, *horizon),
-            // The parser admits only the four arms above into a batch.
-            other => Err(CliError::Usage(format!("cmd `{}` is not batchable", other.endpoint()))),
-        }
-    });
+    let results: Vec<Result<String, CliError>> =
+        rtpar::par_map_range(items.len(), |i| analyze(state, &items[i]));
     let id_json = || id.map_or(Json::Null, Json::from);
     let mut frames = String::new();
     let mut errors = 0u64;
@@ -635,125 +625,99 @@ fn statusz(state: &ServerState) -> Json {
     ])
 }
 
-fn finish(id: Option<u64>, result: Result<String, CliError>) -> (String, bool, bool) {
-    match result {
-        Ok(output) => (ok_response(id, &output), true, false),
-        Err(error) => (err_response(id, &error.to_string()), false, false),
+/// Runs one `wcet`/`crpd`/`wcrt`/`sim` command against the shared store
+/// through the same `rtcli` function the one-shot CLI calls, so the
+/// output is byte-identical to `trisc`'s for the same inputs.
+fn analyze(state: &ServerState, cmd: &Command) -> Result<String, CliError> {
+    let store = &state.store;
+    match cmd {
+        Command::Wcet(payload) => {
+            let (spec, sources) = resolve(payload)?;
+            rtcli::run_wcet(store, &spec, &sources)
+        }
+        Command::Crpd(payload) => {
+            let (spec, sources) = resolve(payload)?;
+            rtcli::run_crpd(store, &spec, &sources)
+        }
+        Command::Wcrt(payload) => {
+            let (spec, sources) = resolve(payload)?;
+            rtcli::run_wcrt(store, &spec, &sources, false)
+        }
+        Command::Sim { payload, horizon } => {
+            let (spec, sources) = resolve(payload)?;
+            rtcli::run_sim(store, &spec, &sources, *horizon)
+        }
+        // The parser admits only the four arms above into a batch.
+        other => Err(CliError::Usage(format!("cmd `{}` is not batchable", other.endpoint()))),
     }
 }
 
-/// Parses the payload's spec with an empty base dir, leaving task `FILE`
-/// fields as the literal keys the `sources` map uses.
-fn parse_spec(payload: &SpecPayload) -> Result<SystemSpec, CliError> {
-    SystemSpec::parse(&payload.spec, Path::new(""))
+/// Parses the payload's spec (with an empty base dir, so task `FILE`
+/// fields stay the literal keys of `sources`) and resolves every task's
+/// source once, in spec order: the inline `sources` entry if present,
+/// else [`read_fallback`] within what is left of [`MAX_SPEC_BYTES`].
+fn resolve(payload: &SpecPayload) -> Result<(SystemSpec, Vec<String>), CliError> {
+    let spec = SystemSpec::parse(&payload.spec, Path::new(""))?;
+    let mut budget = MAX_SPEC_BYTES.saturating_sub(payload.bytes());
+    let sources = spec
+        .tasks
+        .iter()
+        .map(|task| {
+            if let Some(text) = payload.sources.get(task.source.to_string_lossy().as_ref()) {
+                return Ok(text.clone());
+            }
+            let text = read_fallback(&task.source, budget)?;
+            budget -= text.len();
+            Ok(text)
+        })
+        .collect::<Result<_, CliError>>()?;
+    Ok((spec, sources))
 }
 
-/// A task's source text: the inline `sources` entry if present, else the
-/// server's filesystem.
-fn resolve_source(payload: &SpecPayload, task: &SpecTask) -> Result<String, CliError> {
-    let key = task.source.to_string_lossy();
-    if let Some(text) = payload.sources.get(key.as_ref()) {
-        return Ok(text.clone());
+/// Reads a task `FILE` missing from `sources` from the server's
+/// filesystem: only a regular file (so a FIFO or device never blocks or
+/// streams forever), and at most `budget` bytes, so a request's sources
+/// stay within the same [`MAX_SPEC_BYTES`] its inline payload is held to.
+fn read_fallback(path: &Path, budget: usize) -> Result<String, CliError> {
+    let shown = path.display();
+    let io_error = |e: io::Error| CliError::Io(format!("{shown}: {e}"));
+    if !std::fs::metadata(path).map_err(io_error)?.is_file() {
+        return Err(CliError::Io(format!(
+            "{shown}: not a regular file; the server reads task sources only from regular files"
+        )));
     }
-    std::fs::read_to_string(&task.source)
-        .map_err(|e| CliError::Io(format!("{}: {e}", task.source.display())))
-}
-
-fn run_wcet(payload: &SpecPayload) -> Result<String, CliError> {
-    let spec = parse_spec(payload)?;
-    let mut out = String::new();
-    for task in &spec.tasks {
-        out.push_str(&cmd_wcet(&task.name, &resolve_source(payload, task)?, &spec.cache)?);
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|file| file.take(budget as u64 + 1).read_to_end(&mut bytes))
+        .map_err(io_error)?;
+    if bytes.len() > budget {
+        return Err(CliError::Io(format!(
+            "{shown}: source file exceeds the {MAX_SPEC_BYTES}-byte request payload limit \
+             ({budget} bytes left after the spec and inline sources)"
+        )));
     }
-    Ok(out)
-}
-
-fn run_crpd(state: &ServerState, payload: &SpecPayload) -> Result<String, CliError> {
-    let spec = parse_spec(payload)?;
-    let [preempted_task, preempting_task] = spec.tasks.as_slice() else {
-        return Err(CliError::Spec(
-            "crpd needs exactly two task lines: the preempted task, then the preempting task"
-                .into(),
-        ));
-    };
-    let geometry = spec.cache.geometry()?;
-    let model = spec.cache.model();
-    // Mirror the one-shot CLI exactly (`cmd_crpd`): pair analysis uses
-    // pseudo-parameters — unbounded period, priorities 2 (preempted) and
-    // 1 (preempting) — so the server's report is byte-identical.
-    let memoized = |task: &SpecTask, priority: u32| -> Result<AnalyzedTask, CliError> {
-        state.store.analyzed(
-            &task.name,
-            &resolve_source(payload, task)?,
-            TaskParams { period: u64::MAX, priority },
-            geometry,
-            model,
-        )
-    };
-    let (preempted, preempting) =
-        rtpar::join(|| memoized(preempted_task, 2), || memoized(preempting_task, 1));
-    Ok(cmd_crpd_with(&preempted?, &preempting?, &spec.cache))
-}
-
-fn run_wcrt(state: &ServerState, payload: &SpecPayload) -> Result<String, CliError> {
-    let spec = parse_spec(payload)?;
-    let geometry = spec.cache.geometry()?;
-    let model = spec.cache.model();
-    // Analyze all tasks of the request in parallel; results (and the
-    // first error, if any) are taken in task order, so the rendered
-    // report is byte-identical at any pool size.
-    let tasks: Vec<AnalyzedTask> = rtpar::par_map_range(spec.tasks.len(), |i| {
-        let task = &spec.tasks[i];
-        state.store.analyzed(
-            &task.name,
-            &resolve_source(payload, task)?,
-            TaskParams { period: task.period, priority: task.priority },
-            geometry,
-            model,
-        )
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    // The pairwise CRPD bounds come from the store's shared cell cache,
-    // so repeated (or param-tweaked) requests reuse them.
-    cmd_wcrt_cached(&spec, &tasks, state.store.cells())
-}
-
-fn run_sim(payload: &SpecPayload, horizon: Option<u64>) -> Result<String, CliError> {
-    let spec = parse_spec(payload)?;
-    let programs = spec.programs_with(&mut |task| resolve_source(payload, task))?;
-    cmd_sim_with(&spec, &programs, horizon)
+    String::from_utf8(bytes)
+        .map_err(|_| CliError::Io(format!("{shown}: source file is not valid UTF-8")))
 }
 
 /// Runs a design-space sweep against the server's shared artifact store
-/// and returns the streamed NDJSON frames (one per evaluated batch plus
-/// the final front frame) as a newline-separated block.
-///
-/// The sweep's analysis provider is [`ArtifactStore::analyzed_program`],
-/// so points share `assemble`/`analyze` artifacts — and `crpd_cell`
-/// entries — with every other request the server has served, with
-/// single-flight deduplication across concurrent sweeps.
+/// through [`rtexplore::explore`] — the path `trisc explore` takes — and
+/// returns the streamed NDJSON frames (one per evaluated batch plus the
+/// final front frame) as a newline-separated block. Points share
+/// `assemble`/`analyze` artifacts and `crpd_cell` entries with every
+/// other request the server has served, with single-flight deduplication
+/// across concurrent sweeps.
 fn run_explore(
     state: &ServerState,
     id: Option<u64>,
     payload: &SpecPayload,
     grid_text: &str,
 ) -> Result<String, CliError> {
-    let spec = parse_spec(payload)?;
     let grid = rtexplore::Grid::parse(grid_text)?;
-    let plan = rtexplore::Plan::new(&spec, &grid)?;
-    let sources: Vec<String> = spec
-        .tasks
-        .iter()
-        .map(|task| resolve_source(payload, task))
-        .collect::<Result<_, CliError>>()?;
-    let tasks: Vec<TaskSource> =
-        spec.tasks.iter().zip(&sources).map(|(t, s)| TaskSource::new(&t.name, s)).collect();
-    let provider =
-        |task: usize, geometry, model| state.store.analyzed_program(tasks[task], geometry, model);
+    let (spec, sources) = resolve(payload)?;
     let id_json = || id.map_or(Json::Null, Json::from);
     let mut frames = String::new();
-    let outcome = rtexplore::run_sweep(&plan, &provider, state.store.cells(), |batch, front| {
+    let explored = rtexplore::explore(&state.store, &spec, &sources, &grid, |batch, front| {
         let points: Vec<Json> = batch
             .iter()
             .map(|point| {
@@ -774,8 +738,8 @@ fn run_explore(
         frames.push_str(&frame.encode());
         frames.push('\n');
     })?;
+    let outcome = &explored.outcome;
     state.metrics.record_explore(outcome.points as u64, outcome.front.len() as u64);
-    let output = rtexplore::explain_front(&plan, &provider, state.store.cells(), &outcome.front)?;
     let front: Vec<Json> =
         outcome.front.members().iter().map(|m| Json::from(m.config.index as u64)).collect();
     let done = Json::obj([
@@ -785,7 +749,7 @@ fn run_explore(
         ("points_total", Json::from(outcome.points as u64)),
         ("front", Json::Arr(front)),
         ("front_size", Json::from(outcome.front.len() as u64)),
-        ("output", Json::from(output.as_str())),
+        ("output", Json::from(explored.front_report.as_str())),
     ]);
     frames.push_str(&done.encode());
     Ok(frames)
@@ -891,7 +855,9 @@ mod tests {
         )
         .unwrap();
         let spec = SystemSpec::load(&dir.join("sys.spec")).unwrap();
-        assert_eq!(first, rtcli::cmd_wcrt(&spec).unwrap());
+        let sources = spec.read_sources().unwrap();
+        let one_shot = rtcli::run_wcrt(&ArtifactStore::default(), &spec, &sources, false);
+        assert_eq!(first, one_shot.unwrap());
         std::fs::remove_dir_all(&dir).ok();
 
         let metrics = replies[2].get("metrics").unwrap();

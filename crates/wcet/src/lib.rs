@@ -110,10 +110,12 @@ pub enum WcetError {
     },
     /// Structural analysis failed (irreducible CFG).
     Paths(PathEnumError),
-    /// A path's `instructions × cpi + misses × Cmiss` exceeds `u64`.
+    /// A path's `instructions × cpi + misses × Cmiss`, or the structural
+    /// all-miss bound, exceeds `u64`.
     Overflow {
-        /// The variant whose cycle count overflowed.
-        variant: String,
+        /// The variant whose cycle count overflowed; `None` for the
+        /// structural bound, which spans every path.
+        variant: Option<String>,
     },
 }
 
@@ -124,9 +126,10 @@ impl fmt::Display for WcetError {
                 write!(f, "simulating variant `{variant}`: {source}")
             }
             WcetError::Paths(e) => write!(f, "structural analysis: {e}"),
-            WcetError::Overflow { variant } => {
+            WcetError::Overflow { variant: Some(variant) } => {
                 write!(f, "variant `{variant}`: cycle count overflows 64 bits")
             }
+            WcetError::Overflow { variant: None } => write!(f, "cycle count overflows 64 bits"),
         }
     }
 }
@@ -174,7 +177,7 @@ pub fn time_variant(
         .checked_mul(model.cpi)
         .zip(stats.misses.checked_mul(model.miss_penalty))
         .and_then(|(execute, stalls)| execute.checked_add(stalls))
-        .ok_or_else(|| WcetError::Overflow { variant: variant.name.clone() })?;
+        .ok_or_else(|| WcetError::Overflow { variant: Some(variant.name.clone()) })?;
     Ok(VariantTiming {
         name: variant.name.clone(),
         cycles,
@@ -227,7 +230,8 @@ pub fn estimate_wcet(
 ///
 /// # Errors
 ///
-/// Returns [`WcetError::Paths`] for irreducible control flow.
+/// Returns [`WcetError::Paths`] for irreducible control flow and
+/// [`WcetError::Overflow`] if the bound exceeds `u64`.
 pub fn structural_wcet_bound(
     program: &Program,
     model: TimingModel,
@@ -236,6 +240,7 @@ pub fn structural_wcet_bound(
     let cfg = Cfg::from_program(program);
     let loops = paths::natural_loops(&cfg, program)?;
     let factors = paths::iteration_factors(&cfg, &loops, default_bound);
+    let overflow = || WcetError::Overflow { variant: None };
     // Per-block all-miss cost.
     let cost: Vec<u64> = cfg
         .blocks()
@@ -248,9 +253,15 @@ pub fn structural_wcet_bound(
                 .filter_map(|a| program.instr_at(a))
                 .filter(|i| matches!(i, Instr::Ld { .. } | Instr::St { .. }))
                 .count() as u64;
-            factor * (instrs * model.cpi + (instrs + ldst) * model.miss_penalty)
+            let execute = instrs.checked_mul(model.cpi);
+            let stalls = (instrs + ldst).checked_mul(model.miss_penalty);
+            execute
+                .zip(stalls)
+                .and_then(|(execute, stalls)| execute.checked_add(stalls))
+                .and_then(|per_pass| per_pass.checked_mul(*factor))
+                .ok_or_else(overflow)
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     // Longest path over the residual DAG via DFS with memoization (the
     // graph is acyclic after back-edge removal, which natural_loops
     // verified).
@@ -269,7 +280,7 @@ pub fn structural_wcet_bound(
             succs.iter().copied().filter(|s| memo[s.index()].is_none()).collect();
         if unresolved.is_empty() {
             let tail = succs.iter().map(|s| memo[s.index()].expect("resolved")).max().unwrap_or(0);
-            memo[b.index()] = Some(cost[b.index()] + tail);
+            memo[b.index()] = Some(cost[b.index()].checked_add(tail).ok_or_else(overflow)?);
             stack.pop();
         } else {
             stack.extend(unresolved);
@@ -342,12 +353,17 @@ mod tests {
             TimingModel { cpi: u64::MAX / 3, miss_penalty: 1 },
         ] {
             let err = estimate_wcet(&p, small_geom(), model).unwrap_err();
-            assert_eq!(err, WcetError::Overflow { variant: p.variants()[0].name.clone() });
+            assert_eq!(err, WcetError::Overflow { variant: Some(p.variants()[0].name.clone()) });
             assert!(err.to_string().contains("overflows"), "{err}");
         }
         // The largest representable count still fits: 3 + 1·(MAX − 3).
         let edge = TimingModel { cpi: 1, miss_penalty: u64::MAX - 3 };
         assert_eq!(estimate_wcet(&p, small_geom(), edge).unwrap().cycles, u64::MAX);
+        // The all-miss bound charges all 3 fetches a miss: past u64::MAX
+        // it is the same typed error, never a wrapped bound below the WCET.
+        let err = structural_wcet_bound(&p, edge, 1).unwrap_err();
+        assert_eq!(err, WcetError::Overflow { variant: None });
+        assert_eq!(err.to_string(), "cycle count overflows 64 bits");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::path::Path;
 
-use crpd::{AnalyzedTask, TaskParams};
+use crpd::{AnalyzedTask, CrpdCellCache, TaskParams};
 use proptest::prelude::*;
 use rtcli::store::{ArtifactStore, TaskSource};
 use rtcli::SystemSpec;
@@ -28,10 +28,11 @@ fn tasks_via_store(
     let geometry = spec.cache.geometry().unwrap();
     let model = spec.cache.model();
     let [hi, lo] = params;
-    vec![
-        store.analyzed("hi", TASK_HI, hi, geometry, model).expect("hi analyzes"),
-        store.analyzed("lo", TASK_LO, lo, geometry, model).expect("lo analyzes"),
-    ]
+    let analyzed = |name, source, params| {
+        let program = store.analyzed_program(TaskSource::new(name, source), geometry, model);
+        AnalyzedTask::bind(program.expect("task analyzes"), params)
+    };
+    vec![analyzed("hi", TASK_HI, hi), analyzed("lo", TASK_LO, lo)]
 }
 
 /// Cold reference: fresh (storeless, cacheless) analysis and rendering.
@@ -44,7 +45,7 @@ fn cold_report(spec: &SystemSpec, params: [TaskParams; 2]) -> String {
         AnalyzedTask::analyze(&assemble("hi", TASK_HI), hi, geometry, model).unwrap(),
         AnalyzedTask::analyze(&assemble("lo", TASK_LO), lo, geometry, model).unwrap(),
     ];
-    rtcli::cmd_wcrt_with(spec, &tasks).unwrap()
+    rtcli::cmd_wcrt_cached(spec, &tasks, &CrpdCellCache::default()).unwrap()
 }
 
 #[test]
@@ -114,7 +115,7 @@ fn repeated_wcrt_requests_hit_the_cell_cache() {
     assert_eq!(store.cells().hits(), hits_1 + 4, "every cell served from cache");
 
     // The cached report matches the uncached rendering path too.
-    assert_eq!(first, rtcli::cmd_wcrt_with(&spec, &tasks).unwrap());
+    assert_eq!(first, rtcli::cmd_wcrt_cached(&spec, &tasks, &CrpdCellCache::default()).unwrap());
     assert_eq!(first, cold_report(&spec, params));
 }
 

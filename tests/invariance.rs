@@ -97,7 +97,9 @@ fn cli_report(tag: &str) -> String {
     )
     .expect("write spec");
     let spec = rtcli::SystemSpec::load(&spec_path).expect("spec parses");
-    let output = rtcli::cmd_wcrt(&spec).expect("wcrt succeeds");
+    let sources = spec.read_sources().expect("sources read");
+    let store = rtcli::ArtifactStore::default();
+    let output = rtcli::run_wcrt(&store, &spec, &sources, false).expect("wcrt succeeds");
     std::fs::remove_dir_all(&dir).ok();
     output
 }

@@ -4,6 +4,7 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
+use std::path::Path;
 
 use rtserver::json::Json;
 use rtserver::Server;
@@ -50,7 +51,10 @@ fn one_shot_reference() -> String {
     let spec_path = dir.join("system.spec");
     std::fs::write(&spec_path, SPEC).expect("write spec");
     let spec = rtcli::SystemSpec::load(&spec_path).expect("spec parses");
-    let output = rtcli::cmd_wcrt(&spec).expect("one-shot analysis succeeds");
+    let sources = spec.read_sources().expect("sources read");
+    let store = rtcli::ArtifactStore::default();
+    let output =
+        rtcli::run_wcrt(&store, &spec, &sources, false).expect("one-shot analysis succeeds");
     std::fs::remove_dir_all(&dir).ok();
     output
 }
@@ -513,6 +517,245 @@ fn wire_spec_falls_back_to_server_filesystem_sources() {
     assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[0]);
     assert!(replies[0].get("output").and_then(Json::as_str).unwrap().contains("WCET ="));
     handle.join().expect("clean exit");
+}
+
+/// A task `FILE` missing from `sources` is read from the server's
+/// filesystem only if it is a regular file that fits in what is left of
+/// the payload limit after the spec and the inline sources; anything else
+/// is a typed error naming the file, and the next `ping` is answered.
+#[test]
+fn file_fallback_reads_only_regular_files_within_the_payload_limit() {
+    let limit = rtserver::proto::MAX_SPEC_BYTES;
+    let dir = std::env::temp_dir().join(format!("rtserver-fallback-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    // Valid assembly, padded with comment lines to just over the limit.
+    let padded = |bytes: usize| {
+        let pad = "; padding padding padding padding padding padding\n";
+        format!("{}{TASK_HI}", pad.repeat(bytes / pad.len() + 1))
+    };
+    let big = dir.join("big.s");
+    std::fs::write(&big, padded(limit)).expect("write big.s");
+    let half = dir.join("half.s");
+    std::fs::write(&half, padded(limit / 2)).expect("write half.s");
+    let handle = spawn_server();
+    let wcet = |files: &[&Path], sources: Json| {
+        let tasks: String = (1..)
+            .zip(files)
+            .map(|(priority, f)| format!("task t{priority} {} 5000 {priority}\n", f.display()))
+            .collect();
+        analysis_request("wcet", &tasks, sources, &[])
+    };
+    let none = || Json::Obj(Default::default());
+    // Half the limit inline leaves too little for a half-limit file.
+    let inline_half = Json::obj([("inline.s", Json::from(padded(limit / 2).as_str()))]);
+    let cases = [
+        (wcet(&[&big], none()), format!("{}: source file exceeds the {limit}-byte", big.display())),
+        (wcet(&[&dir], none()), format!("{}: not a regular file", dir.display())),
+        (
+            wcet(&[Path::new("inline.s"), &half], inline_half),
+            format!("{}: source file exceeds the {limit}-byte", half.display()),
+        ),
+    ];
+    for (request, expected) in cases {
+        let replies = roundtrip(handle.addr(), &[request, r#"{"id":99,"cmd":"ping"}"#.to_string()]);
+        assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(false), "{expected}");
+        let error = replies[0].get("error").and_then(Json::as_str).expect("typed error");
+        assert!(error.contains(&expected), "{error}");
+        assert_eq!(replies[1].get("output").and_then(Json::as_str), Some("pong"));
+    }
+    // On its own, the half-limit file fits and is analyzed.
+    let replies = roundtrip(handle.addr(), &[wcet(&[&half], none())]);
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[0]);
+    std::fs::remove_dir_all(&dir).ok();
+    shutdown(handle);
+}
+
+/// The quickstart files under `examples/specs`.
+fn example(name: &str) -> String {
+    format!("{}/examples/specs/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Runs `trisc ARGS…` in process, through the binary's own dispatch.
+fn one_shot(args: &[&str]) -> Result<String, rtcli::CliError> {
+    rtcli::dispatch(args.iter().map(|a| a.to_string()).collect())
+}
+
+/// A two-worker server on an ephemeral port.
+fn spawn_server() -> rtserver::ServerHandle {
+    let opts = rtcli::ServeOptions {
+        host: "127.0.0.1".to_string(),
+        port: 0,
+        threads: 2,
+        ..rtcli::ServeOptions::default()
+    };
+    Server::spawn(&opts).expect("bind ephemeral port")
+}
+
+fn shutdown(handle: rtserver::ServerHandle) {
+    let replies = roundtrip(handle.addr(), &[r#"{"cmd":"shutdown"}"#.to_string()]);
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true));
+    handle.join().expect("clean exit");
+}
+
+/// An analysis request line: `cmd` over `spec` and inline `sources`,
+/// plus `extra` fields.
+fn analysis_request(cmd: &str, spec: &str, sources: Json, extra: &[(&str, Json)]) -> String {
+    let mut fields =
+        vec![("cmd", Json::from(cmd)), ("spec", Json::from(spec)), ("sources", sources)];
+    fields.extend(extra.iter().cloned());
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).encode()
+}
+
+/// An analysis request over the example sources, inlined.
+fn example_request(cmd: &str, spec: &str, extra: &[(&str, Json)]) -> String {
+    let read = |name: &str| std::fs::read_to_string(example(name)).expect("example source");
+    let sources = Json::obj([
+        ("hi.s", Json::from(read("hi.s").as_str())),
+        ("lo.s", Json::from(read("lo.s").as_str())),
+    ]);
+    analysis_request(cmd, spec, sources, extra)
+}
+
+/// Reads one streamed reply: `explore` point rows, then the `done` frame.
+fn explore_frames(addr: std::net::SocketAddr, request: &str) -> (Vec<String>, Json) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = BufWriter::new(stream.try_clone().expect("clone stream"));
+    let mut reader = BufReader::new(stream);
+    writeln!(writer, "{request}").and_then(|()| writer.flush()).expect("send");
+    let mut rows = Vec::new();
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("recv");
+        let frame = Json::parse(line.trim_end()).expect("frame parses");
+        match frame.get("event").and_then(Json::as_str) {
+            Some("points") => {
+                let Some(Json::Arr(points)) = frame.get("points") else { panic!("{line}") };
+                rows.extend(points.iter().map(|p| p.get("row").unwrap().as_str().unwrap().into()));
+            }
+            _ => return (rows, frame),
+        }
+    }
+}
+
+/// Every spec-driven command answers over NDJSON with exactly the text
+/// the one-shot CLI prints for the same inputs: `wcet`, `crpd`, `sim` and
+/// `wcrt` replies byte for byte, and `explore`'s streamed rows plus its
+/// `done` output as `trisc explore`'s rows and front.
+#[test]
+fn ndjson_output_equals_the_one_shot_cli_for_every_command() {
+    let handle = spawn_server();
+    let (hi, lo, system) = (example("hi.s"), example("lo.s"), example("system.spec"));
+    let system_text = std::fs::read_to_string(&system).expect("system.spec");
+    let pair = "cache 64 2 16\ntask lo lo.s 50000 2\ntask hi hi.s 5000 1\n";
+    let wcet_cli =
+        [&lo, &hi].map(|f| one_shot(&["wcet", f, "--sets", "64", "--ways", "2"]).unwrap()).concat();
+    let cases = [
+        (example_request("wcet", pair, &[]), wcet_cli),
+        (
+            example_request("crpd", pair, &[]),
+            one_shot(&["crpd", &lo, &hi, "--sets", "64", "--ways", "2"]).unwrap(),
+        ),
+        (example_request("sim", &system_text, &[]), one_shot(&["sim", &system]).unwrap()),
+        (
+            example_request("sim", &system_text, &[("horizon", Json::from(7_000u64))]),
+            one_shot(&["sim", &system, "--horizon", "7000"]).unwrap(),
+        ),
+        (example_request("wcrt", &system_text, &[]), one_shot(&["wcrt", &system]).unwrap()),
+    ];
+    for (request, expected) in &cases {
+        let replies = roundtrip(handle.addr(), std::slice::from_ref(request));
+        assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[0]);
+        assert_eq!(replies[0].get("output").and_then(Json::as_str), Some(expected.as_str()));
+    }
+    // `trisc explore` = header line + rows + blank line + front.
+    let grid = std::fs::read_to_string(example("sweep.grid")).expect("sweep.grid");
+    let request = example_request("explore", &system_text, &[("grid", Json::from(grid.as_str()))]);
+    let (rows, done) = explore_frames(handle.addr(), &request);
+    let report = rtexplore::cmd_explore(Path::new(&example("sweep.grid"))).unwrap();
+    let (_header, body) = report.split_once('\n').unwrap();
+    let output = done.get("output").and_then(Json::as_str).expect("done output");
+    assert_eq!(format!("{}\n\n{output}", rows.join("\n")), body);
+    shutdown(handle);
+}
+
+/// An assembly error names its task (`lo: line 1: …`) the same way in
+/// the one-shot CLI and in every NDJSON analysis command, since all of
+/// them assemble through the artifact store's one `assemble` stage.
+#[test]
+fn assembly_errors_name_the_task_on_every_path() {
+    let expected = "assembly failed: lo: line 1: ";
+    let dir = std::env::temp_dir().join(format!("rtserver-asm-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(dir.join("hi.s"), TASK_HI).expect("write hi.s");
+    std::fs::write(dir.join("lo.s"), "frobnicate r1\n").expect("write lo.s");
+    std::fs::write(dir.join("system.spec"), SPEC).expect("write spec");
+    std::fs::write(dir.join("sweep.grid"), "spec system.spec\nsets 32 64\n").expect("grid");
+    let path = |name: &str| dir.join(name).display().to_string();
+    let cli = [
+        one_shot(&["wcrt", &path("system.spec")]),
+        one_shot(&["sim", &path("system.spec")]),
+        one_shot(&["crpd", &path("lo.s"), &path("hi.s")]),
+        one_shot(&["wcet", &path("lo.s")]),
+        rtexplore::cmd_explore(&dir.join("sweep.grid")),
+    ];
+    std::fs::remove_dir_all(&dir).ok();
+    for result in cli {
+        let error = result.unwrap_err().to_string();
+        assert!(error.starts_with(expected), "{error}");
+    }
+    let handle = spawn_server();
+    let sources =
+        Json::obj([("hi.s", Json::from(TASK_HI)), ("lo.s", Json::from("frobnicate r1\n"))]);
+    let request =
+        |cmd: &str, extra: &[(&str, Json)]| analysis_request(cmd, SPEC, sources.clone(), extra);
+    let lines: Vec<String> = ["wcet", "crpd", "wcrt", "sim"]
+        .into_iter()
+        .map(|cmd| request(cmd, &[]))
+        .chain([request("explore", &[("grid", Json::from("sets 32 64\n"))])])
+        .collect();
+    for reply in roundtrip(handle.addr(), &lines) {
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{reply:?}");
+        let error = reply.get("error").and_then(Json::as_str).expect("typed error");
+        assert!(error.starts_with(expected), "{error}");
+    }
+    shutdown(handle);
+}
+
+/// The co-simulation clock and the structural WCET bound never wrap: a
+/// miss penalty that overflows the clock is a typed `sim` error, a
+/// default horizon past `u64::MAX` saturates (both releases of a
+/// 2^63 + 1 period are simulated), and a structural bound past `u64::MAX`
+/// is reported as such — over NDJSON exactly as in the one-shot CLI, with
+/// the server serving on afterwards.
+#[test]
+fn sim_clock_and_wcet_bound_overflow_get_typed_results_over_the_wire() {
+    let handle = spawn_server();
+    let system = std::fs::read_to_string(example("system.spec")).expect("system.spec");
+    let clock = system.replace("cmiss 20", "cmiss 9223372036854775807");
+    let replies = roundtrip(
+        handle.addr(),
+        &[example_request("sim", &clock, &[]), r#"{"id":99,"cmd":"ping"}"#.to_string()],
+    );
+    let error = replies[0].get("error").and_then(Json::as_str).expect("typed error");
+    assert!(error.contains("simulated time overflows 64 bits while running task `hi`"), "{error}");
+    assert_eq!(replies[1].get("output").and_then(Json::as_str), Some("pong"));
+    let long = "cache 64 2 16\ncmiss 20\ntask hi hi.s 9223372036854775809 1\n";
+    let wcet = "task hi hi.s 5000 1\ncmiss 1844674407370955161\n";
+    let replies = roundtrip(
+        handle.addr(),
+        &[example_request("sim", long, &[]), example_request("wcet", wcet, &[])],
+    );
+    let sim = replies[0].get("output").and_then(Json::as_str).expect("sim output");
+    assert!(sim.starts_with("simulated 9223372036854775828 cycles:"), "{sim}");
+    assert!(sim.contains("hi: 2 jobs, max response 79"), "{sim}");
+    let wcet = replies[1].get("output").and_then(Json::as_str).expect("wcet output");
+    assert!(wcet.contains("WCET = 5534023222112865502 cycles"), "{wcet}");
+    assert!(wcet.contains("structural all-miss bound: cycle count overflows 64 bits"), "{wcet}");
+    assert_eq!(
+        wcet,
+        one_shot(&["wcet", &example("hi.s"), "--cmiss", "1844674407370955161"]).unwrap()
+    );
+    shutdown(handle);
 }
 
 /// The tentpole e2e for the rtflight ops plane: with `--slow-ms 0` every
