@@ -219,10 +219,17 @@ pub fn run_crpd(
         let _ = writeln!(
             out,
             "  {approach}: {lines:>5} lines ({} cycles at Cmiss={miss_penalty})",
-            lines as u64 * miss_penalty,
+            reload_cycles(lines, miss_penalty),
         );
     }
     Ok(out)
+}
+
+/// The cycles `lines` reloads cost at `miss_penalty` (Eq. 5), in `u128`:
+/// any `usize` line count times any `u64` penalty fits, so the product
+/// never wraps.
+fn reload_cycles(lines: usize, miss_penalty: u64) -> u128 {
+    lines as u128 * u128::from(miss_penalty)
 }
 
 /// `trisc footprint`: cache-footprint report of every task of `spec` —
@@ -336,8 +343,9 @@ pub fn cmd_wcrt_cached<T: Borrow<AnalyzedTask> + Sync>(
         "task", "App. 1", "App. 2", "App. 3", "App. 4", "period"
     );
     // The four approaches are independent; fan them out over the current
-    // rtpar pool (matrix cells fan out again inside). Results land in
-    // approach order, so the report bytes never depend on the pool size.
+    // rtpar pool (each cached matrix and its Eq. 7 loop run on the worker
+    // that took the approach). Results land in approach order, so the
+    // report bytes never depend on the pool size.
     let per_approach: Vec<Vec<crpd::WcrtResult>> = rtpar::par_map(&CrpdApproach::ALL, |a| {
         analyze_all(tasks, &CrpdMatrix::compute_with(*a, tasks, cells), &params)
     });
@@ -649,5 +657,14 @@ mod tests {
         let (one, source) = inline("", &[("low", a, 1000, 1)]);
         let err = run_crpd(&ArtifactStore::default(), &one, &source).unwrap_err();
         assert!(err.to_string().contains("exactly two task lines"), "{err}");
+    }
+
+    #[test]
+    fn reload_cycles_never_wrap() {
+        assert_eq!(reload_cycles(3, 20), 60);
+        assert_eq!(reload_cycles(0, u64::MAX), 0);
+        let widest = reload_cycles(usize::MAX, u64::MAX);
+        assert_eq!(widest, usize::MAX as u128 * u128::from(u64::MAX));
+        assert!(widest > u128::from(u64::MAX), "a u64 product would have wrapped");
     }
 }

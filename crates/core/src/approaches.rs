@@ -252,6 +252,12 @@ impl CrpdMatrix {
     /// binding of the same programs — are served from the cache; only
     /// fresh pairs run the pairwise analysis. The resulting matrix is
     /// byte-identical to an uncached [`compute`](Self::compute).
+    ///
+    /// The cells are walked in row-major order on the calling thread, and
+    /// each miss is computed and inserted before the next lookup, so a
+    /// matrix starts no [`rtpar`] batch. Cached matrices get their
+    /// parallelism one level up, from the approaches or sweep points
+    /// their callers fan out.
     pub fn compute_with<T: Borrow<AnalyzedTask> + Sync>(
         approach: CrpdApproach,
         tasks: &[T],
@@ -267,7 +273,7 @@ impl CrpdMatrix {
     ) -> Self {
         let _span = rtobs::span_labeled("crpd", || format!("{approach} matrix"));
         let n = tasks.len();
-        let cells = rtpar::par_map_range(n * n, |cell| {
+        let cell = |cell: usize| {
             let (i, j) = (cell / n, cell % n);
             let (ti, tj) = (tasks[i].borrow(), tasks[j].borrow());
             if tj.params().priority < ti.params().priority {
@@ -285,7 +291,13 @@ impl CrpdMatrix {
             } else {
                 0
             }
-        });
+        };
+        // A cached walk is mostly lookups, cheaper than a fan-out batch;
+        // an uncached matrix computes every feasible pair, so it fans out.
+        let cells: Vec<usize> = match cache {
+            Some(_) => (0..n * n).map(cell).collect(),
+            None => rtpar::par_map_range(n * n, cell),
+        };
         let mut cells = cells.into_iter();
         let lines = (0..n).map(|_| cells.by_ref().take(n).collect()).collect();
         CrpdMatrix { approach, lines }
@@ -419,6 +431,56 @@ mod tests {
         assert_eq!((cache.misses(), cache.len()), (2, 2));
         // …and the cached matrix matches the uncached one byte-for-byte.
         assert_eq!(CrpdMatrix::compute(CrpdApproach::Combined, &tasks), m1);
+    }
+
+    #[test]
+    fn a_cached_matrix_and_eq7_start_no_batch() {
+        // MR preempts both ED jobs, and the second ED job (the same
+        // program at a lower priority) is preempted by the first too:
+        // three feasible pairs, two distinct content keys.
+        let (ed, mr) = small_pair();
+        let tasks = vec![
+            mr.rebind(TaskParams { period: 1_000_000, priority: 1 }),
+            ed.rebind(TaskParams { period: 2_000_000, priority: 2 }),
+            ed.rebind(TaskParams { period: 4_000_000, priority: 3 }),
+        ];
+        let params = crate::wcrt::WcrtParams::default();
+        // Two cached matrices in a row: the cache's tallies after each.
+        let tallies = |pool: &rtpar::Pool| {
+            let cache = CrpdCellCache::default();
+            let cold =
+                pool.install(|| CrpdMatrix::compute_with(CrpdApproach::Combined, &tasks, &cache));
+            let after_cold = (cache.hits(), cache.misses(), cache.len());
+            let warm =
+                pool.install(|| CrpdMatrix::compute_with(CrpdApproach::Combined, &tasks, &cache));
+            (cold, warm, after_cold, (cache.hits(), cache.misses(), cache.len()))
+        };
+        let serial = rtpar::Pool::new(1);
+        let reference = serial.install(|| CrpdMatrix::compute(CrpdApproach::Combined, &tasks));
+        let (serial_cold, serial_warm, serial_after_cold, serial_after_warm) = tallies(&serial);
+        // The second ED job's MR pair hits the key the first one inserted.
+        assert_eq!(serial_after_cold, (1, 2, 2));
+        assert_eq!(serial_after_warm, (4, 2, 2));
+
+        let pool = rtpar::Pool::new(4);
+        let before = pool.stats().batches;
+        let uncached = pool.install(|| CrpdMatrix::compute(CrpdApproach::Combined, &tasks));
+        assert!(pool.stats().batches > before, "an uncached matrix fans its cells out");
+        let (cold, warm, after_cold, after_warm) = tallies(&pool);
+        assert_eq!((after_cold, after_warm), (serial_after_cold, serial_after_warm));
+        for m in [&uncached, &cold, &warm, &serial_cold, &serial_warm] {
+            assert_eq!(*m, reference);
+        }
+
+        let cache = CrpdCellCache::default();
+        pool.install(|| CrpdMatrix::compute_with(CrpdApproach::Combined, &tasks, &cache));
+        let before = pool.stats().batches;
+        let wcrt = pool.install(|| {
+            let warm = CrpdMatrix::compute_with(CrpdApproach::Combined, &tasks, &cache);
+            crate::wcrt::analyze_all(&tasks, &warm, &params)
+        });
+        assert_eq!(pool.stats().batches, before, "a warm sweep point must not fan out");
+        assert_eq!(wcrt, crate::wcrt::analyze_all(&tasks, &reference, &params));
     }
 
     /// The pre-PackedFootprint formulation of every approach, straight

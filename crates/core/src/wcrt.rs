@@ -209,18 +209,27 @@ pub fn fixpoint(
     breakdown
 }
 
-/// [`fixpoint`] for task `i` of analyzed `tasks`, reloading the lines
-/// `matrix` bounds.
-fn matrix_fixpoint<T: Borrow<AnalyzedTask>>(
-    tasks: &[T],
+/// The Eq. 7 inputs of analyzed `tasks`: their WCETs and scheduling
+/// parameters, in task order.
+fn eq7_inputs<T: Borrow<AnalyzedTask>>(tasks: &[T]) -> (Vec<u64>, Vec<TaskParams>) {
+    tasks.iter().map(Borrow::borrow).map(|t| (t.wcet(), t.params().clone())).unzip()
+}
+
+/// [`fixpoint`] for task `i`, reloading the lines `matrix` bounds.
+/// `traced` opens the task's `wcrt` span and records the iterates under
+/// the approach label.
+fn matrix_fixpoint(
+    wcets: &[u64],
+    task_params: &[TaskParams],
     matrix: &CrpdMatrix,
     i: usize,
     params: &WcrtParams,
-    trail: Option<&str>,
+    traced: bool,
 ) -> WcrtBreakdown {
-    let wcets: Vec<u64> = tasks.iter().map(|t| t.borrow().wcet()).collect();
-    let task_params: Vec<TaskParams> = tasks.iter().map(|t| t.borrow().params().clone()).collect();
-    fixpoint(&wcets, &task_params, |i, j| matrix.reload(i, j) as u64, i, params, trail)
+    let _span =
+        traced.then(|| rtobs::span_labeled("wcrt", || format!("{} task{i}", matrix.approach)));
+    let trail = traced.then(|| matrix.approach.label());
+    fixpoint(wcets, task_params, |i, j| matrix.reload(i, j) as u64, i, params, trail)
 }
 
 /// Runs the Eq. 7 recurrence ([`fixpoint`]) for task `i` of `tasks`
@@ -239,22 +248,26 @@ pub fn response_time<T: Borrow<AnalyzedTask>>(
     i: usize,
     params: &WcrtParams,
 ) -> WcrtResult {
-    let _span = rtobs::span_labeled("wcrt", || format!("{} task{i}", matrix.approach));
-    matrix_fixpoint(tasks, matrix, i, params, Some(matrix.approach.label())).result
+    let (wcets, task_params) = eq7_inputs(tasks);
+    matrix_fixpoint(&wcets, &task_params, matrix, i, params, true).result
 }
 
 /// Response times for every task (the highest-priority task's WCRT is its
-/// WCET — it is never preempted).
+/// WCET — it is never preempted); entry `i` equals
+/// [`response_time`]`(tasks, matrix, i, params)`.
 ///
-/// Per-task recurrences are independent, so they fan out over the current
-/// [`rtpar`] pool; results come back in task order, so the output is
-/// byte-identical at any thread count.
-pub fn analyze_all<T: Borrow<AnalyzedTask> + Sync>(
+/// The WCETs and parameters are collected once, and the per-task
+/// recurrences run in task order on the calling thread: each is a few
+/// iterations of arithmetic, cheaper than a fan-out batch.
+pub fn analyze_all<T: Borrow<AnalyzedTask>>(
     tasks: &[T],
     matrix: &CrpdMatrix,
     params: &WcrtParams,
 ) -> Vec<WcrtResult> {
-    rtpar::par_map_range(tasks.len(), |i| response_time(tasks, matrix, i, params))
+    let (wcets, task_params) = eq7_inputs(tasks);
+    (0..tasks.len())
+        .map(|i| matrix_fixpoint(&wcets, &task_params, matrix, i, params, true).result)
+        .collect()
 }
 
 /// [`response_time`] with the reported iterate's cost terms kept, for
@@ -272,7 +285,8 @@ pub fn explain_response_time<T: Borrow<AnalyzedTask>>(
     i: usize,
     params: &WcrtParams,
 ) -> WcrtBreakdown {
-    matrix_fixpoint(tasks, matrix, i, params, None)
+    let (wcets, task_params) = eq7_inputs(tasks);
+    matrix_fixpoint(&wcets, &task_params, matrix, i, params, false)
 }
 
 #[cfg(test)]
@@ -438,12 +452,14 @@ mod tests {
         let capped = response_time(&tasks, &m, 1, &params);
         assert_eq!(capped.stop, StopReason::IterationCap);
         assert!(!capped.schedulable);
+        assert_eq!(analyze_all(&tasks, &m, &params)[1], capped);
         // A deadline barely above the WCET: divergence past the deadline.
         let lo_wcet = tasks[1].wcet();
         let tight = vec![task(1, 6_000), task(2, lo_wcet + 10)];
         let missed = response_time(&tight, &m, 1, &WcrtParams::default());
         assert_eq!(missed.stop, StopReason::DeadlineExceeded);
         assert!(!missed.schedulable);
+        assert_eq!(analyze_all(&tight, &m, &WcrtParams::default())[1], missed);
     }
 
     #[test]
@@ -452,10 +468,11 @@ mod tests {
         for approach in CrpdApproach::ALL {
             let m = CrpdMatrix::compute(approach, &tasks);
             let params = WcrtParams { miss_penalty: 20, ctx_switch: 50, max_iterations: 10_000 };
-            for i in 0..tasks.len() {
+            for (i, all) in analyze_all(&tasks, &m, &params).into_iter().enumerate() {
                 let plain = response_time(&tasks, &m, i, &params);
                 let b = explain_response_time(&tasks, &m, i, &params);
                 assert_eq!(b.result, plain, "{approach} task {i}: breakdown must agree");
+                assert_eq!(all, plain, "{approach} task {i}: analyze_all must agree");
                 assert_eq!(
                     b.wcet + b.interference + b.crpd + b.ctx_switch,
                     plain.cycles,
