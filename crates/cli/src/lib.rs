@@ -36,8 +36,9 @@
 //! request and runs against its shared store. Either way the report
 //! bytes are the same.
 //!
-//! [`store`] holds that memoized artifact DAG — single-flight
-//! `assemble`/`analyze` stages plus the CRPD cell cache.
+//! [`store`] holds that memoized artifact DAG: one single-flight
+//! [`crpd::StageStore`] per stage — `assemble`, `analyze` and the CRPD
+//! cells (`crpd_cell`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,14 +19,13 @@
 //! three stages; a geometry/model edit re-keys `analyze` and (through the
 //! artifact fingerprints) `crpd_cell` while reusing `assemble`.
 //!
-//! Each [`StageStore`] is *single-flight*: concurrent requests for one
-//! key elect a leader under the map lock, the leader computes outside the
-//! lock, and everyone else blocks on a condvar until the artifact (an
-//! [`Arc`], shared without copying) is ready. Results are immutable once
-//! computed (the analysis is deterministic; see `crpd::intra`'s ordered
-//! sweeps), so no invalidation is ever needed: changed content simply
-//! hashes to a new key, and stale keys age out only when the store is
-//! dropped (for the server, when it restarts).
+//! Each stage is a single-flight [`StageStore`] (`crpd::store`, the
+//! workspace's one memo store), `crpd_cell` included ([`CrpdCellCache`]).
+//! The artifact stages hold their values as [`Arc`]s, so a hit shares the
+//! artifact without copying; a cell hit copies its line count. Results
+//! are immutable once computed (the analysis is deterministic; see
+//! `crpd::intra`'s ordered sweeps), so stale keys age out only when the
+//! store is dropped (for the server, when it restarts).
 //!
 //! Failed stages are *not* cached: the in-flight slot is cleared so a
 //! later request retries — errors are cheap to recompute and callers may
@@ -35,12 +34,9 @@
 //! assembles, so its errors name the failing task (`{name}: line N: …`)
 //! for every command alike.
 
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
-use crpd::{AnalyzedProgram, AnalyzedTask, CrpdCellCache, TaskParams};
+use crpd::{AnalyzedProgram, AnalyzedTask, CrpdCellCache, StageStats, StageStore, TaskParams};
 use rtcache::CacheGeometry;
 use rtprogram::Program;
 use rtwcet::TimingModel;
@@ -65,177 +61,6 @@ pub struct AnalysisKey {
     pub geometry: CacheGeometry,
     /// Timing model analyzed under.
     pub model: TimingModel,
-}
-
-/// Hit/miss/entry counters of one stage, for `metrics`/`metrics_prom`.
-#[derive(Debug, Clone, Copy)]
-pub struct StageStats {
-    /// Stage name (`"assemble"`, `"analyze"`, `"crpd_cell"`).
-    pub stage: &'static str,
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that ran the stage (single-flight leaders only).
-    pub misses: u64,
-    /// Distinct artifacts currently held.
-    pub entries: u64,
-    /// Lookups that blocked on another thread's in-flight computation.
-    pub single_flight_waits: u64,
-}
-
-enum Slot<V> {
-    /// A leader is computing this key; waiters block on the condvar.
-    InFlight,
-    /// The artifact, shared without copying.
-    Ready(Arc<V>),
-}
-
-/// One memoized pipeline stage: a content-keyed map with single-flight
-/// deduplication and hit/miss counters.
-///
-/// `get_or_compute` elects exactly one *leader* per missing key (under
-/// the map lock), so concurrent requests for the same key run the stage
-/// once; the others wait and then share the leader's `Arc`. A leader
-/// that fails (or panics) clears its slot, so errors are never cached
-/// and waiters retry — possibly becoming the next leader.
-pub struct StageStore<K, V> {
-    stage: &'static str,
-    entries: Mutex<HashMap<K, Slot<V>>>,
-    ready: Condvar,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    waits: AtomicU64,
-}
-
-impl<K: Eq + Hash + Clone, V> StageStore<K, V> {
-    fn new(stage: &'static str) -> Self {
-        StageStore {
-            stage,
-            entries: Mutex::new(HashMap::new()),
-            ready: Condvar::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            waits: AtomicU64::new(0),
-        }
-    }
-
-    /// Returns the memoized artifact for `key`, running `compute` (as the
-    /// single-flight leader, outside the map lock) on first use.
-    ///
-    /// Exactly one concurrent caller per key counts a miss and computes;
-    /// the rest count a hit (plus a single-flight wait if they had to
-    /// block). Every lookup is also recorded with
-    /// [`rtobs::record_stage_lookup`] under this store's stage name.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `compute`'s error to the leader; the slot is cleared so
-    /// the key stays uncached and waiters retry.
-    pub fn get_or_compute<E>(
-        &self,
-        key: K,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<Arc<V>, E> {
-        let mut waited = false;
-        {
-            let mut entries = self.entries.lock().expect("stage store lock");
-            loop {
-                match entries.get(&key) {
-                    Some(Slot::Ready(artifact)) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        rtobs::record_stage_lookup(self.stage, true);
-                        return Ok(Arc::clone(artifact));
-                    }
-                    Some(Slot::InFlight) => {
-                        if !waited {
-                            waited = true;
-                            self.waits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        entries = self.ready.wait(entries).expect("stage store lock");
-                    }
-                    None => {
-                        entries.insert(key.clone(), Slot::InFlight);
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        rtobs::record_stage_lookup(self.stage, false);
-                        break;
-                    }
-                }
-            }
-        }
-        // Leader path: compute outside the lock so distinct keys proceed
-        // in parallel. The guard clears the in-flight slot on error *or*
-        // panic, so waiters never deadlock on an abandoned slot.
-        let mut guard = InFlightGuard { store: self, key: Some(key) };
-        let artifact = Arc::new(compute()?);
-        let key = guard.key.take().expect("leader key");
-        let mut entries = self.entries.lock().expect("stage store lock");
-        entries.insert(key, Slot::Ready(Arc::clone(&artifact)));
-        drop(entries);
-        self.ready.notify_all();
-        Ok(artifact)
-    }
-
-    /// Number of lookups served from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that ran the stage (single-flight leaders).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that blocked on another thread's computation.
-    pub fn single_flight_waits(&self) -> u64 {
-        self.waits.load(Ordering::Relaxed)
-    }
-
-    /// Number of ready artifacts currently held.
-    pub fn len(&self) -> usize {
-        let entries = self.entries.lock().expect("stage store lock");
-        entries.values().filter(|slot| matches!(slot, Slot::Ready(_))).count()
-    }
-
-    /// `true` if no artifact is ready yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// This stage's counters as one [`StageStats`] row.
-    pub fn stats(&self) -> StageStats {
-        StageStats {
-            stage: self.stage,
-            hits: self.hits(),
-            misses: self.misses(),
-            entries: self.len() as u64,
-            single_flight_waits: self.single_flight_waits(),
-        }
-    }
-}
-
-impl<K, V> std::fmt::Debug for StageStore<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StageStore")
-            .field("stage", &self.stage)
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-struct InFlightGuard<'a, K: Eq + Hash + Clone, V> {
-    store: &'a StageStore<K, V>,
-    key: Option<K>,
-}
-
-impl<K: Eq + Hash + Clone, V> Drop for InFlightGuard<'_, K, V> {
-    fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            let mut entries = self.store.entries.lock().expect("stage store lock");
-            entries.remove(&key);
-            drop(entries);
-            self.store.ready.notify_all();
-        }
-    }
 }
 
 /// One task's name and assembly source, with its [`program_hash`]
@@ -271,12 +96,11 @@ impl<'a> TaskSource<'a> {
     }
 }
 
-/// The artifact DAG: per-stage single-flight stores plus the shared CRPD
-/// pairwise-cell cache.
+/// The artifact DAG: one single-flight [`StageStore`] per stage.
 #[derive(Debug)]
 pub struct ArtifactStore {
-    programs: StageStore<u128, Program>,
-    analyses: StageStore<AnalysisKey, AnalyzedProgram>,
+    programs: StageStore<u128, Arc<Program>>,
+    analyses: StageStore<AnalysisKey, Arc<AnalyzedProgram>>,
     cells: CrpdCellCache,
 }
 
@@ -312,6 +136,7 @@ impl ArtifactStore {
         let key = AnalysisKey { program_hash: task.hash, geometry, model };
         self.analyses.get_or_compute(key, || {
             AnalyzedProgram::analyze(&program, geometry, model)
+                .map(Arc::new)
                 .map_err(|e| CliError::Analysis(e.to_string()))
         })
     }
@@ -327,6 +152,7 @@ impl ArtifactStore {
         self.programs.get_or_compute(hash, || {
             let _span = rtobs::span_labeled("assemble", || name.to_string());
             rtprogram::asm::assemble(name, source)
+                .map(Arc::new)
                 .map_err(|e| CliError::Asm(format!("{name}: {e}")))
         })
     }
@@ -374,7 +200,7 @@ impl ArtifactStore {
     }
 
     /// The memoized `assemble` stage.
-    pub fn programs(&self) -> &StageStore<u128, Program> {
+    pub fn programs(&self) -> &StageStore<u128, Arc<Program>> {
         &self.programs
     }
 
@@ -407,24 +233,13 @@ impl ArtifactStore {
 
     /// Counters of every stage, in pipeline order.
     pub fn stage_stats(&self) -> Vec<StageStats> {
-        vec![
-            self.programs.stats(),
-            self.analyses.stats(),
-            StageStats {
-                stage: "crpd_cell",
-                hits: self.cells.hits(),
-                misses: self.cells.misses(),
-                entries: self.cells.len() as u64,
-                single_flight_waits: 0,
-            },
-        ]
+        vec![self.programs.stats(), self.analyses.stats(), self.cells.stats()]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
 
     const TASK: &str =
         "start: li r1, 5\nloop: addi r1, r1, -1\nbne r1, r0, loop\n.bound loop, 5\nhalt\n";
@@ -566,68 +381,5 @@ mod tests {
     fn err_msg(err: &CliError) -> String {
         let CliError::Asm(msg) = err else { panic!("expected an assembly error, got {err}") };
         msg.clone()
-    }
-
-    #[test]
-    fn concurrent_same_key_requests_are_single_flight() {
-        const THREADS: usize = 8;
-        let store: StageStore<u32, u64> = StageStore::new("analyze");
-        let barrier = Barrier::new(THREADS);
-        let runs = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        store.get_or_compute(7, || {
-                            runs.fetch_add(1, Ordering::Relaxed);
-                            // Hold the in-flight slot long enough that the
-                            // other threads demonstrably arrive meanwhile.
-                            std::thread::sleep(std::time::Duration::from_millis(50));
-                            Ok::<u64, CliError>(42)
-                        })
-                    })
-                })
-                .collect();
-            for handle in handles {
-                assert_eq!(*handle.join().expect("worker").expect("compute"), 42);
-            }
-        });
-        assert_eq!(runs.load(Ordering::Relaxed), 1, "exactly one leader runs the stage");
-        assert_eq!(store.misses(), 1, "single-flight: one miss per key, however many racers");
-        assert_eq!(store.hits(), THREADS as u64 - 1);
-        assert!(store.single_flight_waits() > 0, "the non-leaders blocked on the in-flight slot");
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn failed_leader_lets_waiters_retry() {
-        const THREADS: usize = 4;
-        let store: StageStore<u32, u64> = StageStore::new("analyze");
-        let barrier = Barrier::new(THREADS);
-        let attempts = AtomicU64::new(0);
-        let successes = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                scope.spawn(|| {
-                    barrier.wait();
-                    let result = store.get_or_compute(7, || {
-                        // The first leader fails; whoever retries succeeds.
-                        if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            Err(CliError::Analysis("transient".into()))
-                        } else {
-                            Ok(99)
-                        }
-                    });
-                    if let Ok(v) = result {
-                        assert_eq!(*v, 99);
-                        successes.fetch_add(1, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        assert_eq!(successes.load(Ordering::SeqCst), THREADS as u64 - 1);
-        assert_eq!(store.len(), 1, "the retried computation is cached");
     }
 }

@@ -2,11 +2,10 @@
 //! experiments (§VIII) and the per-task-pair reload matrix.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
+use crate::store::StageStore;
 use crate::task::AnalyzedTask;
 
 /// How the number of cache lines reloaded after a preemption is bounded.
@@ -139,8 +138,9 @@ pub fn combined_overlap_breakdown(
     contributions
 }
 
-/// A keyed cache of pairwise reload bounds: one cell per
-/// `(approach, preempted fingerprint, preempting fingerprint)`.
+/// A keyed cache of pairwise reload bounds: the `crpd_cell` stage's
+/// [`StageStore`], one cell per `(approach, preempted fingerprint,
+/// preempting fingerprint)`.
 ///
 /// Fingerprints ([`AnalyzedTask::fingerprint`]) content-address the
 /// params-free [`crate::task::AnalyzedProgram`] artifacts, so a bound
@@ -150,14 +150,16 @@ pub fn combined_overlap_breakdown(
 /// part of the key: they decide *which* cells a matrix needs (who can
 /// preempt whom), never a cell's value.
 ///
-/// Thread-safe and deliberately not single-flight: cells are cheap
-/// relative to full analysis and deterministic, so two threads racing on
-/// one cell both compute the same value and the second insert is a no-op.
-#[derive(Debug, Default)]
-pub struct CrpdCellCache {
-    cells: Mutex<HashMap<(CrpdApproach, u128, u128), usize>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+/// Single-flight like every stage: concurrent lookups of one missing
+/// cell compute it once. The computation is the serial [`reload_lines`]
+/// kernel and never enters [`rtpar`], so a leader never waits on pool
+/// work and no waiter can be its own leader.
+pub type CrpdCellCache = StageStore<(CrpdApproach, u128, u128), usize>;
+
+impl Default for CrpdCellCache {
+    fn default() -> Self {
+        StageStore::new("crpd_cell")
+    }
 }
 
 impl CrpdCellCache {
@@ -179,42 +181,23 @@ impl CrpdCellCache {
         preempting: &AnalyzedTask,
     ) -> usize {
         let key = (approach, preempted.fingerprint(), preempting.fingerprint());
-        if let Some(&lines) = self.cells.lock().expect("crpd cell cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            rtobs::record_stage_lookup("crpd_cell", true);
-            return lines;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        rtobs::record_stage_lookup("crpd_cell", false);
-        let lines = {
-            let _span = rtobs::span_labeled("crpd", || {
-                format!("{approach} {}<-{}", preempted.name(), preempting.name())
-            });
-            reload_lines(approach, preempted, preempting)
-        };
-        self.cells.lock().expect("crpd cell cache lock").insert(key, lines);
+        let Ok(lines) = self.get_or_compute(key, || {
+            Ok::<_, Infallible>(traced_reload_lines(approach, preempted, preempting))
+        });
         lines
     }
+}
 
-    /// Number of lookups served from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that had to compute the bound.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct cells currently held.
-    pub fn len(&self) -> usize {
-        self.cells.lock().expect("crpd cell cache lock").len()
-    }
-
-    /// `true` if no cell has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+/// [`reload_lines`] under its per-cell `crpd` span.
+fn traced_reload_lines(
+    approach: CrpdApproach,
+    preempted: &AnalyzedTask,
+    preempting: &AnalyzedTask,
+) -> usize {
+    let _span = rtobs::span_labeled("crpd", || {
+        format!("{approach} {}<-{}", preempted.name(), preempting.name())
+    });
+    reload_lines(approach, preempted, preempting)
 }
 
 /// The reload-line matrix of a task set under one approach:
@@ -238,11 +221,12 @@ impl CrpdMatrix {
     /// `&[Arc<AnalyzedTask>]`, …) so callers that share analysis artifacts
     /// across threads need not clone them.
     ///
-    /// All `n²` preemption-pair cells are independent, so they fan out
-    /// over the current [`rtpar`] pool; the flat cell vector is folded
-    /// back into rows in index order, keeping the matrix byte-identical
-    /// at any thread count.
-    pub fn compute<T: Borrow<AnalyzedTask> + Sync>(approach: CrpdApproach, tasks: &[T]) -> Self {
+    /// The `n²` preemption-pair cells are walked in row-major order on
+    /// the calling thread, so a matrix starts no [`rtpar`] batch and is
+    /// byte-identical at any thread count. Callers get their parallelism
+    /// one level up, from the approaches, systems or sweep points they
+    /// fan out.
+    pub fn compute<T: Borrow<AnalyzedTask>>(approach: CrpdApproach, tasks: &[T]) -> Self {
         Self::compute_inner(approach, tasks, None)
     }
 
@@ -251,14 +235,9 @@ impl CrpdMatrix {
     /// — by an earlier matrix, another request, or a different parameter
     /// binding of the same programs — are served from the cache; only
     /// fresh pairs run the pairwise analysis. The resulting matrix is
-    /// byte-identical to an uncached [`compute`](Self::compute).
-    ///
-    /// The cells are walked in row-major order on the calling thread, and
-    /// each miss is computed and inserted before the next lookup, so a
-    /// matrix starts no [`rtpar`] batch. Cached matrices get their
-    /// parallelism one level up, from the approaches or sweep points
-    /// their callers fan out.
-    pub fn compute_with<T: Borrow<AnalyzedTask> + Sync>(
+    /// byte-identical to an uncached [`compute`](Self::compute), and is
+    /// walked the same way.
+    pub fn compute_with<T: Borrow<AnalyzedTask>>(
         approach: CrpdApproach,
         tasks: &[T],
         cells: &CrpdCellCache,
@@ -266,40 +245,26 @@ impl CrpdMatrix {
         Self::compute_inner(approach, tasks, Some(cells))
     }
 
-    fn compute_inner<T: Borrow<AnalyzedTask> + Sync>(
+    fn compute_inner<T: Borrow<AnalyzedTask>>(
         approach: CrpdApproach,
         tasks: &[T],
         cache: Option<&CrpdCellCache>,
     ) -> Self {
         let _span = rtobs::span_labeled("crpd", || format!("{approach} matrix"));
-        let n = tasks.len();
-        let cell = |cell: usize| {
-            let (i, j) = (cell / n, cell % n);
+        let cell = |i: usize, j: usize| {
             let (ti, tj) = (tasks[i].borrow(), tasks[j].borrow());
-            if tj.params().priority < ti.params().priority {
-                let lines = match cache {
-                    Some(cache) => cache.reload_lines(approach, ti, tj),
-                    None => {
-                        let _span = rtobs::span_labeled("crpd", || {
-                            format!("{approach} {}<-{}", ti.name(), tj.name())
-                        });
-                        reload_lines(approach, ti, tj)
-                    }
-                };
-                rtobs::record_crpd_cell(approach.label(), i, j, lines as u64);
-                lines
-            } else {
-                0
+            if tj.params().priority >= ti.params().priority {
+                return 0;
             }
+            let lines = match cache {
+                Some(cache) => cache.reload_lines(approach, ti, tj),
+                None => traced_reload_lines(approach, ti, tj),
+            };
+            rtobs::record_crpd_cell(approach.label(), i, j, lines as u64);
+            lines
         };
-        // A cached walk is mostly lookups, cheaper than a fan-out batch;
-        // an uncached matrix computes every feasible pair, so it fans out.
-        let cells: Vec<usize> = match cache {
-            Some(_) => (0..n * n).map(cell).collect(),
-            None => rtpar::par_map_range(n * n, cell),
-        };
-        let mut cells = cells.into_iter();
-        let lines = (0..n).map(|_| cells.by_ref().take(n).collect()).collect();
+        let n = tasks.len();
+        let lines = (0..n).map(|i| (0..n).map(|j| cell(i, j)).collect()).collect();
         CrpdMatrix { approach, lines }
     }
 
@@ -465,7 +430,7 @@ mod tests {
         let pool = rtpar::Pool::new(4);
         let before = pool.stats().batches;
         let uncached = pool.install(|| CrpdMatrix::compute(CrpdApproach::Combined, &tasks));
-        assert!(pool.stats().batches > before, "an uncached matrix fans its cells out");
+        assert_eq!(pool.stats().batches, before, "an uncached matrix starts no batch");
         let (cold, warm, after_cold, after_warm) = tallies(&pool);
         assert_eq!((after_cold, after_warm), (serial_after_cold, serial_after_warm));
         for m in [&uncached, &cold, &warm, &serial_cold, &serial_warm] {

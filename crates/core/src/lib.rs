@@ -18,7 +18,9 @@
 //!
 //! [`approaches`] implements the four bounds compared in the paper's
 //! Table II; [`task::AnalyzedTask`] packages a program's traces, footprint
-//! CIIPs and WCET for the analysis.
+//! CIIPs and WCET for the analysis. [`store::StageStore`] is the one
+//! single-flight memo store: the CRPD cells ([`CrpdCellCache`]) and every
+//! artifact stage of the front ends go through it.
 //!
 //! # Example
 //!
@@ -57,6 +59,7 @@ pub mod approaches;
 pub mod intra;
 pub mod partition;
 pub mod schedutil;
+pub mod store;
 pub mod task;
 pub mod wcrt;
 
@@ -68,6 +71,7 @@ pub use approaches::{
 pub use intra::{dataflow_useful, DataflowUseful, UsefulTrace};
 pub use partition::{even_way_partition, partitioned_analyze_all, PartitionedTask};
 pub use schedutil::{hyperperiod, liu_layland_bound, rate_monotonic_priorities, total_utilization};
+pub use store::{StageStats, StageStore};
 pub use task::{
     content_hash128, program_fingerprint, AnalyzedPath, AnalyzedProgram, AnalyzedTask, TaskParams,
 };

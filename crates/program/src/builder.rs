@@ -112,6 +112,7 @@ impl ProgramBuilder {
     /// # Panics
     ///
     /// Panics if `addr` is not word aligned or moves the cursor backwards.
+    #[cfg(test)]
     pub fn data_align_to(&mut self, addr: u64) {
         assert!(addr.is_multiple_of(4), "data cursor must stay word aligned");
         assert!(addr >= self.data_cursor, "data cursor cannot move backwards");

@@ -340,7 +340,7 @@ impl Metrics {
             (
                 "rtserver_stage_cache_hits_total",
                 "Pipeline-stage cache hits (artifact reused).",
-                (|s: &rtcli::store::StageStats| s.hits) as fn(&rtcli::store::StageStats) -> u64,
+                (|s: &crpd::StageStats| s.hits) as fn(&crpd::StageStats) -> u64,
             ),
             (
                 "rtserver_stage_cache_misses_total",

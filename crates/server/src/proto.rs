@@ -25,12 +25,10 @@
 //!
 //! The `spec` payload is exactly the [`SystemSpec`] text format the
 //! one-shot CLI reads from disk (`trisc wcrt system.spec`); `sources`
-//! optionally maps a task's `FILE` field to inline assembly text so a
-//! request can be self-contained. A file not found in `sources` is read
-//! from the server's filesystem as a fallback, but only a regular file,
-//! and at most what [`MAX_SPEC_BYTES`] leaves after the spec and the
-//! inline sources ([`SpecPayload::bytes`]); anything else is an error
-//! naming the file.
+//! maps each task's `FILE` field to its inline assembly text, so every
+//! request is self-contained. `sources` must name every task `FILE`: the
+//! server never reads its own filesystem, and a missing key is an error
+//! naming the task and the key.
 //!
 //! The `metrics` payload reports the staged artifact DAG alongside the
 //! endpoint counters: `"stages"` maps each pipeline stage (`assemble`,
@@ -236,8 +234,8 @@ impl Command {
 pub struct SpecPayload {
     /// [`rtcli::SystemSpec`] text.
     pub spec: String,
-    /// `FILE` field → assembly text. Tasks whose file is absent here fall
-    /// back to the server's filesystem.
+    /// `FILE` field → assembly text. Every task's `FILE` must be a key
+    /// here; the server never reads its own filesystem.
     pub sources: BTreeMap<String, String>,
 }
 

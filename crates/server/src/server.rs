@@ -24,7 +24,7 @@
 //! returns after the request pool finishes any remaining work.
 
 use std::collections::VecDeque;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +40,6 @@ use crate::metrics::{AdmissionSnapshot, Metrics};
 use crate::pool::WorkerPool;
 use crate::proto::{
     err_response, err_response_coded, ok_response, ok_response_with, Command, Request, SpecPayload,
-    MAX_SPEC_BYTES,
 };
 
 /// State shared by every worker: the artifact cache, the metrics
@@ -654,50 +653,25 @@ fn analyze(state: &ServerState, cmd: &Command) -> Result<String, CliError> {
 
 /// Parses the payload's spec (with an empty base dir, so task `FILE`
 /// fields stay the literal keys of `sources`) and resolves every task's
-/// source once, in spec order: the inline `sources` entry if present,
-/// else [`read_fallback`] within what is left of [`MAX_SPEC_BYTES`].
+/// source from `sources`, in spec order. The server never reads its own
+/// filesystem: a `FILE` missing from `sources` is a [`CliError::Spec`]
+/// naming the task and the key.
 fn resolve(payload: &SpecPayload) -> Result<(SystemSpec, Vec<String>), CliError> {
     let spec = SystemSpec::parse(&payload.spec, Path::new(""))?;
-    let mut budget = MAX_SPEC_BYTES.saturating_sub(payload.bytes());
     let sources = spec
         .tasks
         .iter()
         .map(|task| {
-            if let Some(text) = payload.sources.get(task.source.to_string_lossy().as_ref()) {
-                return Ok(text.clone());
-            }
-            let text = read_fallback(&task.source, budget)?;
-            budget -= text.len();
-            Ok(text)
+            let key = task.source.to_string_lossy();
+            payload.sources.get(key.as_ref()).cloned().ok_or_else(|| {
+                CliError::Spec(format!(
+                    "task `{}`: source `{key}` is not in the request's `sources`",
+                    task.name
+                ))
+            })
         })
         .collect::<Result<_, CliError>>()?;
     Ok((spec, sources))
-}
-
-/// Reads a task `FILE` missing from `sources` from the server's
-/// filesystem: only a regular file (so a FIFO or device never blocks or
-/// streams forever), and at most `budget` bytes, so a request's sources
-/// stay within the same [`MAX_SPEC_BYTES`] its inline payload is held to.
-fn read_fallback(path: &Path, budget: usize) -> Result<String, CliError> {
-    let shown = path.display();
-    let io_error = |e: io::Error| CliError::Io(format!("{shown}: {e}"));
-    if !std::fs::metadata(path).map_err(io_error)?.is_file() {
-        return Err(CliError::Io(format!(
-            "{shown}: not a regular file; the server reads task sources only from regular files"
-        )));
-    }
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|file| file.take(budget as u64 + 1).read_to_end(&mut bytes))
-        .map_err(io_error)?;
-    if bytes.len() > budget {
-        return Err(CliError::Io(format!(
-            "{shown}: source file exceeds the {MAX_SPEC_BYTES}-byte request payload limit \
-             ({budget} bytes left after the spec and inline sources)"
-        )));
-    }
-    String::from_utf8(bytes)
-        .map_err(|_| CliError::Io(format!("{shown}: source file is not valid UTF-8")))
 }
 
 /// Runs a design-space sweep against the server's shared artifact store
@@ -705,8 +679,8 @@ fn read_fallback(path: &Path, budget: usize) -> Result<String, CliError> {
 /// returns the streamed NDJSON frames (one per evaluated batch plus the
 /// final front frame) as a newline-separated block. Points share
 /// `assemble`/`analyze` artifacts and `crpd_cell` entries with every
-/// other request the server has served, with single-flight deduplication
-/// across concurrent sweeps.
+/// other request the server has served; every stage deduplicates
+/// concurrent lookups of one key (single-flight), across sweeps too.
 fn run_explore(
     state: &ServerState,
     id: Option<u64>,

@@ -43,6 +43,7 @@ pub fn image_pattern(dim: usize) -> Vec<i32> {
 }
 
 /// Reference Sobel pass (used by tests and documented in EXPERIMENTS.md).
+#[cfg(test)]
 pub fn reference_sobel(img: &[i32], dim: usize) -> Vec<i32> {
     let mut out = vec![0; dim * dim];
     let p = |y: usize, x: usize| img[y * dim + x];
@@ -59,6 +60,7 @@ pub fn reference_sobel(img: &[i32], dim: usize) -> Vec<i32> {
 }
 
 /// Reference Cauchy pass.
+#[cfg(test)]
 pub fn reference_cauchy(img: &[i32], dim: usize) -> Vec<i32> {
     let norm = cauchy_norm_table();
     let mut out = vec![0; dim * dim];

@@ -31,6 +31,7 @@ pub fn input_stream(len: usize, seed: u32) -> Vec<i32> {
 // ---------------------------------------------------------------------------
 
 /// Reference FIR: `out[i] = Σ_t x[i+t] · h[t]`.
+#[cfg(test)]
 pub fn reference_fir(x: &[i32], h: &[i32]) -> Vec<i32> {
     (0..=x.len() - h.len())
         .map(|i| h.iter().enumerate().map(|(t, c)| c.wrapping_mul(x[i + t])).sum())
@@ -76,6 +77,7 @@ pub fn fir_filter(code_base: u64, data_base: u64, taps: usize, outputs: usize) -
 // ---------------------------------------------------------------------------
 
 /// Reference `n×n` matrix product (row-major, wrapping).
+#[cfg(test)]
 pub fn reference_matmul(a: &[i32], bm: &[i32], n: usize) -> Vec<i32> {
     let mut c = vec![0i32; n * n];
     for i in 0..n {
@@ -149,6 +151,7 @@ pub fn crc32_table() -> Vec<i32> {
 }
 
 /// Reference CRC-32 over the little-endian bytes of `words`.
+#[cfg(test)]
 pub fn reference_crc32(words: &[i32]) -> u32 {
     let table = crc32_table();
     let mut crc = 0xFFFF_FFFFu32;
@@ -211,6 +214,7 @@ pub fn crc32(code_base: u64, data_base: u64, words: usize) -> Program {
 
 /// Reference histogram: `bins` power-of-two buckets over bits `[shift,
 /// shift + log2(bins))` of each sample.
+#[cfg(test)]
 pub fn reference_histogram(samples: &[i32], bins: usize, shift: u32) -> Vec<i32> {
     let mut hist = vec![0i32; bins];
     for s in samples {

@@ -54,8 +54,8 @@ pub use adpcm::{
 };
 pub use ctxswitch::context_switch;
 pub use edge::{
-    edge_detection, edge_detection_with_dim, image_pattern, reference_cauchy, reference_sobel,
-    CAUCHY_KERNEL, CAUCHY_THRESHOLD, DIM, SOBEL_THRESHOLD,
+    edge_detection, edge_detection_with_dim, image_pattern, CAUCHY_KERNEL, CAUCHY_THRESHOLD, DIM,
+    SOBEL_THRESHOLD,
 };
 pub use idct::reference as idct_reference;
 pub use idct::{
@@ -66,9 +66,7 @@ pub use ofdm::{
     frame_a, frame_b, ofdm_transmitter, ofdm_transmitter_with_points, twiddles, POINTS, PREFIX,
     QAM_LEVELS, RING_WORDS, TWIDDLE_SCALE,
 };
-pub use robot::{
-    mobile_robot, reference_position, HISTORY, OBSTACLE_THRESHOLD, SENSORS, WAYPOINTS,
-};
+pub use robot::{mobile_robot, HISTORY, OBSTACLE_THRESHOLD, SENSORS, WAYPOINTS};
 
 use rtprogram::Program;
 

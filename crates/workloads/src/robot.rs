@@ -31,6 +31,7 @@ fn sensor_pattern() -> Vec<i32> {
 
 /// Reference fused position for the default sensor pattern (used by
 /// tests).
+#[cfg(test)]
 pub fn reference_position(sensors: &[i32]) -> i32 {
     let acc: i64 = sensors
         .iter()

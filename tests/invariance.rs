@@ -128,53 +128,68 @@ fn cli_wcrt_report_is_byte_identical_at_any_pool_size() {
     }
 }
 
-/// The full `trisc explore` sweep (grid file -> plan -> batched parallel
-/// evaluation -> streamed rows, Pareto front and explanations) under one
-/// explicit pool.
-fn explore_report(tag: &str) -> String {
-    let dir = std::env::temp_dir().join(format!("rt-inv-explore-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    std::fs::write(
-        dir.join("hi.s"),
+/// One explore sweep (plan -> batched parallel evaluation -> streamed
+/// rows, Pareto front and explanations) through a fresh artifact store
+/// under its own recorder: the rendered report, the store's `crpd_cell`
+/// (misses, entries), and the number of recorded `crpd` spans.
+fn explore_run() -> (String, (u64, u64), u64) {
+    let spec = rtcli::SystemSpec::parse(
+        "cache 64 2 16\ncmiss 20\nccs 50\ntask hi hi.s 5000 1\ntask lo lo.s 50000 2\n",
+        std::path::Path::new(""),
+    )
+    .expect("spec parses");
+    let sources = [
         ".data 0x100000\nbuf: .word 1,2,3,4\n.text 0x1000\nstart: li r1, buf\nli r3, 4\n\
          loop: ld r2, 0(r1)\naddi r1, r1, 4\naddi r3, r3, -1\nbne r3, r0, loop\n\
-         .bound loop, 4\nhalt\n",
-    )
-    .expect("write hi.s");
-    std::fs::write(
-        dir.join("lo.s"),
+         .bound loop, 4\nhalt\n"
+            .to_string(),
         ".data 0x100400\nbuf: .word 7,8\n.text 0x2000\nstart: li r1, buf\nld r2, 0(r1)\n\
-         ld r4, 4(r1)\nadd r2, r2, r4\nhalt\n",
+         ld r4, 4(r1)\nadd r2, r2, r4\nhalt\n"
+            .to_string(),
+    ];
+    let grid = rtexplore::Grid::parse(
+        "sets 32 64\nways 1 2\ncmiss 20 40\nperiod-scale 0.5 1\npriority-rot 0 1\napproach all\n",
     )
-    .expect("write lo.s");
-    std::fs::write(
-        dir.join("system.spec"),
-        "cache 64 2 16\ncmiss 20\nccs 50\ntask hi hi.s 5000 1\ntask lo lo.s 50000 2\n",
-    )
-    .expect("write spec");
-    std::fs::write(
-        dir.join("sweep.grid"),
-        "spec system.spec\nsets 32 64\nways 1 2\ncmiss 20 40\nperiod-scale 0.5 1\n\
-         priority-rot 0 1\napproach all\n",
-    )
-    .expect("write grid");
-    let report = rtexplore::cmd_explore(&dir.join("sweep.grid")).expect("sweep succeeds");
-    std::fs::remove_dir_all(&dir).ok();
-    report
+    .expect("grid parses");
+    let store = rtcli::ArtifactStore::default();
+    let session = rtobs::begin_with(Default::default());
+    let mut rows = String::new();
+    let explored = rtexplore::explore(&store, &spec, &sources, &grid, |batch, _front| {
+        for point in batch {
+            let _ = writeln!(rows, "{}", rtexplore::render_point(point));
+        }
+    })
+    .expect("sweep succeeds");
+    let crpd_spans = session.recorder().stage_durations().get("crpd").map_or(0, |&(n, _)| n);
+    drop(session);
+    let cells = store.cells().stats();
+    let report =
+        format!("explore: {} points\n{rows}\n{}", explored.plan.len(), explored.front_report);
+    (report, (cells.misses, cells.entries), crpd_spans)
 }
 
-/// Satellite: the sweep's entire output — every per-point row, the
+/// The sweep's entire output — every per-point row, the
 /// Pareto-front membership and ordering, and the binding-constraint
-/// explanations — is byte-identical at 1, 2 and 8 threads.
+/// explanations — is byte-identical at 1, 2 and 8 threads. The work is
+/// too: the single-flight cell store computes each distinct CRPD cell
+/// exactly once, so the `crpd` span count does not depend on the pool
+/// size or the run.
 #[test]
 fn explore_report_is_byte_identical_at_any_pool_size() {
     let _ambient = rtobs::env_session();
-    let reference = rtpar::Pool::new(1).install(|| explore_report("ref"));
+    let (reference, _, reference_spans) = rtpar::Pool::new(1).install(explore_run);
     assert!(reference.contains("explore: 128 points"), "report looks wrong: {reference}");
     assert!(reference.contains("Pareto front ("), "report looks wrong: {reference}");
-    for threads in POOL_SIZES {
-        let report = rtpar::Pool::new(threads).install(|| explore_report(&threads.to_string()));
+    // Every pool size once, then two more runs on one 8-thread pool.
+    let eight = rtpar::Pool::new(8);
+    let runs = POOL_SIZES
+        .iter()
+        .map(|&threads| (threads, rtpar::Pool::new(threads).install(explore_run)))
+        .chain((0..2).map(|_| (8, eight.install(explore_run))));
+    for (threads, (report, (misses, entries), spans)) in runs {
         assert_eq!(report, reference, "pool of {threads} threads changed the explore report");
+        assert_eq!(misses, entries, "pool of {threads} threads computed a CRPD cell twice");
+        assert_eq!(spans, reference_spans, "pool of {threads} threads changed the crpd span count");
     }
 }
 

@@ -489,83 +489,34 @@ fn eq7_inputs_and_overflow_get_typed_results_and_the_server_keeps_serving() {
     handle.join().expect("server exits cleanly after the bad specs");
 }
 
-/// The wire spec format is the on-disk spec format: a spec that parses
-/// from disk must be accepted verbatim over the wire (with sources
-/// resolved from the server's filesystem as the fallback).
+/// The server never reads its own filesystem: a task `FILE` missing from
+/// `sources` gets the same typed spec error naming the task and the key
+/// whether the path is a readable regular file, a directory or missing,
+/// and the next `ping` is answered.
 #[test]
-fn wire_spec_falls_back_to_server_filesystem_sources() {
-    let dir = std::env::temp_dir().join(format!("rtserver-fs-{}", std::process::id()));
+fn task_files_outside_sources_get_one_typed_error() {
+    let dir = std::env::temp_dir().join(format!("rtserver-no-fs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let hi = dir.join("hi.s");
-    std::fs::write(&hi, TASK_HI).expect("write hi.s");
-
-    let opts = rtcli::ServeOptions {
-        host: "127.0.0.1".to_string(),
-        port: 0,
-        threads: 4,
-        ..rtcli::ServeOptions::default()
-    };
-    let handle = Server::spawn(&opts).expect("bind");
-    // No `sources` map: the task file is an absolute path on the server.
-    let line = Json::obj([
-        ("cmd", Json::from("wcet")),
-        ("spec", Json::from(format!("cache 64 2 16\ntask hi {} 5000 1\n", hi.display()).as_str())),
-    ])
-    .encode();
-    let replies = roundtrip(handle.addr(), &[line, r#"{"cmd":"shutdown"}"#.to_string()]);
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[0]);
-    assert!(replies[0].get("output").and_then(Json::as_str).unwrap().contains("WCET ="));
-    handle.join().expect("clean exit");
-}
-
-/// A task `FILE` missing from `sources` is read from the server's
-/// filesystem only if it is a regular file that fits in what is left of
-/// the payload limit after the spec and the inline sources; anything else
-/// is a typed error naming the file, and the next `ping` is answered.
-#[test]
-fn file_fallback_reads_only_regular_files_within_the_payload_limit() {
-    let limit = rtserver::proto::MAX_SPEC_BYTES;
-    let dir = std::env::temp_dir().join(format!("rtserver-fallback-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    // Valid assembly, padded with comment lines to just over the limit.
-    let padded = |bytes: usize| {
-        let pad = "; padding padding padding padding padding padding\n";
-        format!("{}{TASK_HI}", pad.repeat(bytes / pad.len() + 1))
-    };
-    let big = dir.join("big.s");
-    std::fs::write(&big, padded(limit)).expect("write big.s");
-    let half = dir.join("half.s");
-    std::fs::write(&half, padded(limit / 2)).expect("write half.s");
+    let regular = dir.join("hi.s");
+    std::fs::write(&regular, TASK_HI).expect("write hi.s");
     let handle = spawn_server();
-    let wcet = |files: &[&Path], sources: Json| {
-        let tasks: String = (1..)
-            .zip(files)
-            .map(|(priority, f)| format!("task t{priority} {} 5000 {priority}\n", f.display()))
-            .collect();
-        analysis_request("wcet", &tasks, sources, &[])
-    };
-    let none = || Json::Obj(Default::default());
-    // Half the limit inline leaves too little for a half-limit file.
-    let inline_half = Json::obj([("inline.s", Json::from(padded(limit / 2).as_str()))]);
-    let cases = [
-        (wcet(&[&big], none()), format!("{}: source file exceeds the {limit}-byte", big.display())),
-        (wcet(&[&dir], none()), format!("{}: not a regular file", dir.display())),
-        (
-            wcet(&[Path::new("inline.s"), &half], inline_half),
-            format!("{}: source file exceeds the {limit}-byte", half.display()),
-        ),
-    ];
-    for (request, expected) in cases {
+    for path in [&regular, &dir, &dir.join("missing.s")] {
+        let file = path.display().to_string();
+        let sources = Json::obj([("other.s", Json::from(TASK_HI))]);
+        let request = analysis_request("wcet", &format!("task t {file} 5000 1\n"), sources, &[]);
         let replies = roundtrip(handle.addr(), &[request, r#"{"id":99,"cmd":"ping"}"#.to_string()]);
-        assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(false), "{expected}");
-        let error = replies[0].get("error").and_then(Json::as_str).expect("typed error");
-        assert!(error.contains(&expected), "{error}");
+        assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(false), "{file}");
+        assert_eq!(
+            replies[0].get("error").and_then(Json::as_str),
+            Some(
+                format!(
+                    "bad system spec: task `t`: source `{file}` is not in the request's `sources`"
+                )
+                .as_str()
+            )
+        );
         assert_eq!(replies[1].get("output").and_then(Json::as_str), Some("pong"));
     }
-    // On its own, the half-limit file fits and is analyzed.
-    let replies = roundtrip(handle.addr(), &[wcet(&[&half], none())]);
-    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[0]);
     std::fs::remove_dir_all(&dir).ok();
     shutdown(handle);
 }
