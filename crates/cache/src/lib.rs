@@ -11,6 +11,11 @@
 //! * [`CacheSim`] — an executable cache with pluggable replacement
 //!   ([`ReplacementPolicy`]), hit/miss/eviction accounting and snapshots.
 //!   This is the ground-truth model used by the scheduler co-simulation.
+//! * [`ColdLru`] — the analysis's one LRU model: a cold cache replayed
+//!   one access at a time over dense per-set stacks. The useful-block
+//!   classification and the WCET estimator both drive it; it shares no
+//!   code with [`CacheSim`], so the co-simulation stays an independent
+//!   oracle.
 //! * [`Ciip`] — the *Cache Index Induced Partition* of a memory-block set
 //!   (paper Definition 3) together with the per-set conflict bound
 //!   `S(Ma, Mb) = Σ_r min(|m̂a,r|, |m̂b,r|, L)` of Eq. 2/3.
@@ -44,6 +49,7 @@
 mod ciip;
 mod geometry;
 mod hierarchy;
+mod lru;
 mod packed;
 mod replacement;
 mod sim;
@@ -51,6 +57,7 @@ mod sim;
 pub use ciip::{Ciip, OverlapContribution};
 pub use geometry::{CacheGeometry, GeometryError, MemoryBlock, SetIndex};
 pub use hierarchy::{CacheHierarchy, HierarchyError, LevelOutcome};
+pub use lru::ColdLru;
 pub use packed::{counts_dominate, PackedFootprint};
 pub use replacement::ReplacementPolicy;
 pub use sim::{AccessOutcome, CacheSim, CacheSnapshot, CacheStats};

@@ -149,10 +149,11 @@ impl SetState {
 
 /// An executable set-associative cache.
 ///
-/// Used both by the WCET estimator (cold-cache path timing) and by the
-/// scheduler co-simulation that measures actual response times (paper
-/// Fig. 5). All operations are at [`MemoryBlock`] granularity; byte-address
-/// entry points convert first.
+/// The scheduler co-simulation runs it to measure actual response times
+/// (paper Fig. 5). The analysis never does: it replays its cold paths
+/// through [`ColdLru`](crate::ColdLru), so the co-simulation checks the
+/// analysis against code the two do not share. All operations are at
+/// [`MemoryBlock`] granularity; byte-address entry points convert first.
 ///
 /// ```
 /// use rtcache::{CacheGeometry, CacheSim};
@@ -209,7 +210,8 @@ impl CacheSim {
     }
 
     /// Resets the statistics counters without touching cache contents.
-    pub fn reset_stats(&mut self) {
+    #[cfg(test)]
+    fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
 
@@ -358,7 +360,8 @@ impl CacheSnapshot {
     /// # Panics
     ///
     /// Panics if the two snapshots have different geometries.
-    pub fn evicted_in(&self, after: &CacheSnapshot) -> BTreeSet<MemoryBlock> {
+    #[cfg(test)]
+    fn evicted_in(&self, after: &CacheSnapshot) -> BTreeSet<MemoryBlock> {
         assert_eq!(
             self.geometry, after.geometry,
             "snapshots from different cache geometries cannot be compared"
@@ -374,7 +377,8 @@ impl CacheSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SetIndex;
+    use crate::{Ciip, SetIndex};
+    use proptest::prelude::*;
 
     fn small() -> CacheGeometry {
         CacheGeometry::new(2, 2, 16).unwrap()
@@ -498,5 +502,62 @@ mod tests {
         assert_eq!(s.hit_rate(), 0.5);
         assert!(s.to_string().contains("50.0% hit rate"));
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
+    }
+
+    fn arb_geometry() -> impl Strategy<Value = CacheGeometry> {
+        (0u32..=5, 1u32..=8, 2u32..=6).prop_map(|(set_log, ways, line_log)| {
+            CacheGeometry::new(1 << set_log, ways, 1 << line_log).expect("valid geometry")
+        })
+    }
+
+    fn arb_blocks(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
+        prop::collection::vec(0u64..256, 0..max_len)
+    }
+
+    proptest! {
+        /// Accessing the same trace twice in a row yields all hits the second
+        /// time when the distinct footprint per set fits in the ways (LRU).
+        #[test]
+        fn fitting_working_set_all_hits(geom in arb_geometry(), refs in arb_blocks(100)) {
+            let distinct: BTreeSet<_> = refs.iter().map(|r| MemoryBlock::new(*r)).collect();
+            let fits = (0..geom.sets()).map(SetIndex::new).all(|idx| {
+                distinct.iter().filter(|b| geom.index_of_block(**b) == idx).count()
+                    <= geom.ways() as usize
+            });
+            prop_assume!(fits);
+            let mut cache = CacheSim::new(geom);
+            for r in &refs {
+                cache.access_block(MemoryBlock::new(*r));
+            }
+            cache.reset_stats();
+            for b in &distinct {
+                prop_assert!(cache.access_block(*b).is_hit());
+            }
+            prop_assert_eq!(cache.stats().misses, 0);
+        }
+
+        /// Ground truth check for Eq. 2: load task A's blocks, then task B's;
+        /// the number of A-blocks evicted during B's execution never exceeds
+        /// `S(Ma, Mb)` under LRU.
+        #[test]
+        fn eq2_bounds_simulated_evictions(geom in arb_geometry(),
+                                          a in arb_blocks(120), b in arb_blocks(120)) {
+            let mut cache = CacheSim::new(geom);
+            for r in &a {
+                cache.access_block(MemoryBlock::new(*r));
+            }
+            let before = cache.snapshot();
+            for r in &b {
+                cache.access_block(MemoryBlock::new(*r));
+            }
+            let after = cache.snapshot();
+            let evicted = before.evicted_in(&after);
+            let ma = Ciip::from_blocks(geom, a.iter().map(|r| MemoryBlock::new(*r)));
+            let mb = Ciip::from_blocks(geom, b.iter().map(|r| MemoryBlock::new(*r)));
+            prop_assert!(
+                evicted.len() <= ma.overlap_bound(&mb),
+                "evicted {} > bound {}", evicted.len(), ma.overlap_bound(&mb)
+            );
+        }
     }
 }

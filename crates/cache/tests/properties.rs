@@ -55,27 +55,6 @@ proptest! {
         prop_assert_eq!(a.snapshot(), b.snapshot());
     }
 
-    /// Accessing the same trace twice in a row yields all hits the second
-    /// time when the distinct footprint per set fits in the ways (LRU).
-    #[test]
-    fn fitting_working_set_all_hits(geom in arb_geometry(), refs in arb_blocks(100)) {
-        let distinct: BTreeSet<_> = refs.iter().map(|r| MemoryBlock::new(*r)).collect();
-        let fits = (0..geom.sets()).map(SetIndex::new).all(|idx| {
-            distinct.iter().filter(|b| geom.index_of_block(**b) == idx).count()
-                <= geom.ways() as usize
-        });
-        prop_assume!(fits);
-        let mut cache = CacheSim::new(geom);
-        for r in &refs {
-            cache.access_block(MemoryBlock::new(*r));
-        }
-        cache.reset_stats();
-        for b in &distinct {
-            prop_assert!(cache.access_block(*b).is_hit());
-        }
-        prop_assert_eq!(cache.stats().misses, 0);
-    }
-
     /// CIIP is a partition: subsets are disjoint, non-empty, cover all
     /// blocks, and each block lands in the subset of its own index.
     #[test]
@@ -159,30 +138,6 @@ proptest! {
             prop_assert_eq!(bound, mb.overlap_bound(&ma));
             previous = bound;
         }
-    }
-
-    /// Ground truth check for Eq. 2: load task A's blocks, then task B's;
-    /// the number of A-blocks evicted during B's execution never exceeds
-    /// `S(Ma, Mb)` under LRU.
-    #[test]
-    fn eq2_bounds_simulated_evictions(geom in arb_geometry(),
-                                      a in arb_blocks(120), b in arb_blocks(120)) {
-        let mut cache = CacheSim::new(geom);
-        for r in &a {
-            cache.access_block(MemoryBlock::new(*r));
-        }
-        let before = cache.snapshot();
-        for r in &b {
-            cache.access_block(MemoryBlock::new(*r));
-        }
-        let after = cache.snapshot();
-        let evicted = before.evicted_in(&after);
-        let ma = Ciip::from_blocks(geom, a.iter().map(|r| MemoryBlock::new(*r)));
-        let mb = Ciip::from_blocks(geom, b.iter().map(|r| MemoryBlock::new(*r)));
-        prop_assert!(
-            evicted.len() <= ma.overlap_bound(&mb),
-            "evicted {} > bound {}", evicted.len(), ma.overlap_bound(&mb)
-        );
     }
 
     /// Intersection/union algebra.

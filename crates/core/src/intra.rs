@@ -30,7 +30,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use rtcache::{counts_dominate, CacheGeometry, Ciip, MemoryBlock, PackedFootprint, SetIndex};
+use rtcache::{
+    counts_dominate, CacheGeometry, Ciip, ColdLru, MemoryBlock, PackedFootprint, SetIndex,
+};
 use rtprogram::cfg::{BlockId, Cfg};
 use rtprogram::sim::Trace;
 use rtprogram::Program;
@@ -424,45 +426,25 @@ impl fmt::Debug for UsefulTrace {
     }
 }
 
-/// Replays `blocks` through a cold LRU cache of `geometry`, reporting
-/// `(position, block, hit)` per access to `on_access`, and returns the
-/// next-hit flags: `next_hit[p]` is `true` when the access after `p` to
-/// the same block hits.
-///
-/// A hit at `q` means the block has sat in one line since its previous
-/// access `p`, and that line's entry still carries `p`. So each set is
-/// kept as an `L`-deep LRU stack of `(block, last access position)`
-/// entries, most recent first, and a hit marks the entry's position.
+/// Replays `blocks` through [`ColdLru`], reporting `(position, block,
+/// hit)` per access to `on_access`, and returns the next-hit flags:
+/// `next_hit[p]` is `true` when the access after `p` to the same block
+/// hits. A hit returns its block's previous position, so it marks that
+/// one flag.
 fn replay_cold_lru(
     geometry: CacheGeometry,
     blocks: impl Iterator<Item = MemoryBlock>,
     mut on_access: impl FnMut(usize, MemoryBlock, bool),
 ) -> Vec<bool> {
-    let ways = geometry.ways() as usize;
-    let mut stacks: Vec<(MemoryBlock, usize)> =
-        vec![(MemoryBlock::new(0), 0); geometry.sets() as usize * ways];
-    let mut filled = vec![0usize; geometry.sets() as usize];
+    let mut lru = ColdLru::new(geometry);
     let mut next_hit = Vec::with_capacity(blocks.size_hint().0);
     for (pos, block) in blocks.enumerate() {
-        let set = geometry.index_of_block(block).as_usize();
-        let stack = &mut stacks[set * ways..(set + 1) * ways];
-        let resident = &mut stack[..filled[set]];
-        let hit = match resident.iter().position(|(b, _)| *b == block) {
-            Some(way) => {
-                next_hit[resident[way].1] = true;
-                resident[..=way].rotate_right(1);
-                true
-            }
-            None => {
-                // Fill an empty way, or push the LRU entry off the end.
-                filled[set] = (filled[set] + 1).min(ways);
-                stack[..filled[set]].rotate_right(1);
-                false
-            }
-        };
-        stack[0] = (block, pos);
+        let previous = lru.access(block);
+        if let Some(previous) = previous {
+            next_hit[previous] = true;
+        }
         next_hit.push(false);
-        on_access(pos, block, hit);
+        on_access(pos, block, previous.is_some());
     }
     next_hit
 }

@@ -33,9 +33,12 @@ impl Reg {
         self.0
     }
 
-    /// The register number as an index.
+    /// The register number as an index into a `[_; Reg::COUNT]` file.
+    /// The mask changes no value, since [`Reg::new`] rejects `n >= 16`,
+    /// but it lets the compiler drop the bounds check on every register
+    /// read and write of the simulator's run loop.
     pub const fn index(self) -> usize {
-        self.0 as usize
+        self.0 as usize & (Reg::COUNT - 1)
     }
 }
 

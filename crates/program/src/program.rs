@@ -291,11 +291,14 @@ impl Program {
 
     /// The instruction at code address `pc`, if valid.
     pub fn instr_at(&self, pc: u64) -> Option<Instr> {
-        if !self.is_instr_addr(pc) {
+        // Below `code_base` the offset wraps past every index `get`
+        // accepts, and `2^64` is a multiple of `Instr::SIZE`, so one
+        // alignment test and one bounds check decide `is_instr_addr`.
+        let offset = pc.wrapping_sub(self.code_base);
+        if !offset.is_multiple_of(Instr::SIZE) {
             return None;
         }
-        let idx = ((pc - self.code_base) / Instr::SIZE) as usize;
-        self.code.get(idx).copied()
+        self.code.get(usize::try_from(offset / Instr::SIZE).ok()?).copied()
     }
 
     /// The code address of the `idx`-th instruction.

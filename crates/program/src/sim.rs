@@ -5,6 +5,15 @@
 //! accesses — one instruction fetch per issued instruction plus the data
 //! access of each load/store. These traces feed the WCET estimator, the
 //! CRPD analyses (via CFG attribution) and the scheduler co-simulation.
+//!
+//! One interpreter body executes every instruction. The run loop
+//! ([`Simulator::run_with_limit`], under [`Simulator::run_to_halt`] and
+//! [`trace_variant`]) inlines it and hands each fetch and data access
+//! straight to its sink; [`Simulator::step`] wraps the same body for one
+//! instruction. So the analysis, the co-simulation and the fuzz farm all
+//! run one interpreter. The crate's property tests keep the earlier
+//! decode-into-`StepAccesses` loop as the reference both paths must
+//! equal.
 
 use std::fmt;
 
@@ -229,55 +238,90 @@ impl<'p> Simulator<'p> {
             return Ok(None);
         }
         let pc = self.pc;
-        let instr = self.program.instr_at(pc).ok_or(ExecError::UnmappedCode { pc })?;
-        let fetch = MemoryAccess { pc, addr: pc, kind: AccessKind::Fetch };
         let mut data = None;
+        self.execute(&mut |access: MemoryAccess| {
+            if access.kind != AccessKind::Fetch {
+                data = Some(access);
+            }
+        })?;
+        Ok(Some(StepAccesses {
+            fetch: MemoryAccess { pc, addr: pc, kind: AccessKind::Fetch },
+            data,
+        }))
+    }
+
+    /// Executes the instruction at `pc` (the simulator must not have
+    /// halted) and hands its fetch, then its data access if any, to
+    /// `sink`. A faulting instruction changes no state and reaches the
+    /// sink with nothing. This is the one interpreter body: [`step`] and
+    /// [`run_with_limit`] both run it.
+    ///
+    /// [`step`]: Simulator::step
+    /// [`run_with_limit`]: Simulator::run_with_limit
+    #[inline(always)]
+    fn execute<F>(&mut self, sink: &mut F) -> Result<(), ExecError>
+    where
+        F: FnMut(MemoryAccess),
+    {
+        let pc = self.pc;
+        let instr = self.program.instr_at(pc).ok_or(ExecError::UnmappedCode { pc })?;
         let mut next_pc = pc + Instr::SIZE;
-        match instr {
+        let data = match instr {
             Instr::Alu { op, rd, rs1, rs2 } => {
                 self.regs[rd.index()] = op.eval(self.regs[rs1.index()], self.regs[rs2.index()]);
+                None
             }
             Instr::Addi { rd, rs1, imm } => {
                 self.regs[rd.index()] = self.regs[rs1.index()].wrapping_add(imm);
+                None
             }
             Instr::Li { rd, imm } => {
                 self.regs[rd.index()] = imm;
+                None
             }
             Instr::Ld { rd, base, offset } => {
                 let addr = (self.regs[base.index()] as i64).wrapping_add(offset as i64) as u64;
                 let value =
                     self.memory.read(addr).map_err(|source| ExecError::Mem { pc, source })?;
                 self.regs[rd.index()] = value;
-                data = Some(MemoryAccess { pc, addr, kind: AccessKind::Load });
+                Some(MemoryAccess { pc, addr, kind: AccessKind::Load })
             }
             Instr::St { src, base, offset } => {
                 let addr = (self.regs[base.index()] as i64).wrapping_add(offset as i64) as u64;
                 self.memory
                     .write(addr, self.regs[src.index()])
                     .map_err(|source| ExecError::Mem { pc, source })?;
-                data = Some(MemoryAccess { pc, addr, kind: AccessKind::Store });
+                Some(MemoryAccess { pc, addr, kind: AccessKind::Store })
             }
             Instr::Branch { cond, rs1, rs2, target } => {
                 if cond.eval(self.regs[rs1.index()], self.regs[rs2.index()]) {
                     next_pc = target;
                 }
+                None
             }
             Instr::Jal { rd, target } => {
                 self.regs[rd.index()] = (pc + Instr::SIZE) as i32;
                 next_pc = target;
+                None
             }
             Instr::Jr { rs1 } => {
                 next_pc = self.regs[rs1.index()] as u32 as u64;
+                None
             }
-            Instr::Nop => {}
+            Instr::Nop => None,
             Instr::Halt => {
                 self.halted = true;
                 next_pc = pc;
+                None
             }
-        }
+        };
         self.pc = next_pc;
         self.steps += 1;
-        Ok(Some(StepAccesses { fetch, data }))
+        sink(MemoryAccess { pc, addr: pc, kind: AccessKind::Fetch });
+        if let Some(data) = data {
+            sink(data);
+        }
+        Ok(())
     }
 
     /// Runs to `halt` with the default step limit, collecting the full
@@ -318,12 +362,7 @@ impl<'p> Simulator<'p> {
             if self.steps - start >= limit {
                 return Err(ExecError::StepLimit { limit });
             }
-            if let Some(step) = self.step()? {
-                sink(step.fetch);
-                if let Some(d) = step.data {
-                    sink(d);
-                }
-            }
+            self.execute(&mut sink)?;
         }
         Ok(())
     }

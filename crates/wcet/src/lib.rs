@@ -6,7 +6,12 @@
 //! * [`estimate_wcet`] — the paper's method: simulate every feasible path
 //!   (input variant) against a cold cache and take the slowest
 //!   (`cycles = instructions × CPI + misses × Cmiss`). This is what feeds
-//!   `C_i` in the WCRT recurrence (Eq. 6/7).
+//!   `C_i` in the WCRT recurrence (Eq. 6/7). Misses are counted by
+//!   [`rtcache::ColdLru`], the LRU kernel the useful-block classification
+//!   also replays, while the ISS streams each access into it. The
+//!   co-simulation's executable cache, `CacheSim`, shares no code with
+//!   it; `tests/executable_cache.rs` pins every path's misses and cycles
+//!   to a `CacheSim` pass over the same stream.
 //! * [`structural_wcet_bound`] — a simulation-free all-accesses-miss bound
 //!   from the CFG: longest entry→exit path with loop bodies weighted by
 //!   their declared iteration bounds. It always dominates the simulated
@@ -32,7 +37,7 @@
 
 use std::fmt;
 
-use rtcache::{CacheGeometry, CacheSim};
+use rtcache::{CacheGeometry, ColdLru};
 use rtprogram::cfg::Cfg;
 use rtprogram::paths::{self, PathEnumError};
 use rtprogram::sim::Simulator;
@@ -150,7 +155,8 @@ impl From<PathEnumError> for WcetError {
     }
 }
 
-/// Simulates one variant against a cold cache and returns its timing.
+/// Simulates one variant against a cold cache and returns its timing:
+/// one ISS pass, each access replayed through [`ColdLru`] as it is made.
 ///
 /// # Errors
 ///
@@ -166,24 +172,19 @@ pub fn time_variant(
     let wrap = |source: ExecError| WcetError::Exec { variant: variant.name.clone(), source };
     let mut sim = Simulator::with_variant(program, variant)
         .map_err(|source| wrap(ExecError::Mem { pc: program.entry(), source }))?;
-    let mut cache = CacheSim::new(geometry);
+    let mut cache = ColdLru::new(geometry);
+    let mut misses = 0u64;
     sim.run_with_limit(rtprogram::sim::DEFAULT_STEP_LIMIT, |access| {
-        cache.access(access.addr);
+        misses += u64::from(cache.access(geometry.block_of_addr(access.addr)).is_none());
     })
     .map_err(wrap)?;
-    let stats = cache.stats();
     let cycles = sim
         .steps()
         .checked_mul(model.cpi)
-        .zip(stats.misses.checked_mul(model.miss_penalty))
+        .zip(misses.checked_mul(model.miss_penalty))
         .and_then(|(execute, stalls)| execute.checked_add(stalls))
         .ok_or_else(|| WcetError::Overflow { variant: Some(variant.name.clone()) })?;
-    Ok(VariantTiming {
-        name: variant.name.clone(),
-        cycles,
-        instructions: sim.steps(),
-        misses: stats.misses,
-    })
+    Ok(VariantTiming { name: variant.name.clone(), cycles, instructions: sim.steps(), misses })
 }
 
 /// Estimates the WCET of a program: the slowest feasible path under a
