@@ -330,11 +330,12 @@ fn run() -> Result<(), String> {
     }
 
     // Server-side admission picture while every connection is still open.
-    let status = one_shot(&addr, r#"{"cmd":"statusz"}"#)?
-        .get("status")
+    let admission = one_shot(&addr, r#"{"cmd":"metrics"}"#)?
+        .get("metrics")
+        .and_then(|m| m.get("admission"))
         .cloned()
-        .ok_or("statusz reply missing payload")?;
-    let field = |key: &str| status.get(key).and_then(Json::as_u64).unwrap_or(0);
+        .ok_or("metrics reply missing the admission gauges")?;
+    let field = |key: &str| admission.get(key).and_then(Json::as_u64).unwrap_or(0);
 
     tally.latencies.sort_unstable();
     let shed_rate = tally.shed_rate();

@@ -25,7 +25,7 @@ pub enum Invocation {
     Output(String),
     /// `trisc serve`: start the analysis daemon with these options.
     Serve(ServeOptions),
-    /// `trisc status`: query a running daemon's statusz/journal endpoints
+    /// `trisc status`: query a running daemon's metrics/journal endpoints
     /// and render them for a terminal.
     Status(StatusOptions),
     /// `trisc explore GRID`: run a design-space sweep over the grid file.

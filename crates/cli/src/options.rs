@@ -240,7 +240,7 @@ impl ServeOptions {
 
 /// Options of the `trisc status` subcommand (`--host`, `--port`,
 /// `--journal`): an ops-plane client that renders a running server's
-/// `statusz`/`journal` endpoints human-readably. The client itself lives
+/// `metrics`/`journal` endpoints human-readably. The client itself lives
 /// in the `rtserver` crate next to the daemon.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatusOptions {

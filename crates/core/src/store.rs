@@ -20,7 +20,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Hit/miss/entry counters of one stage, for `metrics`/`metrics_prom`.
+/// Hit/miss/entry counters of one stage, for the server's `metrics`.
 #[derive(Debug, Clone, Copy)]
 pub struct StageStats {
     /// Stage name (`"assemble"`, `"analyze"`, `"crpd_cell"`).

@@ -101,8 +101,6 @@ pub struct ActiveFlight {
     stage_misses: [AtomicU64; STAGE_COUNT],
     spans: Mutex<Vec<SpanEvent>>,
     spans_dropped: AtomicU64,
-    skyline_kept: AtomicU64,
-    skyline_pruned: AtomicU64,
 }
 
 fn zeroed() -> [AtomicU64; STAGE_COUNT] {
@@ -125,8 +123,6 @@ impl ActiveFlight {
             // the span hot path never reallocates.
             spans: Mutex::new(Vec::with_capacity(if capture_spans { SPAN_EVENT_CAP } else { 0 })),
             spans_dropped: AtomicU64::new(0),
-            skyline_kept: AtomicU64::new(0),
-            skyline_pruned: AtomicU64::new(0),
         }
     }
 
@@ -155,12 +151,6 @@ impl ActiveFlight {
         let Some(idx) = stage_index(stage) else { return };
         let tally = if hit { &self.stage_hits } else { &self.stage_misses };
         tally[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Attributes one useful-trace skyline build to this frame.
-    pub(crate) fn note_skyline(&self, kept: u64, pruned: u64) {
-        self.skyline_kept.fetch_add(kept, Ordering::Relaxed);
-        self.skyline_pruned.fetch_add(pruned, Ordering::Relaxed);
     }
 }
 
@@ -294,7 +284,7 @@ pub struct EndpointSummary {
     pub p99_us: u64,
     /// Largest observed latency, microseconds.
     pub max_us: u64,
-    /// The full histogram snapshot (for Prometheus bucket families).
+    /// The full histogram snapshot.
     pub hist: HistSnapshot,
 }
 
@@ -332,7 +322,7 @@ pub struct FinishedFlight {
 
 /// The always-on flight recorder: a fixed-capacity ring of the most
 /// recent [`FlightRecord`]s, per-endpoint [`LogHistogram`]s, cumulative
-/// per-stage and skyline totals and an inflight gauge.
+/// per-stage totals and an inflight gauge.
 #[derive(Debug)]
 pub struct FlightRecorder {
     started: Instant,
@@ -342,8 +332,6 @@ pub struct FlightRecorder {
     slots: Box<[Mutex<Option<FlightRecord>>]>,
     endpoints: Mutex<BTreeMap<&'static str, Arc<EndpointStats>>>,
     stage_ns_total: [AtomicU64; STAGE_COUNT],
-    skyline_kept_total: AtomicU64,
-    skyline_pruned_total: AtomicU64,
 }
 
 impl FlightRecorder {
@@ -359,8 +347,6 @@ impl FlightRecorder {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             endpoints: Mutex::new(BTreeMap::new()),
             stage_ns_total: zeroed(),
-            skyline_kept_total: AtomicU64::new(0),
-            skyline_pruned_total: AtomicU64::new(0),
         }
     }
 
@@ -440,16 +426,6 @@ impl FlightRecorder {
         STAGES.iter().zip(totals).map(|(s, ns)| (*s, ns)).collect()
     }
 
-    /// Skyline points kept and pruned by the useful-trace builds of all
-    /// committed records: this recorder's requests only, since each build
-    /// reports into the frame of the request that ran it.
-    pub fn skyline_totals(&self) -> crate::SkylineTally {
-        crate::SkylineTally {
-            kept: self.skyline_kept_total.load(Ordering::Relaxed),
-            pruned: self.skyline_pruned_total.load(Ordering::Relaxed),
-        }
-    }
-
     fn commit(
         &self,
         flight: &ActiveFlight,
@@ -477,10 +453,6 @@ impl FlightRecorder {
         for (total, ns) in self.stage_ns_total.iter().zip(record.stage_ns) {
             total.fetch_add(ns, Ordering::Relaxed);
         }
-        self.skyline_kept_total
-            .fetch_add(flight.skyline_kept.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.skyline_pruned_total
-            .fetch_add(flight.skyline_pruned.load(Ordering::Relaxed), Ordering::Relaxed);
         *self.slots[(id as usize) % self.capacity].lock().expect("flight ring slot poisoned") =
             Some(record.clone());
         let stats = {
@@ -622,25 +594,6 @@ mod tests {
         assert_eq!(finished.spans.len(), 2, "unknown stages are not captured");
         assert_eq!(finished.spans[0].dur_ns, 1_500);
         assert_eq!(recorder.stage_totals()[crpd], ("crpd", 2_000));
-    }
-
-    #[test]
-    fn skyline_tallies_sum_per_recorder_over_committed_frames() {
-        let ours = FlightRecorder::new(4);
-        let theirs = FlightRecorder::new(4);
-        let scope = ours.begin("wcrt", 0, false);
-        crate::record_skyline_points(3, 1);
-        crate::record_skyline_points(2, 4);
-        scope.finish(true);
-        let scope = theirs.begin("wcrt", 0, false);
-        crate::record_skyline_points(7, 0);
-        scope.finish(true);
-        crate::record_skyline_points(100, 100); // no frame: nobody's request
-        let abandoned = ours.begin("wcrt", 0, false);
-        crate::record_skyline_points(50, 50);
-        drop(abandoned);
-        assert_eq!(ours.skyline_totals(), crate::SkylineTally { kept: 5, pruned: 5 });
-        assert_eq!(theirs.skyline_totals(), crate::SkylineTally { kept: 7, pruned: 0 });
     }
 
     #[test]

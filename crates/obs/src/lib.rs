@@ -537,15 +537,9 @@ pub fn record_wcrt_iterations(context: &str, task: usize, values: &[u64]) {
 
 /// Records the outcome of one useful-trace skyline build: how many
 /// Pareto-maximal points were kept and how many candidates were pruned
-/// as dominated. Adds to the thread's [`flight`] frame, if one is active
-/// (the server sums frames per [`FlightRecorder`](flight::FlightRecorder)),
-/// and to the recorder's tally, if one is installed.
+/// as dominated.
 pub fn record_skyline_points(kept: u64, pruned: u64) {
-    let Context { recorder, flight } = context();
-    if let Some(frame) = flight {
-        frame.note_skyline(kept, pruned);
-    }
-    let Some(recorder) = recorder else { return };
+    let Some(recorder) = active() else { return };
     let mut inner = recorder.lock();
     inner.counters.skyline.kept += kept;
     inner.counters.skyline.pruned += pruned;
@@ -703,7 +697,7 @@ mod tests {
 
     #[test]
     fn skyline_tallies_accumulate_and_render() {
-        record_skyline_points(5, 100); // silently dropped: no session, no frame
+        record_skyline_points(5, 100); // silently dropped: no session
         let session = begin();
         record_skyline_points(3, 40);
         record_skyline_points(2, 10);

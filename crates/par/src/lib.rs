@@ -424,17 +424,13 @@ impl Pool {
         self.inner.shared.join(a, b)
     }
 
-    /// A point-in-time snapshot of the pool's activity gauges.
+    /// A point-in-time snapshot of the pool's activity counters.
     pub fn stats(&self) -> PoolStats {
         let shared = &self.inner.shared;
-        let queue_depth = shared.queue.lock().expect("pool queue lock").jobs.len();
         PoolStats {
-            threads: shared.threads,
-            background_workers: self.background_workers(),
             batches: shared.batches.load(Ordering::Relaxed),
             items_inline: shared.items_inline.load(Ordering::Relaxed),
             items_stolen: shared.items_stolen.load(Ordering::Relaxed),
-            queue_depth,
         }
     }
 
@@ -450,39 +446,16 @@ impl Pool {
 }
 
 /// Lifetime activity counters of a [`Pool`], snapshotted by
-/// [`Pool::stats`]. Counters are monotone over the pool's life; the
-/// queue depth is instantaneous. Exposed so a metrics endpoint can
-/// derive throughput and how much work background workers actually
-/// stole from callers.
+/// [`Pool::stats`]; monotone over the pool's life. Tests read them to
+/// check which work fanned out and who ran it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Total parallelism (background workers + the participating caller).
-    pub threads: usize,
-    /// Background worker threads spawned (`threads - 1`).
-    pub background_workers: usize,
     /// Fan-out batches executed (`par_map`/`par_map_range`/`scope`/`join`).
     pub batches: u64,
     /// Work items run inline by the thread that submitted the batch.
     pub items_inline: u64,
     /// Work items claimed ("stolen") by background workers.
     pub items_stolen: u64,
-    /// Batch tokens currently waiting in the queue.
-    pub queue_depth: usize,
-}
-
-impl PoolStats {
-    /// Fraction of all executed items claimed by background workers, in
-    /// `[0, 1]`; zero before any work ran. A single-threaded pool always
-    /// reports zero; a perfectly drained `n`-thread pool approaches
-    /// `(n-1)/n`.
-    pub fn worker_utilization(&self) -> f64 {
-        let total = self.items_inline + self.items_stolen;
-        if total == 0 {
-            0.0
-        } else {
-            self.items_stolen as f64 / total as f64
-        }
-    }
 }
 
 /// Drop guard for [`Pool::install`]: pops the thread-local stack even if
@@ -846,9 +819,6 @@ mod tests {
         assert_eq!(stats.batches, 2);
         // A single-threaded pool has nobody to steal: all items inline.
         assert_eq!((stats.items_inline, stats.items_stolen), (8, 0));
-        assert_eq!(stats.queue_depth, 0);
-        assert_eq!(stats.worker_utilization(), 0.0);
-        assert_eq!(PoolStats { items_inline: 0, ..stats }.worker_utilization(), 0.0);
     }
 
     #[test]
@@ -862,7 +832,5 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.items_inline + stats.items_stolen, 64);
         assert!(stats.items_inline > 0, "the caller always participates: {stats:?}");
-        let util = stats.worker_utilization();
-        assert!((0.0..=1.0).contains(&util), "utilization out of range: {util}");
     }
 }

@@ -123,9 +123,9 @@ mod tests {
         let mut f = LineFramer::new(1024);
         f.push(b"{\"cmd\":");
         assert_eq!(f.next_line().unwrap(), None);
-        f.push(b"\"ping\"}\n{\"cmd\":\"statusz\"}\r\npartial");
+        f.push(b"\"ping\"}\n{\"cmd\":\"metrics\"}\r\npartial");
         assert_eq!(f.next_line().unwrap().as_deref(), Some("{\"cmd\":\"ping\"}"));
-        assert_eq!(f.next_line().unwrap().as_deref(), Some("{\"cmd\":\"statusz\"}"));
+        assert_eq!(f.next_line().unwrap().as_deref(), Some("{\"cmd\":\"metrics\"}"));
         assert_eq!(f.next_line().unwrap(), None);
         assert_eq!(f.buffered(), 7);
         assert_eq!(f.take_partial().unwrap().as_deref(), Some("partial"));

@@ -1,5 +1,5 @@
 //! `trisc status`: a human-readable terminal view over a live daemon's
-//! `statusz` and `journal` endpoints.
+//! `metrics` and `journal` endpoints.
 //!
 //! The network half is a thin NDJSON client ([`fetch_status`]); the
 //! rendering half ([`render_status`]) is a pure function over the two
@@ -13,7 +13,7 @@ use rtcli::{CliError, StatusOptions};
 
 use crate::json::Json;
 
-/// Connects to a running daemon and returns its `statusz` and `journal`
+/// Connects to a running daemon and returns its `metrics` and `journal`
 /// payloads.
 ///
 /// # Errors
@@ -41,7 +41,7 @@ pub fn fetch_status(opts: &StatusOptions) -> Result<(Json, Json), CliError> {
             .cloned()
             .ok_or_else(|| CliError::Io(format!("{addr}: response missing `{key}`")))
     };
-    let status = ask(r#"{"cmd":"statusz"}"#.to_string(), "status")?;
+    let status = ask(r#"{"cmd":"metrics"}"#.to_string(), "metrics")?;
     let journal = ask(format!(r#"{{"cmd":"journal","n":{}}}"#, opts.journal), "journal")?;
     Ok((status, journal))
 }
@@ -68,7 +68,8 @@ pub fn render_status(status: &Json, journal: &Json) -> String {
         Some(ms) => format!("slow capture >= {ms} ms ({} captured)", num(status, "slow_captures")),
         None => "slow capture off".to_string(),
     };
-    let cap = match status.get("max_inflight").and_then(Json::as_u64) {
+    let admission = status.get("admission").unwrap_or(&Json::Null);
+    let cap = match admission.get("max_inflight").and_then(Json::as_u64) {
         Some(cap) => cap.to_string(),
         None => "?".to_string(),
     };
@@ -76,9 +77,9 @@ pub fn render_status(status: &Json, journal: &Json) -> String {
         out,
         "rtserver up {}s | inflight {}/{cap} | conns {} | shed {} | {} flights recorded (ring {}) | {slow}",
         num(status, "uptime_secs"),
-        num(status, "inflight"),
-        num(status, "open_connections"),
-        num(status, "shed_total"),
+        num(admission, "inflight"),
+        num(admission, "open_connections"),
+        num(admission, "shed_total"),
         num(status, "records_total"),
         num(status, "flight_capacity"),
     );
@@ -104,17 +105,14 @@ pub fn render_status(status: &Json, journal: &Json) -> String {
             );
         }
     }
-    if let Some(Json::Obj(stages)) = status.get("stage_cache") {
+    if let Some(Json::Obj(stages)) = status.get("stages") {
         let parts: Vec<String> = stages
             .iter()
             .map(|(stage, s)| {
                 let hits = num(s, "hits");
-                let misses = num(s, "misses");
-                let rate = match s.get("hit_rate") {
-                    Some(Json::Num(r)) => format!("{:.0}%", r * 100.0),
-                    _ => "-".to_string(),
-                };
-                format!("{stage} {hits}/{} ({rate})", hits + misses)
+                let lookups = hits + num(s, "misses");
+                let rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
+                format!("{stage} {hits}/{lookups} ({:.0}%)", rate * 100.0)
             })
             .collect();
         let _ = writeln!(out, "  stage cache hits: {}", parts.join(", "));
@@ -168,8 +166,9 @@ mod tests {
     #[test]
     fn renders_endpoints_stages_and_journal() {
         let status = Json::parse(
-            r#"{"uptime_secs":12,"inflight":1,"max_inflight":256,"open_connections":7,
-                "shed_total":3,"records_total":40,"flight_capacity":512,
+            r#"{"uptime_secs":12,"records_total":40,"flight_capacity":512,
+                "admission":{"inflight":1,"max_inflight":256,"open_connections":7,
+                             "shed_total":3},
                 "slow_ms":250,"slow_captures":2,
                 "endpoints":{"wcrt":{"count":30,"errors":1,"deadline_misses":2,"shed":3,
                                       "p50_us":8191,"p90_us":16383,
@@ -178,7 +177,7 @@ mod tests {
                                       "p50_us":63,"p90_us":63,
                                       "p99_us":127,"max_us":90}},
                 "stage_ns":{"wcrt":5000000,"crpd":2000000},
-                "stage_cache":{"analyze":{"hits":6,"misses":2,"hit_rate":0.75}}}"#,
+                "stages":{"analyze":{"hits":6,"misses":2}}}"#,
         )
         .unwrap();
         let journal = Json::parse(
@@ -205,9 +204,9 @@ mod tests {
     #[test]
     fn renders_an_idle_server_without_panicking() {
         let status = Json::parse(
-            r#"{"uptime_secs":0,"inflight":0,"records_total":0,"flight_capacity":512,
-                "slow_ms":null,"slow_captures":0,"endpoints":{},"stage_ns":{},
-                "stage_cache":{}}"#,
+            r#"{"uptime_secs":0,"admission":{"inflight":0},"records_total":0,
+                "flight_capacity":512,"slow_ms":null,"slow_captures":0,"endpoints":{},
+                "stage_ns":{},"stages":{}}"#,
         )
         .unwrap();
         let out = render_status(&status, &Json::Arr(vec![]));

@@ -16,9 +16,7 @@
 //! | `sim`      | `spec` (+ optional `horizon` in cycles)   | `trisc sim` text    |
 //! | `explore`  | `spec` + `grid` (grid-file text)          | streamed frames (see below) |
 //! | `batch`    | `items` (array of wcet/crpd/wcrt/sim requests) | streamed frames (see below) |
-//! | `metrics`  | —                                         | `"metrics": {...}`  |
-//! | `metrics_prom` | —                                     | Prometheus text exposition |
-//! | `statusz`  | —                                         | `"status": {...}` live ops snapshot |
+//! | `metrics`  | —                                         | `"metrics": {...}` ops snapshot |
 //! | `journal`  | optional `n` (record count, default 32)   | `"journal": [...]` last flight records |
 //! | `flight`   | —                                         | `"flights": [...]` slow-request black boxes |
 //! | `shutdown` | —                                         | ack, then drain     |
@@ -30,12 +28,16 @@
 //! server never reads its own filesystem, and a missing key is an error
 //! naming the task and the key.
 //!
-//! The `metrics` payload reports the staged artifact DAG alongside the
-//! endpoint counters: `"stages"` maps each pipeline stage (`assemble`,
-//! `analyze`, `crpd_cell`) to its `hits`/`misses`/`entries`/
-//! `single_flight_waits`, and `"artifact_cache"` keeps the `analyze`
-//! stage's counters under their historic name. `metrics_prom` exposes
-//! the same data as `rtserver_stage_cache_*{stage="..."}` families.
+//! The `metrics` payload is the server's one ops snapshot. `"endpoints"`
+//! holds one row per endpoint (`count`, `errors`, `shed`,
+//! `deadline_misses`, `sum_us`, `max_us` and the `p50_us`/`p90_us`/
+//! `p95_us`/`p99_us` latency bounds); `"stages"` maps each pipeline
+//! stage (`assemble`, `analyze`, `crpd_cell`) to its `hits`/`misses`/
+//! `entries`/`single_flight_waits`; `"stage_ns"` holds attributed wall
+//! time per stage. Beside them sit `uptime_secs`, the `explore` gauges,
+//! the `analysis_pool` shape, the `admission` gauges and the flight
+//! recorder's `records_total`, `flight_capacity`, `slow_ms` and
+//! `slow_captures`.
 //!
 //! ## Admission control
 //!
@@ -46,7 +48,7 @@
 //! "deadline_exceeded", ...}` *before* any analysis runs. When the
 //! server's in-flight count crosses `--max-inflight`, new analysis
 //! requests are shed with `{"ok": false, "code": "overloaded", ...}`;
-//! ops-plane commands (ping, metrics, statusz, …) are never shed, so
+//! ops-plane commands (ping, metrics, journal, …) are never shed, so
 //! the server stays observable under overload.
 //!
 //! ## Responses
@@ -141,13 +143,9 @@ pub struct Request {
 pub enum Command {
     /// Liveness probe.
     Ping,
-    /// Observability snapshot.
+    /// The ops snapshot: uptime, admission gauges, per-endpoint
+    /// counters and quantiles, stage cache counters and wall time.
     Metrics,
-    /// Observability snapshot in the Prometheus text exposition format.
-    MetricsProm,
-    /// Live ops snapshot from the flight recorder: uptime, inflight,
-    /// per-endpoint quantiles, stage hit rates.
-    Statusz,
     /// The last `n` flight records from the recorder's ring (newest
     /// [`FlightRecorder::capacity`] survive; default 32).
     ///
@@ -199,8 +197,6 @@ impl Command {
         match self {
             Command::Ping => "ping",
             Command::Metrics => "metrics",
-            Command::MetricsProm => "metrics_prom",
-            Command::Statusz => "statusz",
             Command::Journal { .. } => "journal",
             Command::Flight => "flight",
             Command::Shutdown => "shutdown",
@@ -276,8 +272,6 @@ fn parse_command(doc: &Json) -> Result<Command, ParseError> {
     let cmd = match cmd_name {
         "ping" => Command::Ping,
         "metrics" => Command::Metrics,
-        "metrics_prom" => Command::MetricsProm,
-        "statusz" => Command::Statusz,
         "journal" => {
             let n = match doc.get("n") {
                 None | Some(Json::Null) => None,
@@ -346,7 +340,7 @@ fn parse_command(doc: &Json) -> Result<Command, ParseError> {
         }
         other => {
             return Err(format!(
-                "unknown cmd `{other}` (expected ping|wcet|crpd|wcrt|sim|explore|batch|metrics|metrics_prom|statusz|journal|flight|shutdown)"
+                "unknown cmd `{other}` (expected ping|wcet|crpd|wcrt|sim|explore|batch|metrics|journal|flight|shutdown)"
             )
             .into())
         }
@@ -447,13 +441,9 @@ mod tests {
         let Command::Sim { horizon, .. } = r.cmd else { panic!("expected sim") };
         assert_eq!(horizon, Some(4096));
 
-        let r = Request::parse(r#"{"cmd":"metrics_prom"}"#).unwrap();
-        assert_eq!(r.cmd, Command::MetricsProm);
-        assert_eq!(r.cmd.endpoint(), "metrics_prom");
-
-        let r = Request::parse(r#"{"cmd":"statusz"}"#).unwrap();
-        assert_eq!(r.cmd, Command::Statusz);
-        assert_eq!(r.cmd.endpoint(), "statusz");
+        let r = Request::parse(r#"{"cmd":"metrics"}"#).unwrap();
+        assert_eq!(r.cmd, Command::Metrics);
+        assert_eq!(r.cmd.endpoint(), "metrics");
 
         let r = Request::parse(r#"{"cmd":"journal","n":5}"#).unwrap();
         assert_eq!(r.cmd, Command::Journal { n: Some(5) });
@@ -488,7 +478,7 @@ mod tests {
         assert_eq!(*horizon, Some(9));
 
         assert!(!Command::Ping.is_analysis());
-        assert!(!Command::Statusz.is_analysis());
+        assert!(!Command::Metrics.is_analysis());
     }
 
     #[test]
@@ -496,6 +486,8 @@ mod tests {
         for (line, needle) in [
             ("{", "invalid json"),
             (r#"{"cmd":"frobnicate"}"#, "unknown cmd"),
+            (r#"{"cmd":"statusz"}"#, "unknown cmd `statusz`"),
+            (r#"{"cmd":"metrics_prom"}"#, "unknown cmd `metrics_prom`"),
             (
                 r#"{"cmd":"peer_get","name":"a","source":"s","geometry":[1,1,4],"model":[1,1]}"#,
                 "unknown cmd `peer_get` (expected ping|wcet|crpd|wcrt|sim|explore|batch|metrics|",

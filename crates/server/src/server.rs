@@ -36,7 +36,7 @@ use rtcli::{ArtifactStore, CliError, ServeOptions, SystemSpec};
 use rtobs::flight::{FinishedFlight, FlightRecord, FlightRecorder, STAGES};
 
 use crate::json::Json;
-use crate::metrics::{AdmissionSnapshot, Metrics};
+use crate::metrics::Metrics;
 use crate::pool::WorkerPool;
 use crate::proto::{
     err_response, err_response_coded, ok_response, ok_response_with, Command, Request, SpecPayload,
@@ -76,8 +76,6 @@ pub struct ServerState {
     deadline_ms: Option<u64>,
     /// Requests currently dispatched to the worker pool.
     inflight: AtomicU64,
-    /// Analysis requests shed by admission control since startup.
-    shed_total: AtomicU64,
     /// The reactor's always-on connection counters.
     react_stats: Arc<rtreact::ReactorStats>,
     /// `--trace-out`: the recorder every request installs on its thread
@@ -126,7 +124,6 @@ impl ServerState {
             max_inflight: opts.max_inflight,
             deadline_ms: opts.deadline_ms,
             inflight: AtomicU64::new(0),
-            shed_total: AtomicU64::new(0),
             react_stats: Arc::new(rtreact::ReactorStats::default()),
             trace: opts.trace_out.as_ref().map(|_| Arc::default()),
         }
@@ -135,17 +132,6 @@ impl ServerState {
     /// The analysis pool shared by every request.
     pub fn analysis_pool(&self) -> &rtpar::Pool {
         &self.analysis
-    }
-
-    /// The admission gauges as the metrics layer consumes them.
-    fn admission(&self) -> AdmissionSnapshot {
-        AdmissionSnapshot {
-            inflight: self.inflight.load(Ordering::SeqCst),
-            max_inflight: self.max_inflight,
-            shed_total: self.shed_total.load(Ordering::Relaxed),
-            open_connections: self.react_stats.connections_open(),
-            event_threads: self.react_stats.event_threads() as u64,
-        }
     }
 }
 
@@ -326,7 +312,7 @@ impl rtreact::Handler for ReactorHandler {
 
 /// The admission fast path, run on the event thread at dispatch: `None`
 /// lets the request through. Only analysis-class commands shed — the ops
-/// plane (ping, metrics, statusz, journal, flight, shutdown) must stay
+/// plane (ping, metrics, journal, flight, shutdown) must stay
 /// responsive precisely when the server is overloaded — and malformed
 /// lines take the normal path so their error reporting is unchanged.
 /// The under-cap case costs one atomic load; parsing happens only once
@@ -339,9 +325,7 @@ fn try_shed(state: &ServerState, line: &str) -> Option<String> {
     if !request.cmd.is_analysis() {
         return None;
     }
-    let endpoint = request.cmd.endpoint();
-    state.shed_total.fetch_add(1, Ordering::Relaxed);
-    state.metrics.record_shed(endpoint);
+    state.metrics.record_shed(request.cmd.endpoint());
     Some(err_response_coded(
         request.id,
         "overloaded",
@@ -407,27 +391,7 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
         let _request_span = rtobs::span_labeled("request", || endpoint.to_string());
         match &request.cmd {
             Command::Ping => (ok_response(id, "pong"), true, false),
-            Command::Metrics => {
-                let snapshot = state.metrics.snapshot(
-                    &state.store,
-                    &state.flight,
-                    state.analysis.threads(),
-                    state.analysis.background_workers(),
-                    &state.admission(),
-                );
-                (ok_response_with(id, "metrics", snapshot), true, false)
-            }
-            Command::MetricsProm => {
-                let text = state.metrics.prometheus(
-                    &state.store,
-                    &state.analysis.stats(),
-                    &state.flight,
-                    state.slow_total.load(Ordering::Relaxed),
-                    &state.admission(),
-                );
-                (ok_response(id, &text), true, false)
-            }
-            Command::Statusz => (ok_response_with(id, "status", statusz(state)), true, false),
+            Command::Metrics => (ok_response_with(id, "metrics", metrics(state)), true, false),
             Command::Journal { n } => {
                 let records = state.flight.journal(n.unwrap_or(32) as usize);
                 let rows = records.iter().map(record_json).collect();
@@ -561,13 +525,16 @@ fn run_batch(state: &ServerState, id: Option<u64>, items: &[Command]) -> (String
     (frames, errors == 0)
 }
 
-/// The `statusz` payload: liveness, admission gauges, per-endpoint
-/// quantiles (with shed and deadline-miss counters merged in), stage
-/// wall time and stage-cache hit rates, all from always-on collectors.
-fn statusz(state: &ServerState) -> Json {
-    let endpoints = state
-        .metrics
-        .endpoint_rows(&state.flight)
+/// The `metrics` payload, the server's one ops snapshot: uptime,
+/// per-endpoint counters and latency quantiles (shed and deadline-miss
+/// counters merged in), per-stage cache counters and attributed wall
+/// time, the explore gauges, the analysis-pool shape, the admission
+/// gauges and the flight recorder's settings, all from always-on
+/// collectors.
+fn metrics(state: &ServerState) -> Json {
+    let rows = state.metrics.endpoint_rows(&state.flight);
+    let shed_total = rows.iter().map(|row| row.shed).sum::<u64>();
+    let endpoints = rows
         .into_iter()
         .map(|row| {
             let e = &row.flight;
@@ -576,12 +543,28 @@ fn statusz(state: &ServerState) -> Json {
                 ("errors", Json::from(e.errors)),
                 ("shed", Json::from(row.shed)),
                 ("deadline_misses", Json::from(row.deadline_misses)),
+                ("sum_us", Json::from(e.hist.sum_us)),
+                ("max_us", Json::from(e.max_us)),
                 ("p50_us", Json::from(e.p50_us)),
                 ("p90_us", Json::from(e.p90_us)),
+                ("p95_us", Json::from(e.hist.quantile_upper_bound(0.95))),
                 ("p99_us", Json::from(e.p99_us)),
-                ("max_us", Json::from(e.max_us)),
             ]);
             (e.endpoint.to_string(), json)
+        })
+        .collect();
+    let stages = state
+        .store
+        .stage_stats()
+        .into_iter()
+        .map(|s| {
+            let json = Json::obj([
+                ("hits", Json::from(s.hits)),
+                ("misses", Json::from(s.misses)),
+                ("entries", Json::from(s.entries)),
+                ("single_flight_waits", Json::from(s.single_flight_waits)),
+            ]);
+            (s.stage.to_string(), json)
         })
         .collect();
     let stage_ns = state
@@ -591,36 +574,40 @@ fn statusz(state: &ServerState) -> Json {
         .filter(|(_, ns)| *ns != 0)
         .map(|(stage, ns)| (stage.to_string(), Json::from(ns)))
         .collect();
-    let stage_cache = state
-        .store
-        .stage_stats()
-        .into_iter()
-        .map(|s| {
-            let lookups = s.hits + s.misses;
-            let hit_rate = if lookups == 0 { 0.0 } else { s.hits as f64 / lookups as f64 };
-            let json = Json::obj([
-                ("hits", Json::from(s.hits)),
-                ("misses", Json::from(s.misses)),
-                ("hit_rate", Json::Num((hit_rate * 1e4).round() / 1e4)),
-            ]);
-            (s.stage.to_string(), json)
-        })
-        .collect();
-    let admission = state.admission();
+    let (explore_points, explore_front_size) = state.metrics.explore();
     Json::obj([
         ("uptime_secs", Json::from(state.flight.uptime_secs())),
-        ("inflight", Json::from(admission.inflight)),
-        ("max_inflight", Json::from(admission.max_inflight)),
-        ("shed_total", Json::from(admission.shed_total)),
-        ("open_connections", Json::from(admission.open_connections)),
-        ("event_threads", Json::from(admission.event_threads)),
+        ("endpoints", Json::Obj(endpoints)),
+        ("stages", Json::Obj(stages)),
+        ("stage_ns", Json::Obj(stage_ns)),
+        (
+            "explore",
+            Json::obj([
+                ("points_total", Json::from(explore_points)),
+                ("front_size", Json::from(explore_front_size)),
+            ]),
+        ),
+        (
+            "analysis_pool",
+            Json::obj([
+                ("threads", Json::from(state.analysis.threads() as u64)),
+                ("background_workers", Json::from(state.analysis.background_workers() as u64)),
+            ]),
+        ),
+        (
+            "admission",
+            Json::obj([
+                ("inflight", Json::from(state.inflight.load(Ordering::SeqCst))),
+                ("max_inflight", Json::from(state.max_inflight)),
+                ("shed_total", Json::from(shed_total)),
+                ("open_connections", Json::from(state.react_stats.connections_open())),
+                ("event_threads", Json::from(state.react_stats.event_threads() as u64)),
+            ]),
+        ),
         ("records_total", Json::from(state.flight.records_total())),
         ("flight_capacity", Json::from(state.flight.capacity() as u64)),
         ("slow_ms", state.slow_ms.map_or(Json::Null, Json::from)),
         ("slow_captures", Json::from(state.slow_total.load(Ordering::Relaxed))),
-        ("endpoints", Json::Obj(endpoints)),
-        ("stage_ns", Json::Obj(stage_ns)),
-        ("stage_cache", Json::Obj(stage_cache)),
     ])
 }
 
@@ -788,6 +775,83 @@ mod tests {
     }
 
     #[test]
+    fn metrics_snapshot_shape() {
+        let opts = ServeOptions {
+            threads: 4,
+            flight_capacity: 8,
+            slow_ms: Some(250),
+            max_inflight: 256,
+            ..ServeOptions::default()
+        };
+        let state = ServerState::with_options(&opts);
+        state.flight.begin("wcrt", 0, false).finish(true);
+        {
+            let scope = state.flight.begin("wcrt", 0, false);
+            std::thread::sleep(Duration::from_millis(1));
+            scope.finish(false);
+        }
+        state.flight.begin("ping", 0, false).finish(true);
+        state.metrics.record_shed("wcrt");
+        state.metrics.record_shed("wcrt");
+        state.metrics.record_deadline_miss("wcrt");
+        state.metrics.record_shed("crpd"); // shed only: never flew
+        state.metrics.record_explore(64, 5);
+        state.metrics.record_explore(36, 3);
+        state.inflight.store(1, Ordering::SeqCst);
+        let snap = metrics(&state);
+        let endpoints = snap.get("endpoints").unwrap();
+        let wcrt = endpoints.get("wcrt").unwrap();
+        assert_eq!(wcrt.get("count").unwrap().as_u64(), Some(2));
+        assert_eq!(wcrt.get("errors").unwrap().as_u64(), Some(1));
+        assert_eq!(wcrt.get("shed").unwrap().as_u64(), Some(2), "sheds are not requests");
+        assert_eq!(wcrt.get("deadline_misses").unwrap().as_u64(), Some(1));
+        // Latency is the flight recorder's histogram, read verbatim.
+        let recorded = state.flight.endpoints().into_iter().find(|e| e.endpoint == "wcrt").unwrap();
+        assert_eq!(wcrt.get("sum_us").unwrap().as_u64(), Some(recorded.hist.sum_us));
+        assert_eq!(wcrt.get("max_us").unwrap().as_u64(), Some(recorded.max_us));
+        assert!(recorded.max_us >= 1_000, "the slept request is the max");
+        assert_eq!(wcrt.get("p50_us").unwrap().as_u64(), Some(recorded.p50_us));
+        assert_eq!(wcrt.get("p90_us").unwrap().as_u64(), Some(recorded.p90_us));
+        assert_eq!(
+            wcrt.get("p95_us").unwrap().as_u64(),
+            Some(recorded.hist.quantile_upper_bound(0.95))
+        );
+        assert_eq!(wcrt.get("p99_us").unwrap().as_u64(), Some(recorded.p99_us));
+        assert!(recorded.p99_us >= recorded.max_us);
+        // A shed-only endpoint still gets a row, with zero latency.
+        let crpd = endpoints.get("crpd").unwrap();
+        assert_eq!(crpd.get("shed").unwrap().as_u64(), Some(1));
+        for key in ["count", "errors", "sum_us", "max_us", "p50_us", "p90_us", "p95_us", "p99_us"] {
+            assert_eq!(crpd.get(key).unwrap().as_u64(), Some(0), "{key}");
+        }
+        let stages = snap.get("stages").unwrap();
+        for stage in ["assemble", "analyze", "crpd_cell"] {
+            let s = stages.get(stage).unwrap_or_else(|| panic!("stage {stage} in metrics"));
+            for key in ["hits", "misses", "entries", "single_flight_waits"] {
+                assert_eq!(s.get(key).unwrap().as_u64(), Some(0), "{stage} {key}");
+            }
+        }
+        assert_eq!(snap.get("stage_ns"), Some(&Json::Obj(Default::default())));
+        assert!(snap.get("uptime_secs").unwrap().as_u64().is_some());
+        let adm = snap.get("admission").unwrap();
+        assert_eq!(adm.get("inflight").unwrap().as_u64(), Some(1));
+        assert_eq!(adm.get("max_inflight").unwrap().as_u64(), Some(256));
+        assert_eq!(adm.get("shed_total").unwrap().as_u64(), Some(3), "the rows' sheds summed");
+        assert_eq!(adm.get("open_connections").unwrap().as_u64(), Some(0));
+        assert_eq!(adm.get("event_threads").unwrap().as_u64(), Some(0), "no reactor running");
+        let explore = snap.get("explore").unwrap();
+        assert_eq!(explore.get("points_total").unwrap().as_u64(), Some(100));
+        assert_eq!(explore.get("front_size").unwrap().as_u64(), Some(3), "latest sweep wins");
+        let pool = snap.get("analysis_pool").unwrap();
+        assert_eq!(pool.get("threads").unwrap().as_u64(), Some(4));
+        assert_eq!(pool.get("background_workers").unwrap().as_u64(), Some(3));
+        assert_eq!(snap.get("records_total").unwrap().as_u64(), Some(3));
+        assert_eq!(snap.get("flight_capacity").unwrap().as_u64(), Some(8));
+        assert_eq!(snap.get("slow_ms").unwrap().as_u64(), Some(250));
+        assert_eq!(snap.get("slow_captures").unwrap().as_u64(), Some(0));
+    }
+
+    #[test]
     fn ping_errors_and_shutdown() {
         let handle = spawn();
         let replies = roundtrip(
@@ -835,11 +899,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
 
         let metrics = replies[2].get("metrics").unwrap();
-        let cache = metrics.get("artifact_cache").unwrap();
+        let cache = metrics.get("stages").unwrap().get("analyze").unwrap();
         assert_eq!(cache.get("hits").unwrap().as_u64(), Some(2), "second request hits both tasks");
         assert_eq!(cache.get("misses").unwrap().as_u64(), Some(2));
         let wcrt = metrics.get("endpoints").unwrap().get("wcrt").unwrap();
-        assert_eq!(wcrt.get("requests").unwrap().as_u64(), Some(2));
+        assert_eq!(wcrt.get("count").unwrap().as_u64(), Some(2));
         shutdown_and_join(handle);
     }
 

@@ -105,14 +105,8 @@ fn concurrent_clients_get_cli_identical_memoized_responses() {
     // memory: 2 distinct artifacts, everything else hits.
     let replies = roundtrip(addr, &[r#"{"cmd":"metrics"}"#.to_string()]);
     let metrics = replies[0].get("metrics").expect("metrics payload");
-    let cache = metrics.get("artifact_cache").expect("artifact_cache");
-    let hits = cache.get("hits").and_then(Json::as_u64).expect("hits");
-    let entries = cache.get("entries").and_then(Json::as_u64).expect("entries");
-    assert!(hits > 0, "repeated identical requests must hit the memo store");
-    assert_eq!(entries, 2, "one artifact per distinct task");
     // The staged DAG is visible over the wire: both pipeline stages hold
-    // the two artifacts, the repeats hit, and `artifact_cache` above is
-    // the `analyze` stage under its historic name.
+    // one artifact per distinct task, and the repeats hit.
     let stages = metrics.get("stages").expect("stage-level cache stats");
     for stage in ["assemble", "analyze"] {
         let s = stages.get(stage).unwrap_or_else(|| panic!("missing stage {stage}"));
@@ -120,8 +114,6 @@ fn concurrent_clients_get_cli_identical_memoized_responses() {
         assert_eq!(s.get("misses").and_then(Json::as_u64), Some(2), "{stage} misses");
         assert!(s.get("hits").and_then(Json::as_u64).expect("hits") > 0, "{stage} hits");
     }
-    let analyze = stages.get("analyze").expect("analyze stage");
-    assert_eq!(analyze.get("hits").and_then(Json::as_u64), Some(hits));
     let cells = stages.get("crpd_cell").expect("crpd_cell stage");
     assert!(
         cells.get("hits").and_then(Json::as_u64).expect("cell hits") > 0,
@@ -129,7 +121,7 @@ fn concurrent_clients_get_cli_identical_memoized_responses() {
     );
     let wcrt = metrics.get("endpoints").and_then(|e| e.get("wcrt")).expect("wcrt endpoint stats");
     assert_eq!(
-        wcrt.get("requests").and_then(Json::as_u64),
+        wcrt.get("count").and_then(Json::as_u64),
         Some((CLIENTS * REQUESTS_PER_CLIENT) as u64)
     );
     assert_eq!(wcrt.get("errors").and_then(Json::as_u64), Some(0));
@@ -186,117 +178,6 @@ fn wcrt_responses_are_thread_count_invariant_over_the_wire() {
     }
     assert_eq!(outputs[0], outputs[1], "1-thread and 8-thread servers must agree byte-for-byte");
     assert_eq!(outputs[0], one_shot_reference(), "and both must match the one-shot CLI");
-}
-
-/// `metrics_prom` returns a well-formed Prometheus text exposition over
-/// the wire: HELP/TYPE headers, request counters reflecting the traffic
-/// just served, and internally consistent histograms (cumulative
-/// monotone buckets whose `+Inf` bucket equals `_count`).
-#[test]
-fn metrics_prom_returns_consistent_prometheus_text() {
-    let opts = rtcli::ServeOptions {
-        host: "127.0.0.1".to_string(),
-        port: 0,
-        threads: 2,
-        ..rtcli::ServeOptions::default()
-    };
-    let handle = Server::spawn(&opts).expect("bind ephemeral port");
-    let replies = roundtrip(
-        handle.addr(),
-        &[
-            request_line(1),
-            request_line(2),
-            r#"{"cmd":"metrics_prom"}"#.to_string(),
-            r#"{"cmd":"shutdown"}"#.to_string(),
-        ],
-    );
-    assert_eq!(replies[2].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[2]);
-    let text = replies[2].get("output").and_then(Json::as_str).expect("exposition text");
-
-    for family in [
-        "rtserver_uptime_seconds",
-        "rtserver_artifact_cache_entries",
-        "rtserver_requests_total",
-        "rtserver_request_duration_microseconds",
-        "rtserver_analysis_pool_threads",
-        "rtserver_stage_cache_hits_total",
-        "rtserver_stage_cache_misses_total",
-        "rtserver_stage_cache_entries",
-        "rtserver_stage_single_flight_waits_total",
-    ] {
-        assert!(text.contains(&format!("# HELP {family} ")), "missing HELP for {family}");
-        assert!(text.contains(&format!("# TYPE {family} ")), "missing TYPE for {family}");
-    }
-    assert!(
-        text.contains(r#"rtserver_stage_cache_misses_total{stage="analyze"} 2"#),
-        "analyze stage missed once per distinct task:\n{text}"
-    );
-    assert!(
-        text.contains(r#"rtserver_stage_cache_hits_total{stage="crpd_cell"}"#),
-        "crpd_cell stage exported:\n{text}"
-    );
-    assert!(
-        text.contains(r#"rtserver_requests_total{endpoint="wcrt"} 2"#),
-        "wcrt request counter must reflect the two requests served:\n{text}"
-    );
-
-    // Histogram consistency for the wcrt endpoint: buckets are cumulative
-    // and monotone, `+Inf` equals `_count`, and `_sum`/`_count` exist.
-    let bucket_value = |line: &str| -> u64 {
-        line.rsplit(' ').next().and_then(|v| v.parse().ok()).expect("bucket value")
-    };
-    let mut last = 0u64;
-    let mut inf = None;
-    for line in text.lines() {
-        if !line.starts_with(r#"rtserver_request_duration_microseconds_bucket{endpoint="wcrt""#) {
-            continue;
-        }
-        let value = bucket_value(line);
-        assert!(value >= last, "buckets must be cumulative and monotone: {line}");
-        last = value;
-        if line.contains(r#"le="+Inf""#) {
-            inf = Some(value);
-        }
-    }
-    let count_line = text
-        .lines()
-        .find(|l| l.starts_with(r#"rtserver_request_duration_microseconds_count{endpoint="wcrt""#))
-        .expect("wcrt _count line");
-    let count = bucket_value(count_line);
-    assert_eq!(count, 2, "two wcrt requests observed");
-    assert_eq!(inf, Some(count), "+Inf bucket must equal _count");
-    assert!(
-        text.lines().any(|l| l
-            .starts_with(r#"rtserver_request_duration_microseconds_sum{endpoint="wcrt""#)),
-        "wcrt _sum line present"
-    );
-
-    // Skyline totals count this server's requests only: the first request
-    // analyzes both tasks cold, the second reuses the stored artifacts,
-    // so the kept total is exactly what those two artifacts kept.
-    let geometry = rtcache::CacheGeometry::new(64, 2, 16).expect("the spec's geometry");
-    let expected_kept: usize = [("hi", TASK_HI), ("lo", TASK_LO)]
-        .into_iter()
-        .map(|(name, source)| {
-            let program = rtprogram::asm::assemble(name, source).expect("task assembles");
-            let artifact = crpd::AnalyzedProgram::analyze(
-                &program,
-                geometry,
-                rtwcet::TimingModel::with_miss_penalty(20),
-            )
-            .expect("task analyzes");
-            artifact.paths().iter().map(|p| p.trace.skyline_kept().expect("packs")).sum::<usize>()
-        })
-        .sum();
-    let kept_line = text
-        .lines()
-        .find(|l| l.starts_with("rtserver_skyline_points_kept_total "))
-        .expect("skyline kept line");
-    assert!(expected_kept > 0, "the tasks' traces have useful blocks");
-    assert_eq!(bucket_value(kept_line), expected_kept as u64, "{kept_line}");
-
-    assert_eq!(replies[3].get("ok").and_then(Json::as_bool), Some(true));
-    handle.join().expect("clean exit");
 }
 
 /// Error paths must degrade per-request, never per-server: a malformed
@@ -710,11 +591,11 @@ fn sim_clock_and_wcet_bound_overflow_get_typed_results_over_the_wire() {
 }
 
 /// The tentpole e2e for the rtflight ops plane: with `--slow-ms 0` every
-/// request is captured, `statusz` exposes per-endpoint quantiles and
+/// request is captured, `metrics` exposes per-endpoint quantiles and
 /// stage attribution, `journal` shows the ring wrapped at
 /// `--flight-capacity`, and `flight` returns full span trees.
 #[test]
-fn flight_endpoints_expose_statusz_journal_and_black_box() {
+fn flight_endpoints_expose_metrics_journal_and_black_box() {
     let opts = rtcli::ServeOptions {
         host: "127.0.0.1".to_string(),
         port: 0,
@@ -737,12 +618,12 @@ fn flight_endpoints_expose_statusz_journal_and_black_box() {
     let replies = roundtrip(
         addr,
         &[
-            r#"{"cmd":"statusz"}"#.to_string(),
+            r#"{"cmd":"metrics"}"#.to_string(),
             r#"{"cmd":"journal","n":100}"#.to_string(),
             r#"{"cmd":"flight"}"#.to_string(),
         ],
     );
-    let status = replies[0].get("status").expect("status payload");
+    let status = replies[0].get("metrics").expect("metrics payload");
     assert_eq!(status.get("flight_capacity").and_then(Json::as_u64), Some(4));
     assert_eq!(status.get("slow_ms").and_then(Json::as_u64), Some(0));
     assert!(status.get("records_total").and_then(Json::as_u64).unwrap() >= 6);
@@ -755,14 +636,15 @@ fn flight_endpoints_expose_statusz_journal_and_black_box() {
     }
     let wcrt = endpoints.get("wcrt").expect("wcrt summary");
     assert_eq!(wcrt.get("count").and_then(Json::as_u64), Some(1));
-    // Stage-cache hit rates and per-stage wall time are on the status page.
-    assert!(status.get("stage_cache").and_then(|s| s.get("analyze")).is_some());
+    // Stage-cache counters and per-stage wall time are in the snapshot.
+    let analyze = status.get("stages").and_then(|s| s.get("analyze")).expect("analyze stage");
+    assert_eq!(analyze.get("misses").and_then(Json::as_u64), Some(2));
     let stage_ns = status.get("stage_ns").expect("stage wall time");
     assert!(stage_ns.get("wcrt").and_then(Json::as_u64).unwrap() > 0, "wcrt stage attributed");
     assert!(stage_ns.get("request").and_then(Json::as_u64).unwrap() > 0, "request span attributed");
 
     // Journal: the 4-slot ring holds records 3, 4 (pings), 5 (wcrt) and
-    // 6 (the statusz request just served), oldest first.
+    // 6 (the metrics request just served), oldest first.
     let Some(Json::Arr(records)) = replies[1].get("journal") else {
         panic!("journal payload: {:?}", replies[1])
     };
@@ -802,58 +684,47 @@ fn flight_endpoints_expose_statusz_journal_and_black_box() {
         assert!(s.get("start_ns").and_then(Json::as_u64).is_some(), "{s:?}");
     }
 
-    // `metrics`, `metrics_prom` and `statusz` read one histogram per
-    // endpoint. Each snapshot is taken before its own request commits,
-    // so only the rows of the three ops endpoints move between them.
+    // `metrics` reads the flight recorder: every committed record lands
+    // in exactly one endpoint row, and each snapshot is taken before its
+    // own request commits, so the journal's newest record is the first
+    // snapshot's request and only the two ops rows move between them.
     let replies = roundtrip(
         addr,
         &[
-            r#"{"cmd":"statusz"}"#.to_string(),
             r#"{"cmd":"metrics"}"#.to_string(),
-            r#"{"cmd":"metrics_prom"}"#.to_string(),
+            r#"{"cmd":"journal","n":1}"#.to_string(),
+            r#"{"cmd":"metrics"}"#.to_string(),
         ],
     );
-    let Some(Json::Obj(status_rows)) = replies[0].get("status").and_then(|s| s.get("endpoints"))
-    else {
-        panic!("statusz endpoints: {:?}", replies[0])
+    let snapshot = |reply: &Json| -> (u64, std::collections::BTreeMap<String, Json>) {
+        let metrics = reply.get("metrics").expect("metrics payload");
+        let Some(Json::Obj(rows)) = metrics.get("endpoints") else {
+            panic!("metrics endpoints: {reply:?}")
+        };
+        (metrics.get("records_total").and_then(Json::as_u64).expect("records_total"), rows.clone())
     };
-    let Some(Json::Obj(metric_rows)) = replies[1].get("metrics").and_then(|m| m.get("endpoints"))
-    else {
-        panic!("metrics endpoints: {:?}", replies[1])
-    };
-    let prom = replies[2].get("output").and_then(Json::as_str).expect("exposition text");
-    let prom_value = |family: &str, endpoint: &str| -> u64 {
-        let prefix = format!("{family}{{endpoint=\"{endpoint}\"}} ");
-        let line = prom.lines().find(|l| l.starts_with(&prefix)).expect(&prefix);
-        line[prefix.len()..].parse().expect("integral sample")
-    };
-    for endpoint in ["flight", "journal", "ping", "wcrt"] {
-        let (status_row, metric_row) = (&status_rows[endpoint], &metric_rows[endpoint]);
-        for key in ["count", "errors", "p50_us", "p99_us", "max_us"] {
-            assert_eq!(
-                status_row.get(key).and_then(Json::as_u64),
-                metric_row.get(key).and_then(Json::as_u64),
-                "{endpoint} {key}: statusz {status_row:?} vs metrics {metric_row:?}"
-            );
-        }
-        let count = metric_row.get("count").and_then(Json::as_u64).unwrap();
-        assert_eq!(metric_row.get("requests").and_then(Json::as_u64), Some(count));
-        assert_eq!(prom_value("rtserver_requests_total", endpoint), count);
-        assert_eq!(prom_value("rtserver_request_duration_microseconds_count", endpoint), count);
-        assert_eq!(
-            Some(prom_value("rtserver_request_duration_microseconds_sum", endpoint)),
-            metric_row.get("sum_us").and_then(Json::as_u64)
-        );
-        assert_eq!(
-            Some(prom_value("rtserver_request_errors_total", endpoint)),
-            metric_row.get("errors").and_then(Json::as_u64)
-        );
+    let ((before, before_rows), (after, after_rows)) =
+        (snapshot(&replies[0]), snapshot(&replies[2]));
+    for (records, rows) in [(before, &before_rows), (after, &after_rows)] {
+        let counted: u64 =
+            rows.values().map(|r| r.get("count").and_then(Json::as_u64).unwrap()).sum();
+        assert_eq!(counted, records, "one row count per committed record: {rows:?}");
     }
-    assert_eq!(status_rows["ping"].get("count").and_then(Json::as_u64), Some(5));
-    let statusz_count = |rows: &std::collections::BTreeMap<String, Json>| {
-        rows["statusz"].get("count").and_then(Json::as_u64).unwrap()
+    assert_eq!(after, before + 2);
+    let Some(Json::Arr(newest)) = replies[1].get("journal") else {
+        panic!("journal payload: {:?}", replies[1])
     };
-    assert_eq!(statusz_count(metric_rows), statusz_count(status_rows) + 1);
+    assert_eq!(newest[0].get("id").and_then(Json::as_u64), Some(before));
+    assert_eq!(newest[0].get("endpoint").and_then(Json::as_str), Some("metrics"));
+    let count = |rows: &std::collections::BTreeMap<String, Json>, endpoint: &str| {
+        rows[endpoint].get("count").and_then(Json::as_u64).unwrap()
+    };
+    assert_eq!(count(&after_rows, "metrics"), count(&before_rows, "metrics") + 1);
+    assert_eq!(count(&after_rows, "journal"), count(&before_rows, "journal") + 1);
+    for endpoint in ["flight", "ping", "wcrt"] {
+        assert_eq!(after_rows[endpoint], before_rows[endpoint], "{endpoint} row moved");
+    }
+    assert_eq!(count(&after_rows, "ping"), 5);
 
     let replies = roundtrip(addr, &[r#"{"cmd":"shutdown"}"#.to_string()]);
     assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true));
@@ -863,7 +734,7 @@ fn flight_endpoints_expose_statusz_journal_and_black_box() {
 /// Admission control end-to-end: at the cap (`--max-inflight 0` pins the
 /// server at it permanently) every analysis request is shed with a typed
 /// `overloaded` error while the ops plane keeps answering, the sheds are
-/// on the books in `statusz` and the Prometheus exposition, and a
+/// on the books in `metrics`, and a
 /// server-wide `--deadline-ms` (or the request's own `deadline_ms`)
 /// rejects queued-too-long analyses as `deadline_exceeded` before any
 /// analysis runs.
@@ -895,21 +766,14 @@ fn admission_control_sheds_and_enforces_deadlines() {
     // The ops plane is exempt precisely because the server is saturated.
     assert_eq!(replies[1].get("output").and_then(Json::as_str), Some("pong"));
 
-    let replies = roundtrip(
-        addr,
-        &[r#"{"cmd":"statusz"}"#.to_string(), r#"{"cmd":"metrics_prom"}"#.to_string()],
-    );
-    let status = replies[0].get("status").expect("status payload");
-    assert_eq!(status.get("max_inflight").and_then(Json::as_u64), Some(0));
-    assert_eq!(status.get("shed_total").and_then(Json::as_u64), Some(1));
-    let wcrt = status.get("endpoints").and_then(|e| e.get("wcrt")).expect("shed-only endpoint");
+    let replies = roundtrip(addr, &[r#"{"cmd":"metrics"}"#.to_string()]);
+    let metrics = replies[0].get("metrics").expect("metrics payload");
+    let admission = metrics.get("admission").expect("admission gauges");
+    assert_eq!(admission.get("max_inflight").and_then(Json::as_u64), Some(0));
+    assert_eq!(admission.get("shed_total").and_then(Json::as_u64), Some(1));
+    let wcrt = metrics.get("endpoints").and_then(|e| e.get("wcrt")).expect("shed-only endpoint");
     assert_eq!(wcrt.get("shed").and_then(Json::as_u64), Some(1), "{wcrt:?}");
-    let text = replies[1].get("output").and_then(Json::as_str).expect("prometheus text");
-    assert!(
-        text.contains(r#"rtserver_shed_total{endpoint="wcrt"} 1"#),
-        "shed counter exported:\n{text}"
-    );
-    assert!(text.contains("rtserver_max_inflight 0"), "cap gauge exported:\n{text}");
+    assert_eq!(wcrt.get("count").and_then(Json::as_u64), Some(0), "sheds are not requests");
 
     // Shutdown is ops-plane too: it must get through a saturated server.
     let replies = roundtrip(addr, &[r#"{"cmd":"shutdown"}"#.to_string()]);
@@ -941,9 +805,9 @@ fn admission_control_sheds_and_enforces_deadlines() {
     // ...unless the request raises its own deadline: the per-request
     // field overrides the server default in both directions.
     assert_eq!(replies[1].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[1]);
-    let replies = roundtrip(addr, &[r#"{"cmd":"statusz"}"#.to_string()]);
+    let replies = roundtrip(addr, &[r#"{"cmd":"metrics"}"#.to_string()]);
     let wcrt = replies[0]
-        .get("status")
+        .get("metrics")
         .and_then(|s| s.get("endpoints"))
         .and_then(|e| e.get("wcrt"))
         .expect("wcrt endpoint stats");
@@ -1151,15 +1015,67 @@ fn slow_capture_triggers_only_over_threshold() {
         &[
             request_line(1),
             r#"{"cmd":"flight"}"#.to_string(),
-            r#"{"cmd":"statusz"}"#.to_string(),
+            r#"{"cmd":"metrics"}"#.to_string(),
             r#"{"cmd":"shutdown"}"#.to_string(),
         ],
     );
     assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[0]);
     let Some(Json::Arr(flights)) = replies[1].get("flights") else { panic!() };
     assert!(flights.is_empty(), "an hour-long threshold captures nothing: {flights:?}");
-    let status = replies[2].get("status").expect("status");
+    let status = replies[2].get("metrics").expect("metrics");
     assert_eq!(status.get("slow_captures").and_then(Json::as_u64), Some(0));
     assert!(status.get("records_total").and_then(Json::as_u64).unwrap() >= 2, "journal still on");
     handle.join().expect("clean exit");
+}
+
+/// `trisc status` end to end: the client half fetches `metrics` and
+/// `journal` from a live daemon and renders the admission header, the
+/// endpoint rows and the stage-cache line. The snapshot's retired names,
+/// `statusz` and `metrics_prom`, get the `unknown cmd` error, and the
+/// connection keeps serving.
+#[test]
+fn trisc_status_renders_a_live_server_and_retired_snapshots_are_unknown() {
+    let handle = spawn_server();
+    let addr = handle.addr();
+    let replies = roundtrip(addr, &[request_line(1)]);
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true), "{:?}", replies[0]);
+
+    let opts = rtcli::StatusOptions {
+        host: addr.ip().to_string(),
+        port: addr.port(),
+        ..rtcli::StatusOptions::default()
+    };
+    let report = rtserver::ops::run_status(&opts).expect("status report");
+    assert!(report.starts_with("rtserver up "), "{report}");
+    // The status request itself is the one request in flight.
+    assert!(report.lines().next().unwrap().contains("| inflight 1/256 | conns "), "{report}");
+    let wcrt_row: Vec<&str> = report
+        .lines()
+        .find(|l| l.trim_start().starts_with("wcrt "))
+        .expect("wcrt row")
+        .split_whitespace()
+        .collect();
+    // endpoint, count, err, dl_miss, shed
+    assert_eq!(wcrt_row[..5], ["wcrt", "1", "0", "0", "0"], "{report}");
+    let stage_line = report
+        .lines()
+        .find(|l| l.trim_start().starts_with("stage cache hits:"))
+        .expect("stage cache line");
+    assert!(stage_line.contains("analyze 0/2"), "{stage_line}");
+
+    let replies = roundtrip(
+        addr,
+        &[
+            r#"{"id":1,"cmd":"statusz"}"#.to_string(),
+            r#"{"id":2,"cmd":"metrics_prom"}"#.to_string(),
+            r#"{"id":3,"cmd":"ping"}"#.to_string(),
+        ],
+    );
+    for (reply, cmd) in replies.iter().zip(["statusz", "metrics_prom"]) {
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{reply:?}");
+        let error = reply.get("error").and_then(Json::as_str).expect("error text");
+        assert!(error.starts_with(&format!("unknown cmd `{cmd}`")), "{error}");
+    }
+    assert_eq!(replies[2].get("output").and_then(Json::as_str), Some("pong"));
+    shutdown(handle);
 }
