@@ -164,9 +164,9 @@ fn profile_workload(w: &Workload, recorder: &FlightRecorder, reps: usize) -> (Js
     (w.run)();
     let mut totals_us: Vec<u64> = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let scope = recorder.begin(w.name, 0, false);
+        let scope = recorder.begin(w.name, 0);
         (w.run)();
-        totals_us.push(scope.finish(true).record.total_us);
+        totals_us.push(scope.finish(true).total_us);
     }
     totals_us.sort_unstable();
 
@@ -175,7 +175,7 @@ fn profile_workload(w: &Workload, recorder: &FlightRecorder, reps: usize) -> (Js
     let mut off_secs = Vec::with_capacity(reps);
     for _ in 0..reps {
         let started = Instant::now();
-        let scope = recorder.begin(w.name, 0, false);
+        let scope = recorder.begin(w.name, 0);
         (w.run)();
         scope.finish(true);
         on_secs.push(started.elapsed().as_secs_f64());
@@ -342,7 +342,7 @@ mod tests {
         let recorder = FlightRecorder::new(64);
         let started = Instant::now();
         for _ in 0..CYCLES {
-            recorder.begin("bench", 0, false).finish(true);
+            recorder.begin("bench", 0).finish(true);
         }
         let mean = started.elapsed() / CYCLES;
         let budget = std::time::Duration::from_millis(2) / 20;

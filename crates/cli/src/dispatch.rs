@@ -52,7 +52,7 @@ pub fn parse(mut args: Vec<String>) -> Result<Invocation, CliError> {
             return Err(CliError::Usage(format!(
                 "unexpected argument `{extra}`; trisc serve [--host HOST] [--port PORT] [--threads N] \
                  [--event-threads N] [--max-inflight N] [--deadline-ms MS] [--idle-timeout-ms MS] \
-                 [--slow-ms MS] [--flight-capacity N] [--trace-out TRACE.json]"
+                 [--trace-out TRACE.json]"
             )));
         }
         return Ok(Invocation::Serve(opts));
@@ -444,6 +444,8 @@ mod tests {
             &["serve", "--cluster", "p.txt", "--front"][..],
             &["serve", "--node-id", "0"],
             &["serve", "--poller", "poll"],
+            &["serve", "--slow-ms", "1"],
+            &["serve", "--flight-capacity", "4"],
         ] {
             match parse(argv(args)) {
                 Err(CliError::Usage(msg)) => assert!(msg.contains("unexpected argument"), "{msg}"),

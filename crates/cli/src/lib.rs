@@ -17,7 +17,7 @@
 //! trisc sim    system.spec [--horizon N]   # co-simulation + timeline
 //! trisc serve  [--host H] [--port P] [--threads N] [--event-threads N]
 //!              [--max-inflight N] [--deadline-ms MS] [--idle-timeout-ms MS]
-//!              [--slow-ms MS] [--flight-capacity N] [--trace-out T.json]
+//!              [--trace-out T.json]
 //! ```
 //!
 //! `--trace-out` installs an [`rtobs`] recording session for the run and

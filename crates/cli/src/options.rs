@@ -101,14 +101,6 @@ pub struct ServeOptions {
     /// Keep an `rtobs` recorder installed for the server's lifetime and
     /// write the Chrome trace of everything it served here on shutdown.
     pub trace_out: Option<String>,
-    /// Slow-request threshold in milliseconds (`--slow-ms`): any request
-    /// at least this slow has its full span tree captured into the
-    /// bounded black-box buffer served by the `flight` endpoint. `None`
-    /// disables capture.
-    pub slow_ms: Option<u64>,
-    /// Flight-recorder ring capacity (`--flight-capacity`): how many of
-    /// the most recent per-request records the `journal` endpoint keeps.
-    pub flight_capacity: usize,
     /// Reactor event loops (`--event-threads`): how many threads
     /// multiplex connection I/O. A handful suffices for thousands of
     /// connections; analysis parallelism stays on `--threads`.
@@ -142,8 +134,6 @@ impl Default for ServeOptions {
             port: 7227,
             threads: rtpar::default_threads(),
             trace_out: None,
-            slow_ms: None,
-            flight_capacity: 512,
             event_threads: 2,
             max_inflight: 256,
             deadline_ms: None,
@@ -165,9 +155,8 @@ impl ServeOptions {
         let mut it = args.drain(..);
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--host" | "--port" | "--threads" | "--trace-out" | "--slow-ms"
-                | "--flight-capacity" | "--event-threads" | "--max-inflight" | "--deadline-ms"
-                | "--idle-timeout-ms" => {
+                "--host" | "--port" | "--threads" | "--trace-out" | "--event-threads"
+                | "--max-inflight" | "--deadline-ms" | "--idle-timeout-ms" => {
                     let value = it
                         .next()
                         .ok_or_else(|| CliError::Options(format!("{arg} needs a value")))?;
@@ -178,19 +167,6 @@ impl ServeOptions {
                             self.port = value.parse().map_err(|_| {
                                 CliError::Options(format!("bad value for --port: {value}"))
                             })?;
-                        }
-                        "--slow-ms" => {
-                            self.slow_ms = Some(value.parse().map_err(|_| {
-                                CliError::Options(format!("bad value for --slow-ms: {value}"))
-                            })?);
-                        }
-                        "--flight-capacity" => {
-                            self.flight_capacity =
-                                value.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
-                                    CliError::Options(format!(
-                                        "bad value for --flight-capacity: {value}"
-                                    ))
-                                })?;
                         }
                         "--event-threads" => {
                             self.event_threads =
@@ -413,26 +389,6 @@ mod tests {
         let mut bad: Vec<String> = ["--threads", "0"].iter().map(|s| s.to_string()).collect();
         assert!(matches!(ServeOptions::default().parse_from(&mut bad), Err(CliError::Options(_))));
         let mut bad: Vec<String> = vec!["--port".to_string(), "high".to_string()];
-        assert!(matches!(ServeOptions::default().parse_from(&mut bad), Err(CliError::Options(_))));
-    }
-
-    #[test]
-    fn serve_options_parse_flight_flags() {
-        let mut o = ServeOptions::default();
-        assert_eq!(o.slow_ms, None);
-        assert_eq!(o.flight_capacity, 512);
-        let mut args: Vec<String> = ["--slow-ms", "250", "--flight-capacity", "64", "rest"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        o.parse_from(&mut args).unwrap();
-        assert_eq!(o.slow_ms, Some(250));
-        assert_eq!(o.flight_capacity, 64);
-        assert_eq!(args, vec!["rest".to_string()]);
-        let mut bad: Vec<String> = ["--slow-ms", "soon"].iter().map(|s| s.to_string()).collect();
-        assert!(matches!(ServeOptions::default().parse_from(&mut bad), Err(CliError::Options(_))));
-        let mut bad: Vec<String> =
-            ["--flight-capacity", "0"].iter().map(|s| s.to_string()).collect();
         assert!(matches!(ServeOptions::default().parse_from(&mut bad), Err(CliError::Options(_))));
     }
 

@@ -209,28 +209,6 @@ impl ArtifactStore {
         &self.cells
     }
 
-    /// `analyze`-stage hits — the store's headline counter (analysis
-    /// dominates request latency, so this is what "artifact cache hit"
-    /// has always meant in `metrics`).
-    pub fn hits(&self) -> u64 {
-        self.analyses.hits()
-    }
-
-    /// `analyze`-stage misses.
-    pub fn misses(&self) -> u64 {
-        self.analyses.misses()
-    }
-
-    /// Number of distinct analysis artifacts currently held.
-    pub fn len(&self) -> usize {
-        self.analyses.len()
-    }
-
-    /// `true` if no analysis artifact has been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.analyses.is_empty()
-    }
-
     /// Counters of every stage, in pipeline order.
     pub fn stage_stats(&self) -> Vec<StageStats> {
         vec![self.programs.stats(), self.analyses.stats(), self.cells.stats()]
@@ -269,9 +247,15 @@ mod tests {
         let g = CacheGeometry::paper_l1();
         let m = TimingModel::default();
         let a = store.analyzed("t", TASK, params(1), g, m).unwrap();
-        assert_eq!((store.hits(), store.misses(), store.len()), (0, 1, 1));
+        assert_eq!(
+            (store.analyses.hits(), store.analyses.misses(), store.analyses.len()),
+            (0, 1, 1)
+        );
         let b = store.analyzed("t", TASK, params(1), g, m).unwrap();
-        assert_eq!((store.hits(), store.misses(), store.len()), (1, 1, 1));
+        assert_eq!(
+            (store.analyses.hits(), store.analyses.misses(), store.analyses.len()),
+            (1, 1, 1)
+        );
         assert!(Arc::ptr_eq(a.program(), b.program()), "hits must share the artifact, not copy it");
         assert_eq!((store.programs().hits(), store.programs().misses()), (1, 1));
     }
@@ -284,7 +268,10 @@ mod tests {
         let a = store.analyzed("t", TASK, params(1), g, m).unwrap();
         // Different scheduling parameters: same program artifact, rebound.
         let b = store.analyzed("t", TASK, params(2), g, m).unwrap();
-        assert_eq!((store.hits(), store.misses(), store.len()), (1, 1, 1));
+        assert_eq!(
+            (store.analyses.hits(), store.analyses.misses(), store.analyses.len()),
+            (1, 1, 1)
+        );
         assert!(Arc::ptr_eq(a.program(), b.program()));
         assert_eq!(b.params(), &params(2));
     }
@@ -301,8 +288,8 @@ mod tests {
         store.analyzed("t", TASK, params(1), CacheGeometry::new(64, 2, 16).unwrap(), m).unwrap();
         // Different timing model: assemble hits, analyze misses.
         store.analyzed("t", TASK, params(1), g, TimingModel::with_miss_penalty(40)).unwrap();
-        assert_eq!((store.misses(), store.len()), (4, 4));
-        assert_eq!(store.hits(), 0);
+        assert_eq!((store.analyses.misses(), store.analyses.len()), (4, 4));
+        assert_eq!(store.analyses.hits(), 0);
         assert_eq!((store.programs().misses(), store.programs().len()), (2, 2));
         assert_eq!(store.programs().hits(), 2);
     }
@@ -322,7 +309,7 @@ mod tests {
         let m = TimingModel::default();
         let err = store.analyzed("bad", "frobnicate r1\n", params(1), g, m).unwrap_err();
         assert!(matches!(err, CliError::Asm(_)));
-        assert!(store.is_empty());
+        assert!(store.analyses.is_empty());
         assert!(store.programs().is_empty(), "a failed assemble must clear its slot");
         // The failed stage retries (and fails again) on the next request.
         store.analyzed("bad", "frobnicate r1\n", params(1), g, m).unwrap_err();
@@ -354,7 +341,10 @@ mod tests {
         let other_model = provider(0, g64, m40).unwrap();
         assert!(!Arc::ptr_eq(&first, &other_model), "the model is part of the key");
         assert_ne!(first.fingerprint(), other_geom.fingerprint());
-        assert_eq!((store.programs().misses(), store.misses(), store.hits()), (1, 3, 1));
+        assert_eq!(
+            (store.programs().misses(), store.analyses.misses(), store.analyses.hits()),
+            (1, 3, 1)
+        );
     }
 
     #[test]
@@ -370,7 +360,7 @@ mod tests {
         let retry = provider(0, g, TimingModel::default()).unwrap_err();
         assert_eq!(retry.to_string(), err.to_string());
         assert_eq!(store.programs().misses(), 2, "the failed assemble was not cached");
-        assert!(store.programs().is_empty() && store.is_empty());
+        assert!(store.programs().is_empty() && store.analyses.is_empty());
         // Every path through the `assemble` stage names the task alike.
         let direct = store.analyzed("bad", "not assembly", params(1), g, TimingModel::default());
         assert!(matches!(direct, Err(CliError::Asm(msg)) if msg == err_msg(&err)));

@@ -29,14 +29,14 @@
 //!
 //! Hot-path cost: when no frame is installed, a span probe is one
 //! thread-local read. With a frame installed, attribution is two
-//! `Instant` reads and one relaxed atomic add per span; optional span
-//! capture (for slow-request black boxes) appends a fixed-size
-//! [`SpanEvent`] into a buffer preallocated at frame creation, so
-//! nothing allocates between `begin` and `finish`.
+//! `Instant` reads and one relaxed atomic add per span. A frame is a
+//! pure per-stage tally: it keeps no span events, so nothing allocates
+//! between `begin` and `finish`. Span trees come from the opt-in
+//! [`Recorder`](crate::Recorder) alone.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Every pipeline stage a flight frame attributes, sorted so lookups can
@@ -69,25 +69,6 @@ pub fn stage_index(stage: &str) -> Option<usize> {
     STAGES.binary_search(&stage).ok()
 }
 
-/// Upper bound on captured [`SpanEvent`]s per flight frame; beyond it
-/// events are counted as dropped instead of grown into.
-pub const SPAN_EVENT_CAP: usize = 512;
-
-/// One captured span inside a flight frame: fixed-size, no strings
-/// beyond the `'static` stage name. The span tree is reconstructed from
-/// `(depth, completion order)` alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Stage name (a [`STAGES`] member).
-    pub stage: &'static str,
-    /// Nesting depth on the recording thread (1 = top-level).
-    pub depth: u32,
-    /// Start offset since the flight frame began, nanoseconds.
-    pub start_ns: u64,
-    /// Wall-clock duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
 /// The live per-request collector. Shared (`Arc`) between the request
 /// thread and any pool workers that execute batches on its behalf; all
 /// fields are independently thread-safe so attribution never takes a
@@ -95,12 +76,9 @@ pub struct SpanEvent {
 #[derive(Debug)]
 pub struct ActiveFlight {
     started: Instant,
-    capture_spans: bool,
     stage_ns: [AtomicU64; STAGE_COUNT],
     stage_hits: [AtomicU64; STAGE_COUNT],
     stage_misses: [AtomicU64; STAGE_COUNT],
-    spans: Mutex<Vec<SpanEvent>>,
-    spans_dropped: AtomicU64,
 }
 
 fn zeroed() -> [AtomicU64; STAGE_COUNT] {
@@ -112,38 +90,19 @@ fn load(a: &[AtomicU64; STAGE_COUNT]) -> [u64; STAGE_COUNT] {
 }
 
 impl ActiveFlight {
-    fn new(capture_spans: bool) -> ActiveFlight {
+    fn new() -> ActiveFlight {
         ActiveFlight {
             started: Instant::now(),
-            capture_spans,
             stage_ns: zeroed(),
             stage_hits: zeroed(),
             stage_misses: zeroed(),
-            // The black-box buffer is preallocated at full capacity so
-            // the span hot path never reallocates.
-            spans: Mutex::new(Vec::with_capacity(if capture_spans { SPAN_EVENT_CAP } else { 0 })),
-            spans_dropped: AtomicU64::new(0),
         }
-    }
-
-    fn lock_spans(&self) -> MutexGuard<'_, Vec<SpanEvent>> {
-        self.spans.lock().expect("flight span buffer poisoned")
     }
 
     /// Attributes one finished span to this frame.
-    pub(crate) fn note_span(&self, stage: &'static str, depth: u32, start: Instant, dur: Duration) {
+    pub(crate) fn note_span(&self, stage: &'static str, dur: Duration) {
         let Some(idx) = stage_index(stage) else { return };
         self.stage_ns[idx].fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);
-        if self.capture_spans {
-            let start_ns =
-                start.checked_duration_since(self.started).unwrap_or_default().as_nanos() as u64;
-            let mut spans = self.lock_spans();
-            if spans.len() < SPAN_EVENT_CAP {
-                spans.push(SpanEvent { stage, depth, start_ns, dur_ns: dur.as_nanos() as u64 });
-            } else {
-                self.spans_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Attributes one stage-cache lookup to this frame.
@@ -177,8 +136,6 @@ pub struct FlightRecord {
     pub stage_hits: [u64; STAGE_COUNT],
     /// Per-stage cache misses (stage re-ran), indexed by [`STAGES`].
     pub stage_misses: [u64; STAGE_COUNT],
-    /// Span events dropped because the black-box buffer was full.
-    pub spans_dropped: u64,
 }
 
 /// Number of log₂ latency buckets; bucket `i` holds durations in
@@ -310,16 +267,6 @@ struct EndpointStats {
     errors: AtomicU64,
 }
 
-/// The result of [`FlightScope::finish`]: the committed record plus the
-/// captured span events (empty unless span capture was requested).
-#[derive(Debug, Clone)]
-pub struct FinishedFlight {
-    /// The committed flight record (also stored in the ring).
-    pub record: FlightRecord,
-    /// Captured span events in completion order.
-    pub spans: Vec<SpanEvent>,
-}
-
 /// The always-on flight recorder: a fixed-capacity ring of the most
 /// recent [`FlightRecord`]s, per-endpoint [`LogHistogram`]s, cumulative
 /// per-stage totals and an inflight gauge.
@@ -352,16 +299,9 @@ impl FlightRecorder {
 
     /// Opens a flight frame for one request and installs it on the
     /// calling thread, keeping the thread's recorder, if any.
-    /// `capture_spans` additionally buffers up to
-    /// [`SPAN_EVENT_CAP`] span events for black-box retrieval.
-    pub fn begin(
-        &self,
-        endpoint: &'static str,
-        queue_us: u64,
-        capture_spans: bool,
-    ) -> FlightScope<'_> {
+    pub fn begin(&self, endpoint: &'static str, queue_us: u64) -> FlightScope<'_> {
         self.inflight.fetch_add(1, Ordering::Relaxed);
-        let flight = Arc::new(ActiveFlight::new(capture_spans));
+        let flight = Arc::new(ActiveFlight::new());
         let guard =
             crate::adopt(crate::Context { flight: Some(flight.clone()), ..crate::context() });
         FlightScope {
@@ -382,18 +322,13 @@ impl FlightRecorder {
         self.inflight.load(Ordering::Relaxed)
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Seconds since the recorder was created.
     pub fn uptime_secs(&self) -> u64 {
         self.started.elapsed().as_secs()
     }
 
-    /// The most recent `last` records, oldest first. At most
-    /// [`FlightRecorder::capacity`] records exist at any time.
+    /// The most recent `last` records, oldest first. At most the ring's
+    /// capacity of records exist at any time.
     pub fn journal(&self, last: usize) -> Vec<FlightRecord> {
         let mut records: Vec<FlightRecord> = self
             .slots
@@ -448,7 +383,6 @@ impl FlightRecorder {
             stage_ns: load(&flight.stage_ns),
             stage_hits: load(&flight.stage_hits),
             stage_misses: load(&flight.stage_misses),
-            spans_dropped: flight.spans_dropped.load(Ordering::Relaxed),
         };
         for (total, ns) in self.stage_ns_total.iter().zip(record.stage_ns) {
             total.fetch_add(ns, Ordering::Relaxed);
@@ -485,16 +419,13 @@ pub struct FlightScope<'a> {
 
 impl FlightScope<'_> {
     /// Ends the frame: uninstalls it from the thread, commits the record
-    /// into the ring and histograms, and returns it together with any
-    /// captured span events.
-    pub fn finish(mut self, ok: bool) -> FinishedFlight {
+    /// into the ring and histograms, and returns it.
+    pub fn finish(mut self, ok: bool) -> FlightRecord {
         let ScopeInner { flight, _adopt } = self.inner.take().expect("flight scope finished twice");
         // Uninstall from the thread before reading, so no further spans
         // land in the frame while the record is being assembled.
         drop(_adopt);
-        let record = self.recorder.commit(&flight, self.endpoint, self.queue_us, ok);
-        let spans = std::mem::take(&mut *flight.lock_spans());
-        FinishedFlight { record, spans }
+        self.recorder.commit(&flight, self.endpoint, self.queue_us, ok)
     }
 }
 
@@ -570,29 +501,27 @@ mod tests {
     #[test]
     fn frames_attribute_spans_and_lookups() {
         let recorder = FlightRecorder::new(8);
-        let scope = recorder.begin("wcrt", 42, true);
+        let scope = recorder.begin("wcrt", 42);
         assert_eq!(recorder.inflight(), 1);
         let flight = crate::context().flight.unwrap();
-        let t0 = Instant::now();
-        flight.note_span("crpd", 2, t0, Duration::from_nanos(1_500));
-        flight.note_span("crpd", 2, t0, Duration::from_nanos(500));
-        flight.note_span("unknown-stage", 1, t0, Duration::from_nanos(999));
+        flight.note_span("crpd", Duration::from_nanos(1_500));
+        flight.note_span("crpd", Duration::from_nanos(500));
+        flight.note_span("unknown-stage", Duration::from_nanos(999));
         flight.note_lookup("analyze", true);
         flight.note_lookup("analyze", false);
         flight.note_lookup("crpd_cell", true);
-        let finished = scope.finish(true);
+        let record = scope.finish(true);
         assert_eq!(recorder.inflight(), 0);
         let crpd = stage_index("crpd").unwrap();
         let analyze = stage_index("analyze").unwrap();
         let cell = stage_index("crpd_cell").unwrap();
-        assert_eq!(finished.record.stage_ns[crpd], 2_000);
-        assert_eq!(finished.record.stage_hits[analyze], 1);
-        assert_eq!(finished.record.stage_misses[analyze], 1);
-        assert_eq!(finished.record.stage_hits[cell], 1);
-        assert_eq!(finished.record.queue_us, 42);
-        assert!(finished.record.ok);
-        assert_eq!(finished.spans.len(), 2, "unknown stages are not captured");
-        assert_eq!(finished.spans[0].dur_ns, 1_500);
+        assert_eq!(record.stage_ns[crpd], 2_000);
+        assert_eq!(record.stage_ns.iter().sum::<u64>(), 2_000, "unknown stages are not tallied");
+        assert_eq!(record.stage_hits[analyze], 1);
+        assert_eq!(record.stage_misses[analyze], 1);
+        assert_eq!(record.stage_hits[cell], 1);
+        assert_eq!(record.queue_us, 42);
+        assert!(record.ok);
         assert_eq!(recorder.stage_totals()[crpd], ("crpd", 2_000));
     }
 
@@ -600,7 +529,7 @@ mod tests {
     fn ring_keeps_only_the_newest_records() {
         let recorder = FlightRecorder::new(4);
         for k in 0..7 {
-            let scope = recorder.begin("ping", 0, false);
+            let scope = recorder.begin("ping", 0);
             scope.finish(k % 2 == 0);
         }
         assert_eq!(recorder.records_total(), 7);
@@ -665,9 +594,9 @@ mod tests {
         );
 
         let recorder = FlightRecorder::new(2);
-        recorder.begin("wcrt", 0, false).finish(true);
-        recorder.begin("wcrt", 0, false).finish(false);
-        recorder.begin("ping", 0, false).finish(true);
+        recorder.begin("wcrt", 0).finish(true);
+        recorder.begin("wcrt", 0).finish(false);
+        recorder.begin("ping", 0).finish(true);
         let endpoints = recorder.endpoints();
         let names: Vec<&str> = endpoints.iter().map(|e| e.endpoint).collect();
         assert_eq!(names, ["ping", "wcrt"]);
@@ -677,40 +606,15 @@ mod tests {
     }
 
     #[test]
-    fn span_capture_is_bounded() {
-        let recorder = FlightRecorder::new(1);
-        let scope = recorder.begin("wcrt", 0, true);
-        let flight = crate::context().flight.unwrap();
-        let t0 = Instant::now();
-        for _ in 0..(SPAN_EVENT_CAP + 10) {
-            flight.note_span("crpd", 1, t0, Duration::from_nanos(1));
-        }
-        let finished = scope.finish(true);
-        assert_eq!(finished.spans.len(), SPAN_EVENT_CAP);
-        assert_eq!(finished.record.spans_dropped, 10);
-    }
-
-    #[test]
-    fn capture_off_records_no_spans() {
-        let recorder = FlightRecorder::new(1);
-        let scope = recorder.begin("wcrt", 0, false);
-        let flight = crate::context().flight.unwrap();
-        flight.note_span("crpd", 1, Instant::now(), Duration::from_nanos(7));
-        let finished = scope.finish(true);
-        assert!(finished.spans.is_empty());
-        assert_eq!(finished.record.stage_ns[stage_index("crpd").unwrap()], 7);
-    }
-
-    #[test]
     fn adoption_nests_and_restores() {
         let flight = || crate::context().flight;
         assert!(flight().is_none());
         let recorder = FlightRecorder::new(1);
-        let scope = recorder.begin("wcrt", 0, false);
+        let scope = recorder.begin("wcrt", 0);
         let outer = flight().unwrap();
         assert!(Arc::ptr_eq(&flight().unwrap(), &outer));
         {
-            let inner = Arc::new(ActiveFlight::new(false));
+            let inner = Arc::new(ActiveFlight::new());
             let _guard =
                 crate::adopt(crate::Context { flight: Some(inner.clone()), ..crate::context() });
             assert!(Arc::ptr_eq(&flight().unwrap(), &inner));
@@ -726,7 +630,7 @@ mod tests {
     fn abandoned_scope_releases_inflight_without_a_record() {
         let recorder = FlightRecorder::new(4);
         {
-            let _scope = recorder.begin("wcrt", 0, false);
+            let _scope = recorder.begin("wcrt", 0);
             assert_eq!(recorder.inflight(), 1);
         }
         assert_eq!(recorder.inflight(), 0);

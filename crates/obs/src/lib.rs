@@ -443,7 +443,6 @@ struct ActiveSpan {
     path: String,
     ts_us: u64,
     started: Instant,
-    depth: u32,
 }
 
 /// Opens an unlabeled span for `stage`. See [`span_labeled`].
@@ -463,18 +462,19 @@ pub fn span_labeled(stage: &'static str, label: impl FnOnce() -> String) -> Span
         return SpanGuard { active: None };
     }
     let want_path = recorder.is_some();
-    let (depth, path) = SPAN_STACK.with(|stack| {
+    let path = SPAN_STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
         stack.push(stage);
-        let path = if want_path { stack.join("/") } else { String::new() };
-        (stack.len() as u32, path)
+        if want_path {
+            stack.join("/")
+        } else {
+            String::new()
+        }
     });
     let started = Instant::now();
     let ts_us = recorder.as_ref().map_or(0, |r| started.duration_since(r.start).as_micros() as u64);
     let label = if want_path { label() } else { String::new() };
-    SpanGuard {
-        active: Some(ActiveSpan { recorder, flight, stage, label, path, ts_us, started, depth }),
-    }
+    SpanGuard { active: Some(ActiveSpan { recorder, flight, stage, label, path, ts_us, started }) }
 }
 
 impl Drop for SpanGuard {
@@ -485,7 +485,7 @@ impl Drop for SpanGuard {
         });
         let dur = span.started.elapsed();
         if let Some(flight) = &span.flight {
-            flight.note_span(span.stage, span.depth, span.started, dur);
+            flight.note_span(span.stage, dur);
         }
         let Some(recorder) = &span.recorder else { return };
         let dur_us = dur.as_micros() as u64;
@@ -622,13 +622,13 @@ mod tests {
     fn a_flight_frame_keeps_the_threads_recorder_and_restores_it() {
         let session = begin();
         let flights = flight::FlightRecorder::new(1);
-        let scope = flights.begin("wcrt", 0, false);
+        let scope = flights.begin("wcrt", 0);
         assert!(enabled(), "the frame keeps the session's recorder");
         record_stage_lookup("analyze", true);
-        let finished = scope.finish(true);
+        let record = scope.finish(true);
         assert!(enabled(), "finishing the frame leaves the session installed");
         let analyze = flight::stage_index("analyze").unwrap();
-        assert_eq!(finished.record.stage_hits[analyze], 1);
+        assert_eq!(record.stage_hits[analyze], 1);
         assert_eq!(
             session.recorder().counters().stage_lookups.get("analyze"),
             Some(&StageLookupTally { hits: 1, misses: 0 })
@@ -731,18 +731,20 @@ mod tests {
     fn spans_and_lookups_attribute_to_flight_frames_without_a_recorder() {
         assert!(!enabled());
         let recorder = flight::FlightRecorder::new(2);
-        let scope = recorder.begin("wcrt", 0, true);
+        let scope = recorder.begin("wcrt", 0);
         {
             let _outer =
                 span_labeled("wcrt", || panic!("label must not be built without a recorder"));
             let _inner = span("crpd");
         }
         record_stage_lookup("analyze", true);
-        let finished = scope.finish(true);
-        let events: Vec<(&str, u32)> = finished.spans.iter().map(|e| (e.stage, e.depth)).collect();
-        assert_eq!(events, [("crpd", 2), ("wcrt", 1)], "completion order, nesting depths");
+        let record = scope.finish(true);
+        for stage in ["wcrt", "crpd"] {
+            let idx = flight::stage_index(stage).unwrap();
+            assert!(record.stage_ns[idx] > 0, "{stage} span attributed to the frame");
+        }
         let analyze = flight::stage_index("analyze").unwrap();
-        assert_eq!(finished.record.stage_hits[analyze], 1);
+        assert_eq!(record.stage_hits[analyze], 1);
         SPAN_STACK.with(|stack| assert!(stack.borrow().is_empty()));
     }
 

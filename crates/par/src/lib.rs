@@ -2,8 +2,8 @@
 //!
 //! The workspace builds fully offline, so rayon is not an option; this
 //! crate provides the minimal subset the WCRT pipeline needs — a
-//! fixed-size thread pool with [`Pool::par_map`], [`Pool::par_map_range`],
-//! [`Pool::scope`] and [`Pool::join`] — under one hard guarantee:
+//! fixed-size thread pool with [`Pool::par_map`], [`Pool::par_map_range`]
+//! and [`Pool::join`] — under one hard guarantee:
 //!
 //! **results are byte-identical regardless of the thread count.**
 //!
@@ -28,7 +28,7 @@
 //! Blocking callers and pool sizing are process-level concerns: a global
 //! pool (sized by the `RTPAR_THREADS` environment variable, or the
 //! available parallelism capped at 8) serves the free functions
-//! [`par_map`], [`par_map_range`], [`scope`] and [`join`]; a specific pool
+//! [`par_map`], [`par_map_range`] and [`join`]; a specific pool
 //! can be made current for a closure with [`Pool::install`], and the
 //! global pool can be resized with [`configure_global`] (the `serve
 //! --threads` knob).
@@ -235,18 +235,6 @@ impl Shared {
             .collect()
     }
 
-    fn scope<'scope, R>(self: &Arc<Self>, f: impl FnOnce(&mut Scope<'scope>) -> R) -> R {
-        let mut scope = Scope { jobs: Vec::new() };
-        let result = f(&mut scope);
-        let jobs: Vec<Mutex<Option<ScopeJob<'scope>>>> =
-            scope.jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
-        self.par_map_range(jobs.len(), |index| {
-            let job = jobs[index].lock().expect("scope job lock").take();
-            job.expect("each scope job is claimed exactly once")();
-        });
-        result
-    }
-
     fn join<RA, RB, A, B>(self: &Arc<Self>, a: A, b: B) -> (RA, RB)
     where
         RA: Send,
@@ -403,15 +391,6 @@ impl Pool {
         self.inner.shared.par_map_range(items.len(), |index| f(&items[index]))
     }
 
-    /// Collects jobs spawned by `f` onto a [`Scope`], then runs them all
-    /// in parallel (jobs may borrow from the enclosing frame) and returns
-    /// once every job finished. Jobs are collected first and executed
-    /// after `f` returns; a job that needs further parallelism starts its
-    /// own nested `scope`/`par_map` rather than spawning siblings.
-    pub fn scope<'scope, R>(&self, f: impl FnOnce(&mut Scope<'scope>) -> R) -> R {
-        self.inner.shared.scope(f)
-    }
-
     /// Runs `a` and `b`, potentially in parallel, and returns both results
     /// as `(a(), b())`.
     pub fn join<RA, RB, A, B>(&self, a: A, b: B) -> (RA, RB)
@@ -450,7 +429,7 @@ impl Pool {
 /// check which work fanned out and who ran it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Fan-out batches executed (`par_map`/`par_map_range`/`scope`/`join`).
+    /// Fan-out batches executed (`par_map`/`par_map_range`/`join`).
     pub batches: u64,
     /// Work items run inline by the thread that submitted the batch.
     pub items_inline: u64,
@@ -467,21 +446,6 @@ impl Drop for PopCurrent {
         CURRENT.with(|current| {
             current.borrow_mut().pop();
         });
-    }
-}
-
-/// A deferred-execution scope (see [`Pool::scope`]).
-pub struct Scope<'scope> {
-    jobs: Vec<ScopeJob<'scope>>,
-}
-
-type ScopeJob<'scope> = Box<dyn FnOnce() + Send + 'scope>;
-
-impl<'scope> Scope<'scope> {
-    /// Queues `job` to run when the scope executes. Jobs may borrow from
-    /// the frame enclosing the `scope` call.
-    pub fn spawn(&mut self, job: impl FnOnce() + Send + 'scope) {
-        self.jobs.push(Box::new(job));
     }
 }
 
@@ -571,11 +535,6 @@ where
     current_shared().par_map_range(items.len(), |index| f(&items[index]))
 }
 
-/// [`Pool::scope`] on the current pool.
-pub fn scope<'scope, R>(f: impl FnOnce(&mut Scope<'scope>) -> R) -> R {
-    current_shared().scope(f)
-}
-
 /// [`Pool::join`] on the current pool.
 pub fn join<RA, RB, A, B>(a: A, b: B) -> (RA, RB)
 where
@@ -642,7 +601,7 @@ mod tests {
     #[test]
     fn batches_carry_flight_frames_onto_worker_threads() {
         let recorder = rtobs::flight::FlightRecorder::new(1);
-        let scope = recorder.begin("wcrt", 0, false);
+        let scope = recorder.begin("wcrt", 0);
         let pool = Pool::new(4);
         let sum: u64 = pool
             .install(|| {
@@ -656,10 +615,10 @@ mod tests {
             .into_iter()
             .sum();
         assert_eq!(sum, 64 * 63 / 2);
-        let finished = scope.finish(true);
+        let record = scope.finish(true);
         let analyze = rtobs::flight::stage_index("analyze").unwrap();
         assert_eq!(
-            finished.record.stage_hits[analyze], 64,
+            record.stage_hits[analyze], 64,
             "every item attributes to the submitting request, wherever it ran"
         );
     }
@@ -740,23 +699,6 @@ mod tests {
         );
         assert!(ra, "b must have started while a was still running");
         assert_eq!(rb, "b");
-    }
-
-    #[test]
-    fn scope_runs_every_job_with_borrowed_state() {
-        let pool = Pool::new(4);
-        let seen = Mutex::new(Vec::new());
-        let marker = pool.scope(|scope| {
-            for i in 0..10 {
-                let seen = &seen;
-                scope.spawn(move || seen.lock().unwrap().push(i));
-            }
-            "scope result"
-        });
-        assert_eq!(marker, "scope result");
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -111,9 +111,9 @@ mod tests {
     fn rows_merge_admission_counters_into_flight_summaries() {
         let metrics = Metrics::default();
         let flight = FlightRecorder::new(8);
-        flight.begin("wcrt", 0, false).finish(true);
-        flight.begin("wcrt", 0, false).finish(false);
-        flight.begin("ping", 0, false).finish(true);
+        flight.begin("wcrt", 0).finish(true);
+        flight.begin("wcrt", 0).finish(false);
+        flight.begin("ping", 0).finish(true);
         metrics.record_shed("wcrt");
         metrics.record_shed("wcrt");
         metrics.record_deadline_miss("wcrt");

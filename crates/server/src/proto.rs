@@ -18,7 +18,6 @@
 //! | `batch`    | `items` (array of wcet/crpd/wcrt/sim requests) | streamed frames (see below) |
 //! | `metrics`  | —                                         | `"metrics": {...}` ops snapshot |
 //! | `journal`  | optional `n` (record count, default 32)   | `"journal": [...]` last flight records |
-//! | `flight`   | —                                         | `"flights": [...]` slow-request black boxes |
 //! | `shutdown` | —                                         | ack, then drain     |
 //!
 //! The `spec` payload is exactly the [`SystemSpec`] text format the
@@ -36,8 +35,7 @@
 //! `entries`/`single_flight_waits`; `"stage_ns"` holds attributed wall
 //! time per stage. Beside them sit `uptime_secs`, the `explore` gauges,
 //! the `analysis_pool` shape, the `admission` gauges and the flight
-//! recorder's `records_total`, `flight_capacity`, `slow_ms` and
-//! `slow_captures`.
+//! recorder's `records_total`.
 //!
 //! ## Admission control
 //!
@@ -46,10 +44,11 @@
 //! server's `--deadline-ms`: a request whose queue wait already exceeds
 //! its deadline is answered `{"ok": false, "code":
 //! "deadline_exceeded", ...}` *before* any analysis runs. When the
-//! server's in-flight count crosses `--max-inflight`, new analysis
-//! requests are shed with `{"ok": false, "code": "overloaded", ...}`;
-//! ops-plane commands (ping, metrics, journal, …) are never shed, so
-//! the server stays observable under overload.
+//! server's count of in-flight analysis requests reaches
+//! `--max-inflight`, new analysis requests are shed with `{"ok": false,
+//! "code": "overloaded", ...}`; ops-plane commands (ping, metrics,
+//! journal, …) neither count toward the cap nor shed, so the server
+//! stays observable under overload.
 //!
 //! ## Responses
 //!
@@ -146,17 +145,12 @@ pub enum Command {
     /// The ops snapshot: uptime, admission gauges, per-endpoint
     /// counters and quantiles, stage cache counters and wall time.
     Metrics,
-    /// The last `n` flight records from the recorder's ring (newest
-    /// [`FlightRecorder::capacity`] survive; default 32).
-    ///
-    /// [`FlightRecorder::capacity`]: rtobs::flight::FlightRecorder::capacity
+    /// The last `n` flight records from the recorder's ring (the newest
+    /// 512 survive; default 32).
     Journal {
         /// How many records to return (clamped to the ring capacity).
         n: Option<u64>,
     },
-    /// The black-box buffer: full span trees of recent requests slower
-    /// than `--slow-ms`.
-    Flight,
     /// Stop accepting connections, drain in-flight work, exit.
     Shutdown,
     /// Per-task WCET reports for every task of the spec.
@@ -198,7 +192,6 @@ impl Command {
             Command::Ping => "ping",
             Command::Metrics => "metrics",
             Command::Journal { .. } => "journal",
-            Command::Flight => "flight",
             Command::Shutdown => "shutdown",
             Command::Wcet(_) => "wcet",
             Command::Crpd(_) => "crpd",
@@ -279,7 +272,6 @@ fn parse_command(doc: &Json) -> Result<Command, ParseError> {
             };
             Command::Journal { n }
         }
-        "flight" => Command::Flight,
         "shutdown" => Command::Shutdown,
         "batch" => {
             let Some(Json::Arr(items)) = doc.get("items") else {
@@ -340,7 +332,7 @@ fn parse_command(doc: &Json) -> Result<Command, ParseError> {
         }
         other => {
             return Err(format!(
-                "unknown cmd `{other}` (expected ping|wcet|crpd|wcrt|sim|explore|batch|metrics|journal|flight|shutdown)"
+                "unknown cmd `{other}` (expected ping|wcet|crpd|wcrt|sim|explore|batch|metrics|journal|shutdown)"
             )
             .into())
         }
@@ -451,10 +443,6 @@ mod tests {
         let r = Request::parse(r#"{"cmd":"journal"}"#).unwrap();
         assert_eq!(r.cmd, Command::Journal { n: None });
 
-        let r = Request::parse(r#"{"cmd":"flight"}"#).unwrap();
-        assert_eq!(r.cmd, Command::Flight);
-        assert_eq!(r.cmd.endpoint(), "flight");
-
         let r = Request::parse(r#"{"cmd":"explore","spec":"s","grid":"sets 32 64\n"}"#).unwrap();
         assert_eq!(r.cmd.endpoint(), "explore");
         assert!(r.cmd.is_analysis());
@@ -488,6 +476,7 @@ mod tests {
             (r#"{"cmd":"frobnicate"}"#, "unknown cmd"),
             (r#"{"cmd":"statusz"}"#, "unknown cmd `statusz`"),
             (r#"{"cmd":"metrics_prom"}"#, "unknown cmd `metrics_prom`"),
+            (r#"{"cmd":"flight"}"#, "unknown cmd `flight`"),
             (
                 r#"{"cmd":"peer_get","name":"a","source":"s","geometry":[1,1,4],"model":[1,1]}"#,
                 "unknown cmd `peer_get` (expected ping|wcet|crpd|wcrt|sim|explore|batch|metrics|",

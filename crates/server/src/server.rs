@@ -10,36 +10,37 @@
 //! replaced) while requests on different connections execute
 //! concurrently up to the pool size.
 //!
-//! Admission control sits in front of the pool: once the in-flight count
-//! reaches `--max-inflight`, new analysis requests are shed on the event
-//! thread with a typed `overloaded` error (ops-plane commands always get
-//! through), and analysis requests whose readiness-to-pickup wait
-//! exceeds their deadline (`--deadline-ms`, or the request's own
-//! `deadline_ms`) are rejected with `deadline_exceeded` before any
-//! analysis runs.
+//! Admission control sits in front of the pool: each line is parsed once,
+//! on the event thread, and once the in-flight analysis count reaches
+//! `--max-inflight`, new analysis requests are shed there with a typed
+//! `overloaded` error (ops-plane commands always get through and never
+//! take an admission slot), and analysis requests whose
+//! readiness-to-pickup wait exceeds their deadline (`--deadline-ms`, or
+//! the request's own `deadline_ms`) are rejected with
+//! `deadline_exceeded` before any analysis runs.
 //!
 //! Shutdown protocol: a `shutdown` request completes with
 //! [`rtreact::Control::Shutdown`]; the reactor writes the ack, stops
 //! accepting and reading, drains every dispatched request, and `serve`
 //! returns after the request pool finishes any remaining work.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rtcli::{ArtifactStore, CliError, ServeOptions, SystemSpec};
-use rtobs::flight::{FinishedFlight, FlightRecord, FlightRecorder, STAGES};
+use rtobs::flight::{FlightRecord, FlightRecorder, STAGES};
 
 use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::pool::WorkerPool;
 use crate::proto::{
-    err_response, err_response_coded, ok_response, ok_response_with, Command, Request, SpecPayload,
+    err_response, err_response_coded, ok_response, ok_response_with, Command, ParseError, Request,
+    SpecPayload,
 };
 
 /// State shared by every worker: the artifact cache, the metrics
@@ -60,21 +61,13 @@ pub struct ServerState {
     /// background workers; every closure runs inline on the connection
     /// worker).
     analysis: rtpar::Pool,
-    /// `--slow-ms`: requests at or above this wall time get their span
-    /// tree captured into the black box. `None` disables capture.
-    slow_ms: Option<u64>,
-    /// The most recent slow-request captures, newest last.
-    black_box: Mutex<VecDeque<FinishedFlight>>,
-    /// Slow requests captured since startup (the black box is bounded;
-    /// this is not).
-    slow_total: AtomicU64,
     /// `--max-inflight`: the admission cap on concurrently dispatched
-    /// requests; at or past it, new analysis requests are shed.
+    /// analysis requests; at or past it, new ones are shed.
     max_inflight: u64,
     /// `--deadline-ms`: the server-wide queue-wait deadline for analysis
     /// requests (overridable per request).
     deadline_ms: Option<u64>,
-    /// Requests currently dispatched to the worker pool.
+    /// Analysis requests currently dispatched to the worker pool.
     inflight: AtomicU64,
     /// The reactor's always-on connection counters.
     react_stats: Arc<rtreact::ReactorStats>,
@@ -84,43 +77,17 @@ pub struct ServerState {
     trace: Option<Arc<rtobs::Recorder>>,
 }
 
-/// How many slow-request span trees the black box retains.
-const BLACK_BOX_CAP: usize = 32;
-
-impl Default for ServerState {
-    fn default() -> Self {
-        ServerState::with_threads(rtpar::default_threads())
-    }
-}
+/// How many of the most recent flight records the `journal` keeps.
+const FLIGHT_CAPACITY: usize = 512;
 
 impl ServerState {
-    /// State with an analysis pool of `threads` total threads and default
-    /// flight-recorder settings (512-record ring, no slow capture).
-    pub fn with_threads(threads: usize) -> ServerState {
-        ServerState::with_flight(threads, 512, None)
-    }
-
-    /// State with an analysis pool of `threads` threads, a flight ring of
-    /// `flight_capacity` records, and slow-request capture at `slow_ms`.
-    pub fn with_flight(
-        threads: usize,
-        flight_capacity: usize,
-        slow_ms: Option<u64>,
-    ) -> ServerState {
-        let opts = ServeOptions { threads, flight_capacity, slow_ms, ..ServeOptions::default() };
-        ServerState::with_options(&opts)
-    }
-
     /// State configured from the full `trisc serve` option set.
     pub fn with_options(opts: &ServeOptions) -> ServerState {
         ServerState {
             store: ArtifactStore::default(),
             metrics: Metrics::default(),
-            flight: FlightRecorder::new(opts.flight_capacity),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             analysis: rtpar::Pool::new(opts.threads),
-            slow_ms: opts.slow_ms,
-            black_box: Mutex::new(VecDeque::with_capacity(BLACK_BOX_CAP)),
-            slow_total: AtomicU64::new(0),
             max_inflight: opts.max_inflight,
             deadline_ms: opts.deadline_ms,
             inflight: AtomicU64::new(0),
@@ -263,16 +230,6 @@ pub fn run(opts: &ServeOptions) -> io::Result<()> {
         opts.deadline_ms.map_or(String::new(), |ms| format!(", deadline {ms} ms")),
         opts.idle_timeout_ms.map_or(String::new(), |ms| format!(", idle timeout {ms} ms")),
     );
-    match opts.slow_ms {
-        Some(ms) => println!(
-            "rtflight: {}-record ring, capturing span trees of requests >= {ms} ms",
-            opts.flight_capacity
-        ),
-        None => println!(
-            "rtflight: {}-record ring (pass --slow-ms MS to capture slow-request span trees)",
-            opts.flight_capacity
-        ),
-    }
     server.serve()?;
     if let (Some(trace), Some(path)) = (trace, opts.trace_out.as_deref()) {
         trace.write_chrome_trace(Path::new(path))?;
@@ -289,20 +246,45 @@ struct ReactorHandler {
 }
 
 impl rtreact::Handler for ReactorHandler {
+    /// Parses the line once, on the event thread, and applies admission
+    /// before the request costs a pool slot. Only analysis-class commands
+    /// count toward `--max-inflight` or shed: the ops plane (ping,
+    /// metrics, journal, shutdown) must stay responsive precisely when
+    /// the server is overloaded, and malformed lines take the normal path
+    /// so their error reporting is unchanged.
     fn on_line(&self, line: String, ready: Instant, responder: rtreact::Responder) {
-        // Shed on the event thread, before the request costs a pool slot.
-        if let Some(response) = try_shed(&self.state, &line) {
-            responder.send(response);
-            return;
-        }
-        self.state.inflight.fetch_add(1, Ordering::SeqCst);
-        let state = Arc::clone(&self.state);
+        let state = &self.state;
+        let parsed = Request::parse(&line);
+        let analysis = match &parsed {
+            Ok(request) if request.cmd.is_analysis() => {
+                let inflight = state.inflight.load(Ordering::SeqCst);
+                if inflight >= state.max_inflight {
+                    state.metrics.record_shed(request.cmd.endpoint());
+                    responder.send(err_response_coded(
+                        request.id,
+                        "overloaded",
+                        &format!(
+                            "server at capacity ({inflight} requests in flight, --max-inflight \
+                             {}); retry later",
+                            state.max_inflight
+                        ),
+                    ));
+                    return;
+                }
+                state.inflight.fetch_add(1, Ordering::SeqCst);
+                true
+            }
+            _ => false,
+        };
+        let state = Arc::clone(state);
         self.pool.execute(move || {
             // Run the request with the server's analysis pool installed so
             // nested `rtpar` fan-out inside the analyses lands there.
             let (response, shutdown) =
-                state.analysis.install(|| handle_request(&state, &line, ready));
-            state.inflight.fetch_sub(1, Ordering::SeqCst);
+                state.analysis.install(|| handle_request(&state, parsed, ready));
+            if analysis {
+                state.inflight.fetch_sub(1, Ordering::SeqCst);
+            }
             let control =
                 if shutdown { rtreact::Control::Shutdown } else { rtreact::Control::Continue };
             responder.send_with(response, control);
@@ -310,47 +292,22 @@ impl rtreact::Handler for ReactorHandler {
     }
 }
 
-/// The admission fast path, run on the event thread at dispatch: `None`
-/// lets the request through. Only analysis-class commands shed — the ops
-/// plane (ping, metrics, journal, flight, shutdown) must stay
-/// responsive precisely when the server is overloaded — and malformed
-/// lines take the normal path so their error reporting is unchanged.
-/// The under-cap case costs one atomic load; parsing happens only once
-/// the server is already saturated.
-fn try_shed(state: &ServerState, line: &str) -> Option<String> {
-    if state.inflight.load(Ordering::SeqCst) < state.max_inflight {
-        return None;
-    }
-    let request = Request::parse(line).ok()?;
-    if !request.cmd.is_analysis() {
-        return None;
-    }
-    state.metrics.record_shed(request.cmd.endpoint());
-    Some(err_response_coded(
-        request.id,
-        "overloaded",
-        &format!(
-            "server at capacity ({} requests in flight, --max-inflight {}); retry later",
-            state.inflight.load(Ordering::SeqCst),
-            state.max_inflight
-        ),
-    ))
-}
-
-/// Executes one request line; returns the response line and whether this
-/// request asked the server to shut down. `ready` is the instant the
-/// line was fully framed by the reactor, so `ready.elapsed()` at pickup
-/// is the readiness-to-dispatch queue wait the flight recorder
-/// attributes. Every request — including malformed ones — flies through
-/// the always-on [`FlightRecorder`]; with `--slow-ms` set,
-/// over-threshold requests additionally land their full span tree in
-/// the black box.
-fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, bool) {
+/// Executes one parsed request line; returns the response line and
+/// whether this request asked the server to shut down. `ready` is the
+/// instant the line was fully framed by the reactor, so `ready.elapsed()`
+/// at pickup is the readiness-to-dispatch queue wait (the parse
+/// included) the flight recorder attributes. Every request — including
+/// malformed ones — flies through the always-on [`FlightRecorder`].
+fn handle_request(
+    state: &ServerState,
+    parsed: Result<Request, ParseError>,
+    ready: Instant,
+) -> (String, bool) {
     let queue_us = ready.elapsed().as_micros() as u64;
-    let request = match Request::parse(line) {
+    let request = match parsed {
         Ok(request) => request,
         Err(error) => {
-            state.flight.begin("invalid", queue_us, false).finish(false);
+            state.flight.begin("invalid", queue_us).finish(false);
             let response = match error.code {
                 Some(code) => err_response_coded(None, code, &error.message),
                 None => err_response(None, &error.message),
@@ -367,7 +324,7 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
     if request.cmd.is_analysis() {
         if let Some(deadline_ms) = request.deadline_ms.or(state.deadline_ms) {
             if queue_us / 1000 >= deadline_ms {
-                state.flight.begin(endpoint, queue_us, false).finish(false);
+                state.flight.begin(endpoint, queue_us).finish(false);
                 state.metrics.record_deadline_miss(endpoint);
                 return (
                     err_response_coded(
@@ -384,10 +341,10 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
         }
     }
     let _trace = state.trace.clone().map(rtobs::begin_with);
-    let scope = state.flight.begin(endpoint, queue_us, state.slow_ms.is_some());
+    let scope = state.flight.begin(endpoint, queue_us);
     let (response, ok, shutdown) = {
-        // The whole-request span: the root of a slow request's captured
-        // tree, and visible to `--trace-out` recordings too.
+        // The whole-request span: attributed to the frame's `request`
+        // stage, and the root of the `--trace-out` recording's tree.
         let _request_span = rtobs::span_labeled("request", || endpoint.to_string());
         match &request.cmd {
             Command::Ping => (ok_response(id, "pong"), true, false),
@@ -396,11 +353,6 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
                 let records = state.flight.journal(n.unwrap_or(32) as usize);
                 let rows = records.iter().map(record_json).collect();
                 (ok_response_with(id, "journal", Json::Arr(rows)), true, false)
-            }
-            Command::Flight => {
-                let flights = state.black_box.lock().expect("black box poisoned");
-                let rows = flights.iter().map(flight_json).collect();
-                (ok_response_with(id, "flights", Json::Arr(rows)), true, false)
             }
             Command::Shutdown => {
                 (ok_response(id, "draining in-flight work, then exiting"), true, true)
@@ -423,17 +375,7 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
             }
         }
     };
-    let finished = scope.finish(ok);
-    if let Some(slow_ms) = state.slow_ms {
-        if finished.record.total_us >= slow_ms.saturating_mul(1000) {
-            state.slow_total.fetch_add(1, Ordering::Relaxed);
-            let mut black_box = state.black_box.lock().expect("black box poisoned");
-            if black_box.len() == BLACK_BOX_CAP {
-                black_box.pop_front();
-            }
-            black_box.push_back(finished);
-        }
-    }
+    scope.finish(ok);
     (response, shutdown)
 }
 
@@ -450,7 +392,7 @@ fn stage_json(values: &[u64]) -> Json {
     )
 }
 
-/// One flight record as a JSON row (journal entries, black-box headers).
+/// One flight record as a `journal` row.
 fn record_json(record: &FlightRecord) -> Json {
     Json::obj([
         ("id", Json::from(record.id)),
@@ -462,26 +404,7 @@ fn record_json(record: &FlightRecord) -> Json {
         ("stage_ns", stage_json(&record.stage_ns)),
         ("stage_hits", stage_json(&record.stage_hits)),
         ("stage_misses", stage_json(&record.stage_misses)),
-        ("spans_dropped", Json::from(record.spans_dropped)),
     ])
-}
-
-/// One black-box capture: the record plus its span tree in completion
-/// order (`depth` + order reconstructs nesting).
-fn flight_json(flight: &FinishedFlight) -> Json {
-    let spans: Vec<Json> = flight
-        .spans
-        .iter()
-        .map(|s| {
-            Json::obj([
-                ("stage", Json::from(s.stage)),
-                ("depth", Json::from(u64::from(s.depth))),
-                ("start_ns", Json::from(s.start_ns)),
-                ("dur_ns", Json::from(s.dur_ns)),
-            ])
-        })
-        .collect();
-    Json::obj([("record", record_json(&flight.record)), ("spans", Json::Arr(spans))])
 }
 
 /// Executes a `batch` request: every item runs through the analysis
@@ -529,7 +452,7 @@ fn run_batch(state: &ServerState, id: Option<u64>, items: &[Command]) -> (String
 /// per-endpoint counters and latency quantiles (shed and deadline-miss
 /// counters merged in), per-stage cache counters and attributed wall
 /// time, the explore gauges, the analysis-pool shape, the admission
-/// gauges and the flight recorder's settings, all from always-on
+/// gauges and the flight recorder's record count, all from always-on
 /// collectors.
 fn metrics(state: &ServerState) -> Json {
     let rows = state.metrics.endpoint_rows(&state.flight);
@@ -605,9 +528,6 @@ fn metrics(state: &ServerState) -> Json {
             ]),
         ),
         ("records_total", Json::from(state.flight.records_total())),
-        ("flight_capacity", Json::from(state.flight.capacity() as u64)),
-        ("slow_ms", state.slow_ms.map_or(Json::Null, Json::from)),
-        ("slow_captures", Json::from(state.slow_total.load(Ordering::Relaxed))),
     ])
 }
 
@@ -776,21 +696,15 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_shape() {
-        let opts = ServeOptions {
-            threads: 4,
-            flight_capacity: 8,
-            slow_ms: Some(250),
-            max_inflight: 256,
-            ..ServeOptions::default()
-        };
+        let opts = ServeOptions { threads: 4, max_inflight: 256, ..ServeOptions::default() };
         let state = ServerState::with_options(&opts);
-        state.flight.begin("wcrt", 0, false).finish(true);
+        state.flight.begin("wcrt", 0).finish(true);
         {
-            let scope = state.flight.begin("wcrt", 0, false);
+            let scope = state.flight.begin("wcrt", 0);
             std::thread::sleep(Duration::from_millis(1));
             scope.finish(false);
         }
-        state.flight.begin("ping", 0, false).finish(true);
+        state.flight.begin("ping", 0).finish(true);
         state.metrics.record_shed("wcrt");
         state.metrics.record_shed("wcrt");
         state.metrics.record_deadline_miss("wcrt");
@@ -846,9 +760,6 @@ mod tests {
         assert_eq!(pool.get("threads").unwrap().as_u64(), Some(4));
         assert_eq!(pool.get("background_workers").unwrap().as_u64(), Some(3));
         assert_eq!(snap.get("records_total").unwrap().as_u64(), Some(3));
-        assert_eq!(snap.get("flight_capacity").unwrap().as_u64(), Some(8));
-        assert_eq!(snap.get("slow_ms").unwrap().as_u64(), Some(250));
-        assert_eq!(snap.get("slow_captures").unwrap().as_u64(), Some(0));
     }
 
     #[test]

@@ -249,10 +249,10 @@ fn reports_are_byte_identical_with_the_flight_recorder_on_and_off() {
     let recorder = rtobs::flight::FlightRecorder::new(8);
     for threads in [1usize, 8] {
         let pool = rtpar::Pool::new(threads);
-        let scope = recorder.begin("invariance", 0, true);
+        let scope = recorder.begin("invariance", 0);
         let (analysis, cli) =
             pool.install(|| (analysis_report(), cli_report(&format!("flight-{threads}"))));
-        let finished = scope.finish(true);
+        let record = scope.finish(true);
         assert_eq!(
             analysis, plain_analysis,
             "a flight frame at {threads} threads changed the analysis output"
@@ -267,11 +267,10 @@ fn reports_are_byte_identical_with_the_flight_recorder_on_and_off() {
         for stage in ["assemble", "trace", "ciip", "mumbs", "crpd", "wcrt"] {
             let idx = rtobs::flight::stage_index(stage).expect("registered stage");
             assert!(
-                finished.record.stage_ns[idx] > 0,
+                record.stage_ns[idx] > 0,
                 "no wall time attributed to `{stage}` at {threads} threads"
             );
         }
-        assert!(!finished.spans.is_empty(), "span capture recorded the pipeline");
     }
     assert_eq!(recorder.records_total(), 2);
 }
